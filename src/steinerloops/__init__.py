@@ -54,7 +54,6 @@ from .schreier import (
     coboundary,
     count_nonequivalent,
     enumerate_factor_systems,
-    eval_factor,
     further_veblen,
     hom_set,
     is_coboundary,

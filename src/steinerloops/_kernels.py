@@ -1,22 +1,13 @@
-"""Hot table-scan kernels with a numba fast path and a numpy fallback.
-
-Every kernel exists twice with identical semantics:
-
-* ``*_nb``: numba ``@njit`` compiled (cached on disk after first use),
-* ``*_np``: vectorized numpy.
-
-The active backend is chosen once at import time: numba is used when it is
-importable and the environment variable ``STEINER_NUMBA`` is not set to
-``0``/``off``/``false``. ``benchmarks/bench_kernels.py`` times both backends
-side by side; the test suite cross-checks that they agree.
+"""Hot table-scan kernels, one vectorized numpy implementation each.
 
 Kernel contracts (n = loop order, v = system order):
 
 ``steiner_violation(table)``
     0 if the n x n int32 table is a Steiner loop multiplication table
     (identity 0, exponent two, commutative, totally symmetric), else a
-    positive code: 1 range, 2 identity, 3 involution, 4 commutativity,
-    5 total symmetry.
+    positive code: 1 shape or range, 2 identity, 3 involution,
+    4 commutativity, 5 total symmetry. An empty table has no identity
+    element and gets code 2.
 
 ``center_mask(table)``
     bool[n]; entry z is True iff (a.b).z == a.(b.z) for all a, b, i.e. z is
@@ -36,30 +27,25 @@ Kernel contracts (n = loop order, v = system order):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-THREAD_ENV = "STEINER_THREADS"
-FLAG_ENV = "STEINER_NUMBA"
+
+def backend_name() -> str:
+    return "numpy"
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get(FLAG_ENV, "auto").strip().lower()
-    return flag not in ("0", "off", "false", "no")
-
-
-# --- numpy backend ---------------------------------------------------------
-
-
-def steiner_violation_np(table: np.ndarray) -> int:
-    n = table.shape[0]
-    if table.shape != (n, n) or table.min(initial=0) < 0 or table.max(initial=-1) >= n:
+def steiner_violation(table: np.ndarray) -> int:
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
         return 1
+    n = table.shape[0]
+    if table.min(initial=0) < 0 or table.max(initial=-1) >= n:
+        return 1
+    if n == 0:
+        return 2
     idx = np.arange(n)
     if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
         return 2
-    if table.trace() != 0 or (np.diagonal(table) != 0).any():
+    if (np.diagonal(table) != 0).any():
         return 3
     if not np.array_equal(table, table.T):
         return 4
@@ -68,7 +54,7 @@ def steiner_violation_np(table: np.ndarray) -> int:
     return 0
 
 
-def center_mask_np(table: np.ndarray) -> np.ndarray:
+def center_mask(table: np.ndarray) -> np.ndarray:
     n = table.shape[0]
     mask = np.empty(n, dtype=np.bool_)
     for z in range(n):
@@ -76,7 +62,7 @@ def center_mask_np(table: np.ndarray) -> np.ndarray:
     return mask
 
 
-def is_associative_np(table: np.ndarray) -> bool:
+def is_associative(table: np.ndarray) -> bool:
     n = table.shape[0]
     for z in range(n):
         if not np.array_equal(table[table, z], table[:, table[:, z]]):
@@ -84,7 +70,7 @@ def is_associative_np(table: np.ndarray) -> bool:
     return True
 
 
-def pasch_census_np(third: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pasch_census(third: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v, r, _ = others.shape
     counts = np.zeros(v, dtype=np.int64)
     closed = np.ones(v, dtype=np.bool_)
@@ -100,145 +86,4 @@ def pasch_census_np(third: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, 
         c = crossed[iu, ju]
         counts[p] = int(s.sum()) + int(c.sum())
         closed[p] = bool(s.all() and c.all())
-    return counts, closed
-
-
-# --- numba backend ---------------------------------------------------------
-
-NUMBA_AVAILABLE = False
-steiner_violation_nb = None
-center_mask_nb = None
-is_associative_nb = None
-pasch_census_nb = None
-
-if _numba_requested():
-    try:
-        import numba
-        from numba import njit, prange
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        NUMBA_AVAILABLE = False
-
-if NUMBA_AVAILABLE:
-    _threads = os.environ.get(THREAD_ENV, "").strip()
-    if _threads.isdigit() and int(_threads) > 0:
-        numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-
-    @njit(cache=True)
-    def steiner_violation_nb(table):  # noqa: F811
-        n = table.shape[0]
-        for x in range(n):
-            for y in range(n):
-                e = table[x, y]
-                if e < 0 or e >= n:
-                    return 1
-        for x in range(n):
-            if table[0, x] != x or table[x, 0] != x:
-                return 2
-            if table[x, x] != 0:
-                return 3
-        for x in range(n):
-            for y in range(n):
-                if table[x, y] != table[y, x]:
-                    return 4
-                if table[x, table[x, y]] != y:
-                    return 5
-        return 0
-
-    @njit(cache=True)
-    def center_mask_nb(table):  # noqa: F811
-        n = table.shape[0]
-        mask = np.ones(n, dtype=np.bool_)
-        for z in range(n):
-            ok = True
-            for a in range(n):
-                for b in range(n):
-                    if table[table[a, b], z] != table[a, table[b, z]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            mask[z] = ok
-        return mask
-
-    @njit(cache=True)
-    def is_associative_nb(table):  # noqa: F811
-        n = table.shape[0]
-        for z in range(n):
-            for a in range(n):
-                for b in range(n):
-                    if table[table[a, b], z] != table[a, table[b, z]]:
-                        return False
-        return True
-
-    @njit(cache=True, parallel=True)
-    def pasch_census_nb(third, others):  # noqa: F811
-        v = others.shape[0]
-        r = others.shape[1]
-        counts = np.zeros(v, dtype=np.int64)
-        closed = np.ones(v, dtype=np.bool_)
-        for p in prange(v):
-            c = 0
-            ok = True
-            for i in range(r):
-                a = others[p, i, 0]
-                b = others[p, i, 1]
-                for j in range(i + 1, r):
-                    cc = others[p, j, 0]
-                    d = others[p, j, 1]
-                    if third[a, cc] == third[b, d]:
-                        c += 1
-                    else:
-                        ok = False
-                    if third[a, d] == third[b, cc]:
-                        c += 1
-                    else:
-                        ok = False
-            counts[p] = c
-            closed[p] = ok
-        return counts, closed
-
-
-class KernelBackend:
-    """Bundle of the four kernels for one backend."""
-
-    def __init__(self, name, steiner_violation, center_mask, is_associative, pasch_census):
-        self.name = name
-        self.steiner_violation = steiner_violation
-        self.center_mask = center_mask
-        self.is_associative = is_associative
-        self.pasch_census = pasch_census
-
-
-NUMPY_BACKEND = KernelBackend(
-    "numpy", steiner_violation_np, center_mask_np, is_associative_np, pasch_census_np
-)
-NUMBA_BACKEND = (
-    KernelBackend("numba", steiner_violation_nb, center_mask_nb, is_associative_nb, pasch_census_nb)
-    if NUMBA_AVAILABLE
-    else None
-)
-
-ACTIVE: KernelBackend = NUMBA_BACKEND if NUMBA_BACKEND is not None else NUMPY_BACKEND
-
-
-def backend_name() -> str:
-    return ACTIVE.name
-
-
-def steiner_violation(table: np.ndarray) -> int:
-    return int(ACTIVE.steiner_violation(table))
-
-
-def center_mask(table: np.ndarray) -> np.ndarray:
-    return ACTIVE.center_mask(table)
-
-
-def is_associative(table: np.ndarray) -> bool:
-    return bool(ACTIVE.is_associative(table))
-
-
-def pasch_census(third: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    counts, closed = ACTIVE.pasch_census(third, others)
     return counts, closed

@@ -155,34 +155,41 @@ def _provenance(args) -> str:
     return "built by: steiner " + " ".join(parts)
 
 
+def _check_extension_order(v: int, bound: int) -> None:
+    """Refuse an extension of system order v before any table is built."""
+    if v > bound:
+        raise BoundExceeded(f"built order {v} exceeds --bound-v {bound}")
+
+
 def cmd_extend(args) -> int:
     if args.kind == "schreier":
         if args.q is None or args.t is None or args.f is None:
             raise ValidationError("extend schreier needs --q, --t and --f")
         q = _resolve_loop(args.q)
+        n = schreier.ElemAbelian2(args.t)
+        _check_extension_order(q.n * n.size - 1, args.bound_v)
         f = _resolve_factor(args.f, q, args.t)
-        loop = schreier.build_schreier(schreier.ElemAbelian2(args.t), q, f)
+        loop = schreier.build_schreier(n, q, f)
     elif args.kind == "operator":
         if args.q is None or args.n is None or args.op is None:
             raise ValidationError("extend operator needs --q, --n and --op")
         q = _resolve_loop(args.q)
         n_loop = _resolve_loop(args.n)
+        _check_extension_order(q.n * n_loop.n - 1, args.bound_v)
         op = formats.read_operator(args.op, q, n_loop)
         loop = steiner_operator.build_extension(op)
     elif args.kind == "double":
         if args.n is None or args.square is None:
             raise ValidationError("extend double needs --n and --square")
         n_loop = _resolve_loop(args.n)
+        _check_extension_order(2 * n_loop.n - 1, args.bound_v)
         square = _resolve_square(args.square)
         loop = steiner_operator.build_extension(
             steiner_operator.double_operator(n_loop, square)
         )
     else:
         raise ValidationError(f"unknown extension kind {args.kind!r}")
-    system = loop.system()
-    if system.v > args.bound_v:
-        raise BoundExceeded(f"built order {system.v} exceeds --bound-v {args.bound_v}")
-    _emit(formats.render_system(system, comments=[_provenance(args)]), args.output)
+    _emit(formats.render_system(loop.system(), comments=[_provenance(args)]), args.output)
     return 0
 
 

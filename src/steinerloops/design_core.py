@@ -29,10 +29,10 @@ from .errors import (
     PairMissing,
 )
 
-DENSE_TABLE_LIMIT = 1024
+SCAN_ORDER_LIMIT = 1024
 
 _VIOLATION_TEXT = {
-    1: "entry out of range",
+    1: "not a square table with entries in 0..n-1",
     2: "element 0 is not an identity",
     3: "some x.x != identity",
     4: "table is not commutative",
@@ -159,12 +159,11 @@ def validate_system(v: int, triples) -> TripleSystem:
 class SteinerLoop:
     """Totally symmetric loop with identity 0, stored as a dense Cayley table.
 
-    Orders above DENSE_TABLE_LIMIT fall back to a pair -> product map; the
-    table-scan operations (center, associativity) then refuse with
-    BoundExceeded rather than materialize an oversized table.
+    The O(n^3) table scans (center, associativity) refuse orders above
+    SCAN_ORDER_LIMIT with BoundExceeded.
     """
 
-    __slots__ = ("n", "table", "_pairs", "_system", "_hash")
+    __slots__ = ("n", "table", "_system", "_hash")
 
     def __init__(self, table):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
@@ -174,48 +173,30 @@ class SteinerLoop:
         table.flags.writeable = False
         self.n = int(table.shape[0])
         self.table = table
-        self._pairs = None
         self._system = None
         self._hash = None
-
-    @classmethod
-    def _sparse(cls, n: int, pairs: dict) -> "SteinerLoop":
-        self = object.__new__(cls)
-        self.n = n
-        self.table = None
-        self._pairs = pairs
-        self._system = None
-        self._hash = None
-        return self
 
     @property
     def order(self) -> int:
         return self.n
 
     def mul(self, x: int, y: int) -> int:
-        if self.table is not None:
-            return int(self.table[x, y])
-        if x == y:
-            return 0
-        if x == 0:
-            return y
-        if y == 0:
-            return x
-        return self._pairs[(x, y) if x < y else (y, x)]
+        return int(self.table[x, y])
 
-    def require_table(self) -> np.ndarray:
-        if self.table is None:
+    def _check_scan_order(self) -> None:
+        if self.n > SCAN_ORDER_LIMIT:
             raise BoundExceeded(
-                f"loop of order {self.n} exceeds the dense-table limit {DENSE_TABLE_LIMIT}"
+                f"loop of order {self.n} exceeds the table-scan limit {SCAN_ORDER_LIMIT}"
             )
-        return self.table
 
     def is_associative(self) -> bool:
-        return _kernels.is_associative(self.require_table())
+        self._check_scan_order()
+        return _kernels.is_associative(self.table)
 
     def center(self) -> frozenset:
         """All central elements, identity included."""
-        mask = _kernels.center_mask(self.require_table())
+        self._check_scan_order()
+        mask = _kernels.center_mask(self.table)
         return frozenset(int(i) for i in np.flatnonzero(mask))
 
     def system(self) -> TripleSystem:
@@ -224,18 +205,15 @@ class SteinerLoop:
         return self._system
 
     def __eq__(self, other):
-        if not isinstance(other, SteinerLoop) or self.n != other.n:
-            return False
-        if self.table is not None and other.table is not None:
-            return bool(np.array_equal(self.table, other.table))
-        return self.system() == other.system()
+        return (
+            isinstance(other, SteinerLoop)
+            and self.n == other.n
+            and bool(np.array_equal(self.table, other.table))
+        )
 
     def __hash__(self):
         if self._hash is None:
-            if self.table is not None:
-                self._hash = hash(self.table.tobytes())
-            else:
-                self._hash = hash(self.system())
+            self._hash = hash(self.table.tobytes())
         return self._hash
 
     def __repr__(self):
@@ -245,21 +223,13 @@ class SteinerLoop:
 def loop_from_system(s: TripleSystem) -> SteinerLoop:
     """The loop of s: x.y is the third point on their line, x.x = 0."""
     n = s.v + 1
-    if n <= DENSE_TABLE_LIMIT:
-        table = np.empty((n, n), dtype=np.int32)
-        idx = np.arange(n, dtype=np.int32)
-        table[0, :] = idx
-        table[:, 0] = idx
-        table[1:, 1:] = s.third_table + 1
-        table[idx, idx] = 0
-        loop = SteinerLoop(table)
-    else:
-        pairs = {}
-        for a, b, c in s.triples:
-            pairs[(a + 1, b + 1)] = c + 1
-            pairs[(a + 1, c + 1)] = b + 1
-            pairs[(b + 1, c + 1)] = a + 1
-        loop = SteinerLoop._sparse(n, pairs)
+    table = np.empty((n, n), dtype=np.int32)
+    idx = np.arange(n, dtype=np.int32)
+    table[0, :] = idx
+    table[:, 0] = idx
+    table[1:, 1:] = s.third_table + 1
+    table[idx, idx] = 0
+    loop = SteinerLoop(table)
     loop._system = s
     return loop
 
@@ -269,18 +239,13 @@ def system_from_loop(loop) -> TripleSystem:
     if not isinstance(loop, SteinerLoop):
         loop = SteinerLoop(loop)
     n = loop.n
+    t = loop.table
     triples = []
-    if loop.table is not None:
-        t = loop.table
-        for x in range(1, n):
-            for y in range(x + 1, n):
-                z = int(t[x, y])
-                if z > y:
-                    triples.append((x - 1, y - 1, z - 1))
-    else:
-        triples = [
-            (x - 1, y - 1, z - 1) for (x, y), z in loop._pairs.items() if x < y and z > y
-        ]
+    for x in range(1, n):
+        for y in range(x + 1, n):
+            z = int(t[x, y])
+            if z > y:
+                triples.append((x - 1, y - 1, z - 1))
     return TripleSystem(n - 1, triples)
 
 
@@ -446,7 +411,8 @@ def is_projective_hyperplane(s: TripleSystem, subset) -> bool:
     meets_all = all(subset & set(t) for t in s.triples)
     # combinatorially forced: a proper subsystem meets every triple iff it
     # has exactly (v-1)/2 points
-    assert meets_all == (len(subset) == (s.v - 1) // 2)
+    if meets_all != (len(subset) == (s.v - 1) // 2):
+        raise AssertionError("hyperplane test disagrees with the subsystem size")
     return meets_all
 
 

@@ -92,7 +92,7 @@ def read_system(path) -> TripleSystem:
 
 
 def render_loop_csv(loop: SteinerLoop) -> str:
-    table = loop.require_table()
+    table = loop.table
     labels = [_label(e) for e in range(loop.n)]
     lines = ["," + ",".join(labels)]
     for x in range(loop.n):

@@ -118,10 +118,6 @@ class FactorSystem:
         return f"FactorSystem(t={self.t}, values={self.values})"
 
 
-def eval_factor(f: FactorSystem, p: int, r: int) -> int:
-    return f.value(p, r)
-
-
 def zero_factor_system(n: ElemAbelian2, q: SteinerLoop) -> FactorSystem:
     return FactorSystem(q, n.t, [0] * q.system().b)
 
@@ -165,7 +161,7 @@ def build_schreier(n: ElemAbelian2, q: SteinerLoop, f: FactorSystem) -> SteinerL
     nt = n.size
     xor = np.bitwise_xor.outer(np.arange(nt, dtype=np.int32), np.arange(nt, dtype=np.int32))
     table = np.empty((m * nt, m * nt), dtype=np.int32)
-    qt = q.require_table()
+    qt = q.table
     for p in range(m):
         for r in range(m):
             block = (xor ^ f.value(p, r)) + int(qt[p, r]) * nt
@@ -280,7 +276,8 @@ def count_nonequivalent(n: ElemAbelian2, q: SteinerLoop) -> int:
     else:
         hom_count = 1 << (n.t * (qs.v - r))
     # closed form: 2^(tb) / (2^(tw) / |Hom|)
-    assert by_rank << (n.t * qs.v) == (1 << (n.t * qs.b)) * hom_count
+    if by_rank << (n.t * qs.v) != (1 << (n.t * qs.b)) * hom_count:
+        raise AssertionError("class count disagrees with the homomorphism count")
     return by_rank
 
 
@@ -465,7 +462,7 @@ def classify(
     beta_gens = [point_perm_to_loop_perm(g) for g in automorphisms(qs).generators]
     alpha_gens = [a for a in gl2_elements(t) if a != identity_alpha(t)]
     id_a, id_b = identity_alpha(t), tuple(range(q.n))
-    gen_pairs = [(a, id_b) for a in alpha_gens] + [(id_a, b_) for b_ in beta_gens]
+    gens = [(a, id_b) for a in alpha_gens] + [(id_a, b_) for b_ in beta_gens]
 
     orbit_of = [-1] * len(reps)
     witnesses = [None] * len(reps)
@@ -481,7 +478,7 @@ def classify(
         while queue:
             cur, acc_a, acc_b = queue.pop()
             f_cur = FactorSystem(q, t, cur)
-            for ga, gb in gen_pairs:
+            for ga, gb in gens:
                 moved = apply_aut(f_cur, ga, gb)
                 canon = canonical_values(moved, basis, pivots)
                 j = index[canon]

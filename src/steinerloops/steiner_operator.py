@@ -127,7 +127,7 @@ def validate_operator(op: SteinerOperator) -> None:
         for r in range(m):
             if not _is_latin(op.blocks[p, r]):
                 raise NotLatin(p, r)
-    if not np.array_equal(op.blocks[0, 0], op.n_loop.require_table()):
+    if not np.array_equal(op.blocks[0, 0], op.n_loop.table):
         raise BadIdentityBlock("block (0,0) is not the subloop table")
     for p in range(m):
         for r in range(p, m):
@@ -136,7 +136,7 @@ def validate_operator(op: SteinerOperator) -> None:
     for p in range(m):
         if (np.diagonal(op.blocks[p, p]) != 0).any():
             raise DiagonalViolation(p)
-    qt = op.q.require_table()
+    qt = op.q.table
     for p in range(m):
         for r in range(m):
             back = op.blocks[p, int(qt[p, r])]
@@ -144,14 +144,15 @@ def validate_operator(op: SteinerOperator) -> None:
                 raise TotalSymmetryViolation(p, r)
     # forced consequence: multiplying by the subloop identity fixes x
     for p in range(m):
-        assert np.array_equal(op.blocks[p, 0][:, 0], idx)
+        if not np.array_equal(op.blocks[p, 0][:, 0], idx):
+            raise AssertionError(f"block ({p},0) does not fix x under the subloop identity")
 
 
 def build_extension(op: SteinerOperator) -> SteinerLoop:
     """Multiplication table on pairs (P, x) flattened to index P*k + x."""
     validate_operator(op)
     m, k = op.q.n, op.n_loop.n
-    qt = op.q.require_table()
+    qt = op.q.table
     table = np.empty((m * k, m * k), dtype=np.int32)
     for p in range(m):
         for r in range(m):
@@ -216,9 +217,9 @@ def complete_from_blocks(q: SteinerLoop, n_loop: SteinerLoop, diagonal, off) -> 
     off maps one ordered pair (P, Q) per quotient triple to that block.
     """
     m, k = q.n, n_loop.n
-    qt = q.require_table()
+    qt = q.table
     blocks = np.full((m, m, k, k), -1, dtype=np.int32)
-    blocks[0, 0] = n_loop.require_table()
+    blocks[0, 0] = n_loop.table
     for p in range(1, m):
         if p not in diagonal:
             raise Incompletable(p, p, "missing diagonal block")
@@ -461,7 +462,8 @@ def find_equivalence(op1: SteinerOperator, op2: SteinerOperator, node_bound: int
 
     if rec(1):
         fam = IsotopyFamily(tuple(tuple(int(x) for x in g) for g in maps))
-        assert verify_isotopy_family(op1, op2, fam)
+        if not verify_isotopy_family(op1, op2, fam):
+            raise AssertionError("isotopy search returned a family that fails verification")
         return fam
     return None
 

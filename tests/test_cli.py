@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import steinerloops as sl
 from steinerloops import catalog, formats
 from steinerloops.cli import main
@@ -110,6 +112,28 @@ class TestExtend:
             "--f", "zero", "--output", str(out_path))
         s = formats.read_system(out_path)  # raises if the file is malformed
         assert s.v == 7
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("schreier", "--q", "pg5", "--t", "5", "--f", "zero"),
+            ("operator", "--q", "pg3", "--n", "fano", "--op", "unused.op"),
+            ("double", "--n", "pg5", "--square", "phi_11"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bound_checked_before_build(self, capsys, monkeypatch, argv):
+        import steinerloops.cli as cli_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the extension was built despite --bound-v")
+
+        monkeypatch.setattr(cli_mod.schreier, "build_schreier", forbidden)
+        monkeypatch.setattr(cli_mod.formats, "read_operator", forbidden)
+        monkeypatch.setattr(cli_mod.steiner_operator, "double_operator", forbidden)
+        monkeypatch.setattr(cli_mod.steiner_operator, "build_extension", forbidden)
+        code, _, err = run(capsys, "extend", *argv)
+        assert code == 3 and "exceeds --bound-v 63" in err
 
 
 class TestEnumerateClassify:

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import steinerloops as sl
 from steinerloops import catalog
+from steinerloops.design_core import _VIOLATION_TEXT
 from steinerloops.errors import (
     BadTriple,
     BoundExceeded,
@@ -68,9 +71,20 @@ class TestLoopFromSystem:
         loop = sts9.loop()
         assert all(loop.mul(x, x) == 0 for x in range(loop.n))
 
-    def test_invalid_table_rejected(self):
-        with pytest.raises(NotTotallySymmetric):
-            sl.SteinerLoop([[0, 1], [1, 1]])
+    @pytest.mark.parametrize(
+        "code, table",
+        [
+            pytest.param(1, [[0, 1], [1, 2]], id="code1"),
+            pytest.param(2, [[1, 0], [0, 1]], id="code2"),
+            pytest.param(3, [[0, 1], [1, 1]], id="code3"),
+            pytest.param(4, [[0, 1, 2], [1, 0, 1], [2, 2, 0]], id="code4"),
+            pytest.param(5, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], id="code5"),
+            pytest.param(2, np.empty((0, 0)), id="empty"),
+        ],
+    )
+    def test_invalid_table_rejected(self, code, table):
+        with pytest.raises(NotTotallySymmetric, match=re.escape(_VIOLATION_TEXT[code])):
+            sl.SteinerLoop(table)
 
 
 class TestSystemFromLoop:
@@ -350,18 +364,20 @@ class TestAreIsomorphic:
         assert sl.are_isomorphic(fano, pg3) is None
 
 
-class TestSparseLoopStorage:
-    def test_pairmap_fallback_above_dense_limit(self, fano, monkeypatch):
+class TestScanBound:
+    def test_dense_loop_above_scan_limit(self, fano, monkeypatch):
         import steinerloops.design_core as dc
 
-        monkeypatch.setattr(dc, "DENSE_TABLE_LIMIT", 4)
+        monkeypatch.setattr(dc, "SCAN_ORDER_LIMIT", 4)
         loop = sl.loop_from_system(fano)
-        assert loop.table is None
+        assert loop.table.shape == (8, 8)
         assert loop.mul(1, 2) == fano.third(0, 1) + 1
         assert loop.mul(3, 3) == 0 and loop.mul(0, 5) == 5
         assert sl.system_from_loop(loop) == fano
         with pytest.raises(BoundExceeded):
             loop.center()
+        with pytest.raises(BoundExceeded):
+            loop.is_associative()
 
 
 class TestAdmissibility:

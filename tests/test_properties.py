@@ -1,12 +1,9 @@
 """Property-based checks of the structural invariants."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinerloops as sl
-import steinerloops._kernels as kernels
 from steinerloops import catalog
 from steinerloops.design_core import point_perm_to_loop_perm
 from steinerloops.schreier import associativity_condition
@@ -128,30 +125,3 @@ def test_veblen_structure_on_family(constructed_family):
         assert sl.is_normal(loop, sub), label
         small, _ = sub.as_loop()
         assert small.is_associative(), label
-
-
-@pytest.mark.skipif(kernels.NUMBA_BACKEND is None, reason="numba backend unavailable")
-@given(perm=st.permutations(list(range(15))))
-@settings(max_examples=10, deadline=None)
-def test_kernel_backends_agree(perm):
-    s = catalog.fixture("sts15_2").relabel(perm)
-    table = s.loop().table
-    nb, np_ = kernels.NUMBA_BACKEND, kernels.NUMPY_BACKEND
-    assert nb.steiner_violation(table) == np_.steiner_violation(table) == 0
-    assert np.array_equal(nb.center_mask(table), np_.center_mask(table))
-    assert nb.is_associative(table) == np_.is_associative(table)
-    c1, v1 = nb.pasch_census(s.third_table, s.others)
-    c2, v2 = np_.pasch_census(s.third_table, s.others)
-    assert np.array_equal(c1, c2) and np.array_equal(v1, v2)
-
-
-def test_kernel_backends_agree_on_violations():
-    if kernels.NUMBA_BACKEND is None:
-        pytest.skip("numba backend unavailable")
-    bad_tables = [
-        np.array([[0, 1], [1, 2]], dtype=np.int32),  # out of range
-        np.array([[1, 0], [0, 1]], dtype=np.int32),  # identity broken
-        np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1]], dtype=np.int32),
-    ]
-    for t in bad_tables:
-        assert kernels.NUMBA_BACKEND.steiner_violation(t) == kernels.NUMPY_BACKEND.steiner_violation(t)

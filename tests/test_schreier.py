@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import steinerloops as sl
@@ -193,6 +197,25 @@ class TestCountNonequivalent:
 
     def test_t0(self, fano_q):
         assert sl.count_nonequivalent(sl.ElemAbelian2(0), fano_q) == 1
+
+    def test_cross_check_survives_python_O(self):
+        """The closed form is checked against |Hom| by an explicit raise,
+        which python -O does not strip."""
+        script = (
+            "import steinerloops as sl\n"
+            "from steinerloops import catalog, schreier\n"
+            "assert False, 'this line runs only without -O'\n"
+            "schreier.hom_set = lambda *args, **kwargs: [()] * 3\n"
+            "q = catalog.fixture('fano_labeled').loop()\n"
+            "schreier.count_nonequivalent(sl.ElemAbelian2(1), q)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sl.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1
+        assert "AssertionError: class count disagrees with the homomorphism count" in proc.stderr
 
 
 class TestApplyAut:
