@@ -106,9 +106,6 @@ class TripleSystem:
             raise ValueError(f"no triple through ({x},{y})")
         return z
 
-    def triples_through(self, p: int):
-        return tuple(t for t in self.triples if p in t)
-
     @property
     def others(self) -> np.ndarray:
         """(v, r, 2) array: the point pairs completing each triple through p."""
@@ -260,10 +257,6 @@ class Subloop:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def point_set(self) -> frozenset:
-        """The subsystem points (loop labels shifted back by one)."""
-        return frozenset(m - 1 for m in self.members if m != 0)
 
     def as_loop(self):
         """Relabeled SteinerLoop on 0..|members|-1 plus the relabeling list."""

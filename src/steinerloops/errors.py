@@ -103,10 +103,6 @@ class TotalSymmetryViolation(OperatorError):
         self.block = (p, q)
 
 
-class InvalidOperator(OperatorError):
-    pass
-
-
 class Incompletable(OperatorError):
     def __init__(self, p, q, reason="derived block is not Latin"):
         super().__init__(f"cannot complete operator at block ({p},{q}): {reason}")

@@ -48,12 +48,13 @@ def reduce_vector(vec: int, basis: list[int], pivots: list[int]) -> int:
     return vec
 
 
-def solve(rows: list[int], rhs: list[int], n_cols: int) -> int | None:
+def solve(rows: list[int], rhs: int, n_cols: int) -> int | None:
     """One solution x of the system rows @ x = rhs over GF(2), or None.
 
-    Works on the augmented matrix with the rhs stored at bit n_cols.
+    Bit i of rhs is the right-hand side of row i. Works on the augmented
+    matrix with the rhs stored at bit n_cols.
     """
-    aug = [r | (b & 1) << n_cols for r, b in zip(rows, rhs)]
+    aug = [r | ((rhs >> i) & 1) << n_cols for i, r in enumerate(rows)]
     basis, pivots = echelonize(aug, n_cols + 1)
     x = 0
     for b, p in zip(basis, pivots):

@@ -44,14 +44,6 @@ class ElemAbelian2:
     def size(self) -> int:
         return 1 << self.t
 
-    @property
-    def elements(self):
-        return range(self.size)
-
-    @staticmethod
-    def add(x: int, y: int) -> int:
-        return x ^ y
-
 
 class FactorSystem:
     """Factor system over a quotient loop q with values in a 2-group of
@@ -174,23 +166,31 @@ def _triple_point_rows(qs: TripleSystem):
     return [(1 << a) | (1 << b) | (1 << c) for a, b, c in qs.triples]
 
 
+def _planes(values, t: int) -> list:
+    """The t bit planes of a sequence of t-bit values: bit i of plane k is
+    bit k of values[i]."""
+    return [sum(((x >> k) & 1) << i for i, x in enumerate(values)) for k in range(t)]
+
+
+def _unplanes(planes, width: int) -> tuple:
+    """The width values whose bit k is read from planes[k]; inverts _planes."""
+    return tuple(
+        sum(((plane >> i) & 1) << k for k, plane in enumerate(planes)) for i in range(width)
+    )
+
+
 def is_coboundary(f: FactorSystem):
     """A cochain phi with delta phi = f, or None. Solved per bit component
     as a linear system with one equation per quotient triple."""
     qs = f.q_system
-    w = qs.v
     rows = _triple_point_rows(qs)
     per_bit = []
-    for bit in range(f.t):
-        rhs = [(val >> bit) & 1 for val in f.values]
-        x = gf2.solve(rows, rhs, w)
+    for plane in _planes(f.values, f.t):
+        x = gf2.solve(rows, plane, qs.v)
         if x is None:
             return None
         per_bit.append(x)
-    vals = tuple(
-        sum(((x >> j) & 1) << bit for bit, x in enumerate(per_bit)) for j in range(w)
-    )
-    return Cochain1(f.q, f.t, vals)
+    return Cochain1(f.q, f.t, _unplanes(per_bit, qs.v))
 
 
 def equivalence_map(phi: Cochain1, size: int):
@@ -242,43 +242,34 @@ def hom_set(q: SteinerLoop, n: ElemAbelian2, bound: int = DEFAULT_TB_BOUND):
     if k * n.t > bound:
         raise BoundExceeded(f"hom space dimension {k * n.t} exceeds bound {bound}")
     component_vectors = gf2.span(kernel)
-    homs = []
-    for combo in product(component_vectors, repeat=n.t):
-        vals = tuple(
-            sum(((vec >> j) & 1) << bit for bit, vec in enumerate(combo)) for j in range(w)
-        )
-        homs.append((0,) + vals)
+    homs = [(0,) + _unplanes(combo, w) for combo in product(component_vectors, repeat=n.t)]
     return sorted(homs)
 
 
-def _coboundary_basis(qs: TripleSystem):
-    """Echelon basis of the single-component coboundary space over the b
-    triple coordinates; generator j is the coboundary of the indicator of
-    point j."""
-    gens = []
-    for j in range(qs.v):
-        vec = 0
-        for i, tri in enumerate(qs.triples):
-            if j in tri:
-                vec |= 1 << i
-        gens.append(vec)
-    return gf2.echelonize(gens, qs.b)
+def _class_space(n: ElemAbelian2, q: SteinerLoop):
+    """(basis, pivots, |Hom(q, n)|): the reduced echelon basis of the
+    single-component coboundary space over the b triple coordinates, where
+    generator j is the coboundary of the indicator of point j, its pivot
+    columns, and the homomorphism count. The class count 2^(t(b-r)) is
+    checked against the closed form 2^(tb) / (2^(tw) / |Hom|)."""
+    qs = q.system()
+    t, b, w = n.t, qs.b, qs.v
+    gens = [sum(1 << i for i, tri in enumerate(qs.triples) if j in tri) for j in range(w)]
+    basis, pivots = gf2.echelonize(gens, b)
+    r = len(basis)
+    if t * (w - r) <= 16:
+        hom_count = len(hom_set(q, n, bound=16))
+    else:
+        hom_count = 1 << (t * (w - r))
+    if 1 << (t * (b - r + w)) != (1 << (t * b)) * hom_count:
+        raise AssertionError("class count disagrees with the homomorphism count")
+    return basis, pivots, hom_count
 
 
 def count_nonequivalent(n: ElemAbelian2, q: SteinerLoop) -> int:
     """Number of equivalence classes of extensions, checked two ways."""
-    qs = q.system()
-    basis, _ = _coboundary_basis(qs)
-    r = len(basis)
-    by_rank = 1 << (n.t * (qs.b - r))
-    if n.t * (qs.v - r) <= 16:
-        hom_count = len(hom_set(q, n, bound=16))
-    else:
-        hom_count = 1 << (n.t * (qs.v - r))
-    # closed form: 2^(tb) / (2^(tw) / |Hom|)
-    if by_rank << (n.t * qs.v) != (1 << (n.t * qs.b)) * hom_count:
-        raise AssertionError("class count disagrees with the homomorphism count")
-    return by_rank
+    basis, _, _ = _class_space(n, q)
+    return 1 << (n.t * (q.system().b - len(basis)))
 
 
 def identity_alpha(t: int):
@@ -413,17 +404,8 @@ class ClassificationReport:
 def canonical_values(f: FactorSystem, basis, pivots):
     """Lexicographically least member of f's equivalence class (per bit
     component, pivot triple coordinates are cleared)."""
-    per_bit = []
-    for bit in range(f.t):
-        vec = 0
-        for i, val in enumerate(f.values):
-            if (val >> bit) & 1:
-                vec |= 1 << i
-        per_bit.append(gf2.reduce_vector(vec, basis, pivots))
-    return tuple(
-        sum(((vec >> i) & 1) << bit for bit, vec in enumerate(per_bit))
-        for i in range(len(f.values))
-    )
+    per_bit = [gf2.reduce_vector(plane, basis, pivots) for plane in _planes(f.values, f.t)]
+    return _unplanes(per_bit, len(f.values))
 
 
 def classify(
@@ -435,20 +417,20 @@ def classify(
     """Equivalence classes (cosets of the coboundary group) and isomorphism
     classes (orbits of the automorphism action on those cosets)."""
     qs = q.system()
-    t, b, w = n.t, qs.b, qs.v
+    t, b = n.t, qs.b
     if t * b > tb_bound:
         raise BoundExceeded(f"t*b = {t * b} exceeds enumeration bound {tb_bound}")
-    basis, pivots = _coboundary_basis(qs)
+    basis, pivots, hom_count = _class_space(n, q)
     r = len(basis)
     eq_count = 1 << (t * (b - r))
     if eq_count > class_bound:
         raise BoundExceeded(f"{eq_count} equivalence classes exceed bound {class_bound}")
-    if t * (w - r) <= 16:
-        hom_count = len(hom_set(q, n, bound=16))
-    else:
-        hom_count = 1 << (t * (w - r))
-    b2_count = 1 << (t * r)
 
+    # Pivot coordinates of a class representative are 0, so product() lists
+    # the representatives in sorted order and the bits of index i are the
+    # free triple values of class i. The (alpha, beta) action is GF(2)-linear
+    # on classes, hence on indices: each generator's images of the t(b-r)
+    # unit indices span its image of every index.
     free = [i for i in range(b) if i not in set(pivots)]
     reps = []
     for combo in product(range(n.size), repeat=len(free)):
@@ -456,13 +438,17 @@ def classify(
         for pos, val in zip(free, combo):
             vals[pos] = val
         reps.append(tuple(vals))
-    reps.sort()
     index = {vals: i for i, vals in enumerate(reps)}
 
     beta_gens = [point_perm_to_loop_perm(g) for g in automorphisms(qs).generators]
     alpha_gens = [a for a in gl2_elements(t) if a != identity_alpha(t)]
     id_a, id_b = identity_alpha(t), tuple(range(q.n))
     gens = [(a, id_b) for a in alpha_gens] + [(id_a, b_) for b_ in beta_gens]
+    units = [FactorSystem(q, t, reps[1 << k]) for k in range(t * len(free))]
+    images = [
+        gf2.span([index[canonical_values(apply_aut(u, ga, gb), basis, pivots)] for u in units])
+        for ga, gb in gens
+    ]
 
     orbit_of = [-1] * len(reps)
     witnesses = [None] * len(reps)
@@ -474,26 +460,23 @@ def classify(
         orbit_reps.append(vals)
         orbit_of[start] = oid
         witnesses[start] = (id_a, id_b)
-        queue = [(vals, id_a, id_b)]
-        while queue:
-            cur, acc_a, acc_b = queue.pop()
-            f_cur = FactorSystem(q, t, cur)
-            for ga, gb in gens:
-                moved = apply_aut(f_cur, ga, gb)
-                canon = canonical_values(moved, basis, pivots)
-                j = index[canon]
+        stack = [(start, id_a, id_b)]
+        while stack:
+            cur, acc_a, acc_b = stack.pop()
+            for (ga, gb), image in zip(gens, images):
+                j = image[cur]
                 if orbit_of[j] == -1:
                     pair = (perm_compose(ga, acc_a), perm_compose(gb, acc_b))
                     orbit_of[j] = oid
                     witnesses[j] = pair
-                    queue.append((canon, pair[0], pair[1]))
+                    stack.append((j, pair[0], pair[1]))
     return ClassificationReport(
         t=t,
         q_order=q.n,
         b=b,
         total=1 << (t * b),
         hom_count=hom_count,
-        b2_count=b2_count,
+        b2_count=1 << (t * r),
         equivalence_class_count=eq_count,
         isomorphism_class_count=len(orbit_reps),
         class_reps=tuple(reps),

@@ -102,9 +102,6 @@ class SteinerOperator:
         self.n_loop = n_loop
         self.blocks = blocks
 
-    def block(self, p: int, r: int) -> np.ndarray:
-        return self.blocks[p, r]
-
     def __eq__(self, other):
         return (
             isinstance(other, SteinerOperator)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,18 @@ class TestExtend:
         assert code == 0
         assert formats.read_system(out_path) == sts19_example
 
+    def test_fixture_over_relabelled_quotient_rejected(self, capsys, tmp_path):
+        """A catalog factor system is tied to its quotient's labelling: the
+        same plane with other triples must not reinterpret its values."""
+        q_path = tmp_path / "fano_relabelled.sts"
+        q_path.write_text("7 7\n0 1 3\n0 2 6\n0 4 5\n1 2 4\n1 5 6\n2 3 5\n3 4 6\n")
+        code, out, err = run(
+            capsys, "extend", "schreier", "--q", str(q_path), "--t", "1",
+            "--f", "f_sts15_example",
+        )
+        assert code == 2 and out == ""
+        assert "does not match --q/--t" in err
+
     def test_missing_args(self, capsys):
         code, _, err = run(capsys, "extend", "schreier", "--q", "fano")
         assert code == 2
@@ -142,6 +155,24 @@ class TestEnumerateClassify:
         assert code == 0
         assert json.loads(out)["total"] == 128
 
+    def test_enumerate_total_in_closed_form(self, capsys, monkeypatch):
+        import steinerloops.cli as cli_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("factor systems were enumerated just to count them")
+
+        monkeypatch.setattr(cli_mod.schreier, "enumerate_factor_systems", forbidden)
+        code, out, _ = run(capsys, "enumerate", "--q", "fano", "--t", "3")
+        assert code == 0
+        assert json.loads(out)["total"] == 2097152
+
+    def test_enumerate_output_lists_systems(self, capsys, tmp_path):
+        path = tmp_path / "systems.json"
+        code, _, _ = run(capsys, "enumerate", "--q", "sts3", "--t", "2", "--output", str(path))
+        payload = json.loads(path.read_text())
+        assert code == 0 and payload["total"] == 4
+        assert payload["systems"] == [[0], [1], [2], [3]]
+
     def test_enumerate_bound(self, capsys):
         code, _, _ = run(capsys, "enumerate", "--q", "sts9", "--t", "3")
         assert code == 3
@@ -161,6 +192,33 @@ class TestEnumerateClassify:
     def test_classify_bound(self, capsys):
         code, _, _ = run(capsys, "classify", "--q", "fano", "--t", "1", "--bound-tb", "3")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "q, t, digest",
+        [
+            ("fano", 1, "591e4743bb06fc35791ef1338fb6759f66779ae8b2d5ecdb44e49e22cdb6afea"),
+            ("fano", 2, "79acba0c3cf6fae909ea896ed3d2eb6f5672367ab42e7f8fb816d480c25000c3"),
+            ("sts9", 2, "66da2bdffa6b5b02d9e7f6ad71dcf4c88e1548f3d6f91ab76eb09f83df2705e3"),
+            ("sts3", 3, "721ab3e74057b31e038084702e61ac7cfaf95a3baad59c016762d44deaf613dc"),
+        ],
+        ids=["fano-t1", "fano-t2", "sts9-t2", "sts3-t3"],
+    )
+    def test_classify_golden(self, capsys, q, t, digest):
+        """The whole report, witnesses included, stays byte for byte."""
+        code, out, _ = run(capsys, "classify", "--q", q, "--t", str(t))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_classify_internal_check_exit_code(self, capsys, monkeypatch):
+        import steinerloops.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.schreier, "hom_set", lambda *args, **kwargs: [()] * 3)
+        code, out, err = run(capsys, "classify", "--q", "fano", "--t", "1")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: internal check failed: "
+            "class count disagrees with the homomorphism count\n"
+        )
 
     def test_classify_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import steinerloops as sl
-from steinerloops import catalog
+from steinerloops import catalog, schreier
 from steinerloops.design_core import perm_inverse, point_perm_to_loop_perm
 from steinerloops.errors import BoundExceeded, NotAdmissible, NotAutomorphism, OrderTooSmall
 
@@ -200,22 +200,30 @@ class TestCountNonequivalent:
 
     def test_cross_check_survives_python_O(self):
         """The closed form is checked against |Hom| by an explicit raise,
-        which python -O does not strip."""
+        which python -O does not strip, in count_nonequivalent and in
+        classify alike."""
         script = (
             "import steinerloops as sl\n"
             "from steinerloops import catalog, schreier\n"
             "assert False, 'this line runs only without -O'\n"
             "schreier.hom_set = lambda *args, **kwargs: [()] * 3\n"
             "q = catalog.fixture('fano_labeled').loop()\n"
-            "schreier.count_nonequivalent(sl.ElemAbelian2(1), q)\n"
+            "for fn in (schreier.count_nonequivalent, schreier.classify):\n"
+            "    try:\n"
+            "        fn(sl.ElemAbelian2(1), q)\n"
+            "    except AssertionError as exc:\n"
+            "        print(fn.__name__, exc)\n"
         )
         src = os.path.dirname(os.path.dirname(sl.__file__))
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
         )
-        assert proc.returncode == 1
-        assert "AssertionError: class count disagrees with the homomorphism count" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"{name} class count disagrees with the homomorphism count"
+            for name in ("count_nonequivalent", "classify")
+        ]
 
 
 class TestApplyAut:
@@ -334,6 +342,56 @@ class TestClassify:
     def test_bound(self, sts9_q):
         with pytest.raises(BoundExceeded):
             sl.classify(sl.ElemAbelian2(3), sts9_q)
+
+    @pytest.mark.parametrize(
+        "key, t", [("fano", 1), ("sts9", 1), ("sts3", 1), ("sts3", 2), ("sts3", 3)]
+    )
+    def test_burnside_orbit_count(self, request, key, t):
+        """Orbit count = mean number of classes fixed by an (alpha, beta)
+        of GL(t,2) x Aut(q); f's class is fixed iff g.f + f is a coboundary."""
+        qs = request.getfixturevalue(key)
+        q = qs.loop()
+        n = sl.ElemAbelian2(t)
+        rep = sl.classify(n, q)
+        classes = [sl.FactorSystem(q, t, vals) for vals in rep.class_reps]
+        betas = [point_perm_to_loop_perm(g) for g in sl.automorphisms(qs).elements]
+        alphas = schreier.gl2_elements(t)
+        fixed = sum(
+            sl.is_coboundary(sl.apply_aut(f, alpha, beta) + f) is not None
+            for alpha in alphas
+            for beta in betas
+            for f in classes
+        )
+        group_order = len(alphas) * len(betas)
+        assert fixed % group_order == 0
+        assert fixed // group_order == rep.isomorphism_class_count
+
+    @pytest.mark.parametrize("key, t", [("fano", 2), ("sts9", 2)])
+    def test_action_precomputed_on_unit_classes(self, request, monkeypatch, key, t):
+        """Each generator goes through apply_aut once per unit class, and no
+        FactorSystem is built per visited class."""
+        qs = request.getfixturevalue(key)
+        q = qs.loop()
+        calls = {"apply_aut": 0, "FactorSystem": 0}
+        apply_aut, init = schreier.apply_aut, schreier.FactorSystem.__init__
+
+        def counted_apply(*args):
+            calls["apply_aut"] += 1
+            return apply_aut(*args)
+
+        def counted_init(self, *args):
+            calls["FactorSystem"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(schreier, "apply_aut", counted_apply)
+        monkeypatch.setattr(schreier.FactorSystem, "__init__", counted_init)
+        rep = sl.classify(sl.ElemAbelian2(t), q)
+        monkeypatch.undo()
+        n_gens = len(schreier.gl2_elements(t)) - 1 + len(sl.automorphisms(qs).generators)
+        units = (rep.equivalence_class_count - 1).bit_length()
+        assert calls["apply_aut"] == n_gens * units
+        # the unit classes, plus the two systems apply_aut itself builds
+        assert calls["FactorSystem"] == units + 2 * calls["apply_aut"]
 
 
 class TestFurtherVeblen:
