@@ -72,7 +72,6 @@ from .steiner_operator import (
     enumerate_symmetric_squares,
     find_equivalence,
     operator_from_extension,
-    validate_operator,
     verify_isotopy_family,
 )
 

@@ -136,7 +136,8 @@ def cmd_analyze(args) -> int:
         "center_size": len(veblen) + 1,
         "pasch_total": cens.pasch_total,
         "fano_total": cens.fano_total,
-        "projective": s.loop().is_associative(),
+        # associative means every element is central, i.e. every point is Veblen
+        "projective": len(veblen) == s.v,
         "hyperplanes": sorted(planes),
     }
     if args.format == "json":

@@ -25,9 +25,11 @@ from .design_core import (
     point_perm_to_loop_perm,
 )
 from .errors import BoundExceeded, NotAdmissible, NotAutomorphism, OrderTooSmall
+from .steiner_operator import _extension_table, _schreier_blocks
 
 DEFAULT_TB_BOUND = 24
 DEFAULT_CLASS_BOUND = 1 << 16
+GL_DIMENSION_BOUND = 4
 
 
 @dataclass(frozen=True)
@@ -149,16 +151,7 @@ def build_schreier(n: ElemAbelian2, q: SteinerLoop, f: FactorSystem) -> SteinerL
     """
     if f.t != n.t or f.q.n != q.n or not np.array_equal(f.q.table, q.table):
         raise ValueError("factor system does not match the given frame")
-    m = q.n
-    nt = n.size
-    xor = np.bitwise_xor.outer(np.arange(nt, dtype=np.int32), np.arange(nt, dtype=np.int32))
-    table = np.empty((m * nt, m * nt), dtype=np.int32)
-    qt = q.table
-    for p in range(m):
-        for r in range(m):
-            block = (xor ^ f.value(p, r)) + int(qt[p, r]) * nt
-            table[p * nt : (p + 1) * nt, r * nt : (r + 1) * nt] = block
-    return SteinerLoop(table)
+    return SteinerLoop(_extension_table(q.table, _schreier_blocks(f)))
 
 
 def _triple_point_rows(qs: TripleSystem):
@@ -276,7 +269,7 @@ def identity_alpha(t: int):
     return tuple(range(1 << t))
 
 
-def gl2_elements(t: int, bound: int = 4):
+def gl2_elements(t: int, bound: int = GL_DIMENSION_BOUND):
     """All automorphisms of the 2-group as element permutations."""
     if t > bound:
         raise BoundExceeded(f"GL enumeration limited to dimension {bound}")
@@ -302,19 +295,17 @@ def _check_alpha(alpha, t: int):
     size = 1 << t
     if len(alpha) != size or sorted(alpha) != list(range(size)):
         raise NotAutomorphism("alpha is not a permutation of the 2-group")
-    for x in range(size):
-        for y in range(size):
-            if alpha[x ^ y] != alpha[x] ^ alpha[y]:
-                raise NotAutomorphism("alpha is not additive")
+    a, x = np.asarray(alpha), np.arange(size)
+    if not np.array_equal(a[x[:, None] ^ x], a[:, None] ^ a):
+        raise NotAutomorphism("alpha is not additive")
 
 
 def _check_beta(beta, q: SteinerLoop):
     if len(beta) != q.n or sorted(beta) != list(range(q.n)) or beta[0] != 0:
         raise NotAutomorphism("beta is not a loop permutation fixing the identity")
-    for p in range(q.n):
-        for r in range(q.n):
-            if q.mul(beta[p], beta[r]) != beta[q.mul(p, r)]:
-                raise NotAutomorphism("beta does not preserve the quotient multiplication")
+    b = np.asarray(beta)
+    if not np.array_equal(b[q.table], q.table[b[:, None], b]):
+        raise NotAutomorphism("beta does not preserve the quotient multiplication")
 
 
 def apply_aut(f: FactorSystem, alpha, beta) -> FactorSystem:
@@ -440,10 +431,15 @@ def classify(
         reps.append(tuple(vals))
     index = {vals: i for i, vals in enumerate(reps)}
 
-    beta_gens = [point_perm_to_loop_perm(g) for g in automorphisms(qs).generators]
-    alpha_gens = [a for a in gl2_elements(t) if a != identity_alpha(t)]
+    if t > GL_DIMENSION_BOUND:
+        # every witness carries an alpha with 2^t entries
+        raise BoundExceeded(f"GL enumeration limited to dimension {GL_DIMENSION_BOUND}")
     id_a, id_b = identity_alpha(t), tuple(range(q.n))
-    gens = [(a, id_b) for a in alpha_gens] + [(id_a, b_) for b_ in beta_gens]
+    gens = []
+    if free:  # a single class leaves nothing to act on
+        beta_gens = [point_perm_to_loop_perm(g) for g in automorphisms(qs).generators]
+        alpha_gens = [a for a in gl2_elements(t) if a != id_a]
+        gens = [(a, id_b) for a in alpha_gens] + [(id_a, b_) for b_ in beta_gens]
     units = [FactorSystem(q, t, reps[1 << k]) for k in range(t * len(free))]
     images = [
         gf2.span([index[canonical_values(apply_aut(u, ga, gb), basis, pivots)] for u in units])

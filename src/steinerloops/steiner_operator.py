@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design_core import (
-    SteinerLoop,
-    Subloop,
-    TripleSystem,
-    is_normal,
-    quotient,
-    system_from_loop,
-)
+from .design_core import SteinerLoop, Subloop, TripleSystem, quotient, system_from_loop
 from .errors import (
     BadDiagonal,
     BadIdentityBlock,
@@ -35,7 +28,6 @@ from .errors import (
     DiagonalViolation,
     Incompletable,
     NotLatin,
-    NotNormal,
     NotSymmetric,
     OperatorError,
     ShapeMismatch,
@@ -45,13 +37,18 @@ from .errors import (
 )
 
 
-def _is_latin(arr: np.ndarray) -> bool:
-    k = arr.shape[0]
-    idx = np.arange(k)
-    return bool(
-        np.array_equal(np.sort(arr, axis=0), np.broadcast_to(idx[:, None], (k, k)))
-        and np.array_equal(np.sort(arr, axis=1), np.broadcast_to(idx[None, :], (k, k)))
-    )
+def _latin_mask(arr: np.ndarray) -> np.ndarray:
+    """Per square over the last two axes: whether its rows and columns are
+    permutations of 0..k-1."""
+    idx = np.arange(arr.shape[-1])
+    rows = (np.sort(arr, axis=-1) == idx).all(axis=(-2, -1))
+    return rows & (np.sort(arr, axis=-2) == idx[:, None]).all(axis=(-2, -1))
+
+
+def _first(mask: np.ndarray):
+    """Index of the first True entry in row-major order, or None."""
+    hits = np.argwhere(mask)
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
 class LatinSquare:
@@ -63,7 +60,7 @@ class LatinSquare:
         arr = np.ascontiguousarray(np.asarray(entries, dtype=np.int32))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("entries must form a square array")
-        if not _is_latin(arr):
+        if not _latin_mask(arr):
             raise ValidationError("rows and columns must be permutations")
         arr.flags.writeable = False
         self.n = int(arr.shape[0])
@@ -87,7 +84,8 @@ class LatinSquare:
 
 class SteinerOperator:
     """Block family indexed by ordered quotient pairs; blocks is an
-    (m, m, k, k) array with m the quotient order and k the subloop order."""
+    (m, m, k, k) array with m the quotient order and k the subloop order.
+    Construction checks conditions (i)-(iv), so every instance is valid."""
 
     __slots__ = ("q", "n_loop", "blocks")
 
@@ -97,6 +95,7 @@ class SteinerOperator:
             raise ShapeMismatch(
                 f"blocks must have shape {(q.n, q.n, n_loop.n, n_loop.n)}, got {blocks.shape}"
             )
+        _check_blocks(q.table, n_loop.table, blocks)
         blocks.flags.writeable = False
         self.q = q
         self.n_loop = n_loop
@@ -116,47 +115,55 @@ class SteinerOperator:
         return f"SteinerOperator(q_order={self.q.n}, n_order={self.n_loop.n})"
 
 
-def validate_operator(op: SteinerOperator) -> None:
-    """Check conditions (i)-(iv) exhaustively; raises on the first failure."""
-    m, k = op.q.n, op.n_loop.n
+def _check_blocks(qt: np.ndarray, nt: np.ndarray, blocks: np.ndarray) -> None:
+    """Conditions (i)-(iv) over the whole block array, one condition at a
+    time; raises at the condition's first failing pair in row-major order."""
+    m, k = blocks.shape[0], blocks.shape[2]
     idx = np.arange(k)
-    for p in range(m):
-        for r in range(m):
-            if not _is_latin(op.blocks[p, r]):
-                raise NotLatin(p, r)
-    if not np.array_equal(op.blocks[0, 0], op.n_loop.table):
+    hit = _first(~_latin_mask(blocks))
+    if hit is not None:
+        raise NotLatin(*hit)
+    if not np.array_equal(blocks[0, 0], nt):
         raise BadIdentityBlock("block (0,0) is not the subloop table")
-    for p in range(m):
-        for r in range(p, m):
-            if not np.array_equal(op.blocks[r, p], op.blocks[p, r].T):
-                raise TransposeViolation(p, r)
-    for p in range(m):
-        if (np.diagonal(op.blocks[p, p]) != 0).any():
-            raise DiagonalViolation(p)
-    qt = op.q.table
-    for p in range(m):
-        for r in range(m):
-            back = op.blocks[p, int(qt[p, r])]
-            if not np.array_equal(back[idx[:, None], op.blocks[p, r]], np.broadcast_to(idx, (k, k))):
-                raise TotalSymmetryViolation(p, r)
+    # the mismatch mask is symmetric, so its first hit (p, r) has p <= r
+    hit = _first((blocks != blocks.transpose(1, 0, 3, 2)).any(axis=(2, 3)))
+    if hit is not None:
+        raise TransposeViolation(*hit)
+    hit = _first(np.diagonal(blocks[np.arange(m), np.arange(m)], axis1=1, axis2=2).any(axis=1))
+    if hit is not None:
+        raise DiagonalViolation(*hit)
+    # block (P, PQ) undoes block (P, Q) row by row
+    back = blocks[np.arange(m)[:, None, None, None], qt[:, :, None, None], idx[:, None], blocks]
+    hit = _first((back != idx).any(axis=(2, 3)))
+    if hit is not None:
+        raise TotalSymmetryViolation(*hit)
     # forced consequence: multiplying by the subloop identity fixes x
-    for p in range(m):
-        if not np.array_equal(op.blocks[p, 0][:, 0], idx):
-            raise AssertionError(f"block ({p},0) does not fix x under the subloop identity")
+    hit = _first((blocks[:, 0, :, 0] != idx).any(axis=1))
+    if hit is not None:
+        raise AssertionError(f"block ({hit[0]},0) does not fix x under the subloop identity")
+
+
+def _extension_table(qt: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The table of (P,x)(Q,y) = (PQ, blocks[P,Q][x,y]) with (P, x)
+    flattened to index P*k + x."""
+    m, k = blocks.shape[0], blocks.shape[2]
+    return (qt[:, :, None, None] * k + blocks).transpose(0, 2, 1, 3).reshape(m * k, m * k)
+
+
+def _schreier_blocks(f) -> np.ndarray:
+    """The blocks x + y + f(P,Q) of a factor system f over its 2-group."""
+    size = 1 << f.t
+    values = np.zeros((f.q.n, f.q.n), dtype=np.int32)
+    # pair_triple is -1 on its diagonal, which reads the appended 0: f
+    # vanishes on the diagonal as well as on the identity row and column
+    values[1:, 1:] = np.array(f.values + (0,), dtype=np.int32)[f.q_system.pair_triple]
+    xor = np.bitwise_xor.outer(np.arange(size, dtype=np.int32), np.arange(size, dtype=np.int32))
+    return xor ^ values[:, :, None, None]
 
 
 def build_extension(op: SteinerOperator) -> SteinerLoop:
     """Multiplication table on pairs (P, x) flattened to index P*k + x."""
-    validate_operator(op)
-    m, k = op.q.n, op.n_loop.n
-    qt = op.q.table
-    table = np.empty((m * k, m * k), dtype=np.int32)
-    for p in range(m):
-        for r in range(m):
-            table[p * k : (p + 1) * k, r * k : (r + 1) * k] = (
-                int(qt[p, r]) * k + op.blocks[p, r]
-            )
-    return SteinerLoop(table)
+    return SteinerLoop(_extension_table(op.q.table, op.blocks))
 
 
 def operator_from_extension(loop: SteinerLoop, n: Subloop, section=None) -> SteinerOperator:
@@ -165,8 +172,6 @@ def operator_from_extension(loop: SteinerLoop, n: Subloop, section=None) -> Stei
     The section maps coset index -> representative element; the default picks
     the least element of each coset, and the identity coset must map to 0.
     """
-    if not is_normal(loop, n):
-        raise NotNormal("subloop is not normal")
     ql = quotient(loop, n)
     m = ql.order
     if section is None:
@@ -178,22 +183,15 @@ def operator_from_extension(loop: SteinerLoop, n: Subloop, section=None) -> Stei
         if ql.epi[s] != i:
             raise BadSection(f"representative {s} is not in coset {i}")
     n_loop, order_map = n.as_loop()
-    pos = {el: i for i, el in enumerate(order_map)}
-    k = len(order_map)
-    blocks = np.empty((m, m, k, k), dtype=np.int32)
-    qt = ql.loop.table
-    for p in range(m):
-        for r in range(m):
-            sp, sr = section[p], section[r]
-            target = section[int(qt[p, r])]
-            for x in range(k):
-                lx = loop.mul(sp, order_map[x])
-                for y in range(k):
-                    prod = loop.mul(lx, loop.mul(sr, order_map[y]))
-                    blocks[p, r, x, y] = pos[loop.mul(target, prod)]
-    op = SteinerOperator(ql.loop, n_loop, blocks)
-    validate_operator(op)
-    return op
+    pos = np.full(loop.n, -1, dtype=np.int32)
+    pos[order_map] = np.arange(len(order_map))
+    lt = loop.table
+    reps = np.array(section)
+    # block (P, Q) sends (x, y) to s(PQ) . ((s(P) . x) . (s(Q) . y))
+    lx = lt[reps[:, None], np.array(order_map)]
+    prod = lt[lx[:, None, :, None], lx[None, :, None, :]]
+    blocks = pos[lt[reps[ql.loop.table][:, :, None, None], prod]]
+    return SteinerOperator(ql.loop, n_loop, blocks)
 
 
 def _row_inverse(block: np.ndarray, p, r) -> np.ndarray:
@@ -201,7 +199,7 @@ def _row_inverse(block: np.ndarray, p, r) -> np.ndarray:
     k = block.shape[0]
     out = np.empty_like(block)
     out[np.arange(k)[:, None], block] = np.broadcast_to(np.arange(k), (k, k))
-    if not _is_latin(out):
+    if not _latin_mask(out):
         raise Incompletable(p, r)
     return out
 
@@ -224,7 +222,7 @@ def complete_from_blocks(q: SteinerLoop, n_loop: SteinerLoop, diagonal, off) -> 
             diagonal[p].entries if isinstance(diagonal[p], LatinSquare) else diagonal[p],
             dtype=np.int32,
         )
-        if d.shape != (k, k) or not _is_latin(d):
+        if d.shape != (k, k) or not _latin_mask(d):
             raise NotLatin(p, p)
         if not np.array_equal(d, d.T):
             raise NotSymmetric(f"diagonal block ({p},{p}) must be symmetric")
@@ -247,7 +245,7 @@ def complete_from_blocks(q: SteinerLoop, n_loop: SteinerLoop, diagonal, off) -> 
             off[(p, r)].entries if isinstance(off[(p, r)], LatinSquare) else off[(p, r)],
             dtype=np.int32,
         )
-        if block.shape != (k, k) or not _is_latin(block):
+        if block.shape != (k, k) or not _latin_mask(block):
             raise NotLatin(p, r)
         s = int(qt[p, r])
         blocks[p, r] = block
@@ -258,13 +256,11 @@ def complete_from_blocks(q: SteinerLoop, n_loop: SteinerLoop, diagonal, off) -> 
         blocks[s, r] = blocks[r, s].T
     if (blocks < 0).any():
         raise Incompletable(0, 0, "blocks left undetermined by the supplied data")
-    op = SteinerOperator(q, n_loop, blocks)
     try:
-        validate_operator(op)
+        return SteinerOperator(q, n_loop, blocks)
     except OperatorError as exc:
         where = getattr(exc, "block", (0, 0))
         raise Incompletable(where[0], where[1], str(exc)) from exc
-    return op
 
 
 def double_operator(n_loop: SteinerLoop, square) -> SteinerOperator:
@@ -334,27 +330,26 @@ class IsotopyFamily:
         return self.maps[p]
 
 
+def _require_same_frame(op1: SteinerOperator, op2: SteinerOperator) -> None:
+    if op1.n_loop.n != op2.n_loop.n or not np.array_equal(op1.q.table, op2.q.table):
+        raise ShapeMismatch("operators live over different frames")
+
+
 def verify_isotopy_family(op1: SteinerOperator, op2: SteinerOperator, gamma) -> bool:
     """True iff (gamma_P, gamma_Q, gamma_PQ) is an isotopy between the
     matching blocks for every pair, i.e. (P,x) -> (P, gamma_P(x)) is an
     equivalence of the two extensions."""
-    if op1.q.n != op2.q.n or op1.n_loop.n != op2.n_loop.n or not np.array_equal(
-        op1.q.table, op2.q.table
-    ):
-        raise ShapeMismatch("operators live over different frames")
+    _require_same_frame(op1, op2)
     if not isinstance(gamma, IsotopyFamily):
         gamma = IsotopyFamily(tuple(tuple(g) for g in gamma))
-    m = op1.q.n
-    qt = op1.q.table
-    maps = [np.array(g, dtype=np.int32) for g in gamma.maps]
-    for p in range(m):
-        for r in range(m):
-            g_out = maps[int(qt[p, r])]
-            lhs = g_out[op1.blocks[p, r]]
-            rhs = op2.blocks[p, r][maps[p][:, None], maps[r][None, :]]
-            if not np.array_equal(lhs, rhs):
-                return False
-    return True
+    m, k = op1.q.n, op1.n_loop.n
+    g = np.array(gamma.maps, dtype=np.int32)
+    p = np.arange(m)[:, None, None, None]
+    r = np.arange(m)[None, :, None, None]
+    x = np.arange(k)[:, None]
+    lhs = g[op1.q.table[:, :, None, None], op1.blocks]
+    rhs = op2.blocks[p, r, g[p, x], g[r, np.arange(k)]]
+    return bool(np.array_equal(lhs, rhs))
 
 
 def _candidate_maps(op1, op2, p, node_budget):
@@ -411,10 +406,7 @@ def _candidate_maps(op1, op2, p, node_budget):
 def find_equivalence(op1: SteinerOperator, op2: SteinerOperator, node_bound: int = 1_000_000):
     """Search for an isotopy family turning op1 into op2; None if exhaustive
     search (within the node budget) finds none."""
-    if op1.q.n != op2.q.n or op1.n_loop.n != op2.n_loop.n or not np.array_equal(
-        op1.q.table, op2.q.table
-    ):
-        raise ShapeMismatch("operators live over different frames")
+    _require_same_frame(op1, op2)
     m = op1.q.n
     k = op1.n_loop.n
     qt = op1.q.table
@@ -468,13 +460,5 @@ def find_equivalence(op1: SteinerOperator, op2: SteinerOperator, node_bound: int
 def from_factor_system(f) -> SteinerOperator:
     """The operator of a Schreier extension: block (P,Q) sends (x, y) to
     x + y + f(P,Q) over the elementary abelian carrier."""
-    t = f.t
-    size = 1 << t
-    xor = np.bitwise_xor.outer(np.arange(size, dtype=np.int32), np.arange(size, dtype=np.int32))
-    n_loop = SteinerLoop(xor)
-    m = f.q.n
-    blocks = np.empty((m, m, size, size), dtype=np.int32)
-    for p in range(m):
-        for r in range(m):
-            blocks[p, r] = xor ^ f.value(p, r)
-    return SteinerOperator(f.q, n_loop, blocks)
+    blocks = _schreier_blocks(f)
+    return SteinerOperator(f.q, SteinerLoop(blocks[0, 0]), blocks)

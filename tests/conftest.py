@@ -1,9 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
 import steinerloops as sl
 from steinerloops import catalog
+from steinerloops.errors import (
+    BadIdentityBlock,
+    DiagonalViolation,
+    NotLatin,
+    TotalSymmetryViolation,
+    TransposeViolation,
+)
 
 
 @pytest.fixture(scope="session")
@@ -105,3 +113,40 @@ def brute_force_equivalent(f1, f2):
         if delta == target:
             return phi
     return None
+
+
+def reference_operator_check(q, n_loop, blocks):
+    """Test-local oracle for the operator conditions (i)-(iv): the loop-based
+    check, one block pair at a time, that SteinerOperator construction must
+    match in exception type, message and failing block."""
+
+    def is_latin(arr):
+        idx = np.arange(arr.shape[0])
+        return bool(
+            (np.sort(arr, axis=0) == idx[:, None]).all()
+            and (np.sort(arr, axis=1) == idx[None, :]).all()
+        )
+
+    m, k = q.n, n_loop.n
+    idx = np.arange(k)
+    for p in range(m):
+        for r in range(m):
+            if not is_latin(blocks[p, r]):
+                raise NotLatin(p, r)
+    if not np.array_equal(blocks[0, 0], n_loop.table):
+        raise BadIdentityBlock("block (0,0) is not the subloop table")
+    for p in range(m):
+        for r in range(p, m):
+            if not np.array_equal(blocks[r, p], blocks[p, r].T):
+                raise TransposeViolation(p, r)
+    for p in range(m):
+        if (np.diagonal(blocks[p, p]) != 0).any():
+            raise DiagonalViolation(p)
+    for p in range(m):
+        for r in range(m):
+            back = blocks[p, int(q.table[p, r])]
+            if not np.array_equal(back[idx[:, None], blocks[p, r]], np.broadcast_to(idx, (k, k))):
+                raise TotalSymmetryViolation(p, r)
+    for p in range(m):
+        if not np.array_equal(blocks[p, 0][:, 0], idx):
+            raise AssertionError(f"block ({p},0) does not fix x under the subloop identity")

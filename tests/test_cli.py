@@ -41,6 +41,18 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--seed-fixture", "sts3", "--format", "text")
         assert code == 0 and "veblen" in out
 
+    def test_projective_from_the_centre_scan(self, capsys, monkeypatch):
+        """projective is read off the Veblen points; the associativity scan
+        is not run a second time."""
+
+        def forbidden(self):
+            raise AssertionError("second scan of the loop")
+
+        monkeypatch.setattr(sl.SteinerLoop, "is_associative", forbidden)
+        for key, projective in (("pg3", True), ("sts15_2", False), ("sts3", True)):
+            code, out, _ = run(capsys, "analyze", "--seed-fixture", key)
+            assert code == 0 and json.loads(out)["projective"] is projective
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "analyze", "--input", "/nonexistent.sts")
         assert code == 2 and "error" in err
@@ -102,6 +114,29 @@ class TestExtend:
         )
         assert code == 0
         assert formats.read_system(out_path) == sts19_example
+
+    def test_operator_kind_rejects_broken_cancellation(self, capsys, tmp_path):
+        """Two swapped rows in block (0,1), mirrored into block (1,0), keep
+        every block Latin and the pair transposed; the operator file is
+        refused at the first block pair that breaks cancellation."""
+        op = sl.double_operator(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11"))
+        blocks = op.blocks.copy()
+        blocks[0, 1][[1, 2]] = blocks[0, 1][[2, 1]]
+        blocks[1, 0] = blocks[0, 1].T
+        op_path = tmp_path / "op.txt"
+        op_path.write_text(
+            "2 10\n"
+            + "".join(
+                " ".join("W" if e == 0 else str(e - 1) for e in row) + "\n"
+                for row in blocks.reshape(-1, 10)
+            )
+        )
+        code, out, err = run(
+            capsys, "extend", "operator", "--q", "sts1", "--n", "sts9_loop_table",
+            "--op", str(op_path),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: blocks at (1,0) break the cancellation condition\n"
 
     def test_fixture_over_relabelled_quotient_rejected(self, capsys, tmp_path):
         """A catalog factor system is tied to its quotient's labelling: the
@@ -192,6 +227,13 @@ class TestEnumerateClassify:
     def test_classify_bound(self, capsys):
         code, _, _ = run(capsys, "classify", "--q", "fano", "--t", "1", "--bound-tb", "3")
         assert code == 3
+
+    def test_classify_gl_dimension_bound(self, capsys):
+        """A single class still needs a witness alpha with 2^t entries, so
+        t > 4 stays refused."""
+        code, out, err = run(capsys, "classify", "--q", "sts3", "--t", "5")
+        assert code == 3 and out == ""
+        assert err == "error: GL enumeration limited to dimension 4\n"
 
     @pytest.mark.parametrize(
         "q, t, digest",

@@ -343,6 +343,21 @@ class TestClassify:
         with pytest.raises(BoundExceeded):
             sl.classify(sl.ElemAbelian2(3), sts9_q)
 
+    def test_single_class_builds_no_generators(self, sts3, monkeypatch):
+        """With t(b-r) = 0 there is one class and nothing to act on, so
+        neither GL(t,2) nor Aut(q) is enumerated."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("generators built for a single class")
+
+        monkeypatch.setattr(schreier, "gl2_elements", forbidden)
+        monkeypatch.setattr(schreier, "automorphisms", forbidden)
+        q = sts3.loop()
+        rep = sl.classify(sl.ElemAbelian2(4), q)
+        assert rep.equivalence_class_count == rep.isomorphism_class_count == 1
+        assert rep.class_reps == rep.orbit_reps == ((0,),)
+        assert rep.witnesses == ((tuple(range(16)), tuple(range(q.n))),)
+
     @pytest.mark.parametrize(
         "key, t", [("fano", 1), ("sts9", 1), ("sts3", 1), ("sts3", 2), ("sts3", 3)]
     )

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from conftest import reference_operator_check
 
 import steinerloops as sl
 from steinerloops import catalog
 from steinerloops import steiner_operator as so
 from steinerloops.errors import (
     BadDiagonal,
+    BadIdentityBlock,
     BadSection,
+    DiagonalViolation,
     Incompletable,
+    NotLatin,
     NotSymmetric,
+    OperatorError,
     ShapeMismatch,
     TotalSymmetryViolation,
+    TransposeViolation,
     ValidationError,
 )
 
@@ -45,14 +51,16 @@ class TestLatinSquare:
 
 
 class TestValidateOperator:
+    """Conditions (i)-(iv) are checked when an operator is constructed."""
+
     def test_example_operator(self, example_op):
-        sl.validate_operator(example_op)
+        op = so.SteinerOperator(example_op.q, example_op.n_loop, example_op.blocks.copy())
+        assert op == example_op
         assert np.array_equal(example_op.blocks[1, 1], catalog.fixture("phi_11").entries)
 
     def test_trivial_quotient(self, sts9_loop):
         q1 = sl.SteinerLoop([[0]])
         op = so.SteinerOperator(q1, sts9_loop, sts9_loop.table[None, None])
-        sl.validate_operator(op)
         rebuilt = sl.build_extension(op)
         assert np.array_equal(rebuilt.table, sts9_loop.table)
 
@@ -62,9 +70,74 @@ class TestValidateOperator:
         # breaks the cancellation condition against the diagonal block
         blocks[0, 1][[1, 2]] = blocks[0, 1][[2, 1]]
         blocks[1, 0] = blocks[0, 1].T
-        bad = so.SteinerOperator(example_op.q, example_op.n_loop, blocks)
         with pytest.raises(TotalSymmetryViolation):
-            sl.validate_operator(bad)
+            so.SteinerOperator(example_op.q, example_op.n_loop, blocks)
+
+    def test_matches_reference_on_mutations(self, example_op, fano_q):
+        """Seeded mutations of three operators: construction raises exactly
+        what the loop-based reference check raises (type, message, block),
+        and the mutations reach every condition."""
+        ops = [
+            example_op,
+            so.from_factor_system(catalog.fixture("f_sts15_example")),
+            so.from_factor_system(sl.zero_factor_system(sl.ElemAbelian2(2), fano_q)),
+        ]
+        rng = np.random.default_rng(20240917)
+
+        def outcome(check, *args):
+            try:
+                check(*args)
+            except (OperatorError, AssertionError) as exc:
+                return type(exc), str(exc), getattr(exc, "block", None)
+            return None
+
+        seen = set()
+        for op in ops:
+            m, k = op.q.n, op.n_loop.n
+            for _ in range(300):
+                blocks = op.blocks.copy()
+                for _ in range(rng.integers(1, 3)):
+                    p, r = (int(i) for i in rng.integers(0, m, size=2))
+                    a, b = (int(i) for i in rng.integers(0, k, size=2))
+                    kind = rng.integers(5)
+                    block = blocks[p, r]
+                    if kind == 0:
+                        block[a, b] = rng.integers(0, k)
+                    elif kind == 1:
+                        block[[a, b]] = block[[b, a]]
+                    elif kind == 2:
+                        block[:, [a, b]] = block[:, [b, a]]
+                    elif kind == 3:
+                        block[...] = rng.permutation(k)[block]
+                    else:  # rows stay permutations, columns break
+                        block[a] = block[b]
+                    if rng.integers(2):
+                        blocks[r, p] = block.T
+                want = outcome(reference_operator_check, op.q, op.n_loop, blocks)
+                got = outcome(so.SteinerOperator, op.q, op.n_loop, blocks)
+                assert got == want
+                seen.add(None if want is None else want[0])
+        assert seen == {
+            None,
+            NotLatin,
+            BadIdentityBlock,
+            TransposeViolation,
+            DiagonalViolation,
+            TotalSymmetryViolation,
+        }
+
+    def test_checked_once_per_operator(self, sts9_loop, monkeypatch):
+        """double() checks its operator once, on construction; building the
+        extension does not check again."""
+        calls = []
+        check = so._check_blocks
+        monkeypatch.setattr(so, "_check_blocks", lambda *args: calls.append(1) or check(*args))
+        sl.double(sts9_loop, catalog.fixture("phi_11"))
+        assert len(calls) == 1
+        op = sl.double_operator(sts9_loop, catalog.fixture("phi_11"))
+        calls.clear()
+        sl.build_extension(op)
+        assert calls == []
 
 
 class TestBuildExtension:
