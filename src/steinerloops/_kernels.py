@@ -23,6 +23,15 @@ Kernel contracts (n = loop order, v = system order):
     configurations through p, closed[p] is True iff every pair of triples
     through p closes both ways (the Pasch-closure reading of a Veblen
     point).
+
+``fano_planes(third, others)``
+    int32[k, 7], one row per Fano subplane, each plane exactly once. A row
+    is (p, a, b, c, d, e, f): p is the least of the seven points, {p,a,b}
+    and {p,c,d} are two lines through p, e = third[a,c] = third[b,d],
+    f = third[a,d] = third[b,c], and {p,e,f} is the third line through p,
+    with a larger index in ``others[p]`` than the two chosen lines. Rows
+    come in increasing p; within a row the points are not sorted.
+    Temporaries are O(r^2) per point, r = (v-1)/2.
 """
 
 from __future__ import annotations
@@ -87,3 +96,31 @@ def pasch_census(third: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.
         counts[p] = int(s.sum()) + int(c.sum())
         closed[p] = bool(s.all() and c.all())
     return counts, closed
+
+
+def fano_planes(third: np.ndarray, others: np.ndarray) -> np.ndarray:
+    v, r, _ = others.shape
+    found = [np.empty((0, 7), dtype=np.int32)]
+    # pairs i < j ordered by j, so the pairs among the first k lines are a prefix
+    jj, ii = np.tril_indices(r, k=-1)
+    line_of = np.zeros(v, dtype=np.intp)
+    for p in range(v):
+        # p is the least point, so only lines through p above p take part
+        lines = others[p][np.minimum(others[p, :, 0], others[p, :, 1]) > p]
+        k = len(lines)
+        if k < 3:
+            continue
+        a, b = lines[:, 0], lines[:, 1]
+        line_of[a] = line_of[b] = np.arange(k)
+        i, j = ii[: k * (k - 1) // 2], jj[: k * (k - 1) // 2]
+        e = third[a[i], a[j]]
+        f = third[a[i], b[j]]
+        keep = (e == third[b[i], b[j]]) & (f == third[b[i], a[j]]) & (e > p) & (f > p)
+        i, j, e, f = i[keep], j[keep], e[keep], f[keep]
+        # the seventh line {p,e,f} closes and comes after both chosen lines
+        keep = (third[e, f] == p) & (line_of[e] > j)
+        i, j, e, f = i[keep], j[keep], e[keep], f[keep]
+        if len(i):
+            p_col = np.full(len(i), p, dtype=np.int32)
+            found.append(np.stack([p_col, a[i], b[i], a[j], b[j], e, f], axis=1))
+    return np.concatenate(found)

@@ -11,7 +11,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -308,18 +307,21 @@ def normality_witness(loop: SteinerLoop, n: Subloop):
     members = n.members
     if n.parent is not loop:
         members = _check_subloop(loop, members)
-    cosets = {}
-    for x in range(loop.n):
-        for y in range(loop.n):
-            xy = loop.mul(x, y)
-            target = cosets.get(xy)
-            if target is None:
-                target = frozenset(loop.mul(xy, m) for m in members)
-                cosets[xy] = target
-            for m in members:
-                if loop.mul(x, loop.mul(y, m)) not in target:
-                    return (x, y, m)
-    return None
+    members = list(members)
+    t = loop.table
+    in_n = np.zeros(loop.n, dtype=np.bool_)
+    in_n[members] = True
+    # first[x, y]: position in members of the first m that fails for (x, y).
+    # Since w.(w.u) = u, x.(y.m) lies in (x.y).N iff (x.y).(x.(y.m)) lies in N.
+    first = np.full(t.shape, len(members), dtype=np.intp)
+    for k in range(len(members) - 1, -1, -1):
+        x_ym = t[:, t[:, members[k]]]
+        first[~in_n[t[t, x_ym]]] = k
+    bad = np.flatnonzero(first < len(members))
+    if not len(bad):
+        return None
+    x, y = divmod(int(bad[0]), loop.n)
+    return (x, y, members[first[x, y]])
 
 
 def is_normal(loop: SteinerLoop, n: Subloop) -> bool:
@@ -422,6 +424,17 @@ def hyperplanes(s: TripleSystem) -> tuple:
 
 @dataclass(frozen=True)
 class ConfigCensus:
+    """Pasch and Fano counts of a system, every field a tuple of Python ints.
+
+    * ``pasch_through[p]``: Pasch configurations through point p;
+    * ``fano_through[p]``: Fano subplanes through point p;
+    * ``fano_containing_triple[i]``: Fano subplanes containing triple i of
+      ``s.triples``;
+    * ``fano_planes``: every Fano subplane as the sorted 7-tuple of its
+      points, the tuples in lexicographic order (tuples, not frozensets, so
+      a kept census stays small).
+    """
+
     pasch_through: tuple
     fano_through: tuple
     fano_containing_triple: tuple
@@ -437,42 +450,19 @@ class ConfigCensus:
         return sum(self.pasch_through) // 6
 
 
-def _fano_planes(s: TripleSystem):
-    third = s.third_table
-    planes = set()
-    for p in range(s.v):
-        pairs = s.others[p]
-        for i in range(len(pairs)):
-            a, b = int(pairs[i, 0]), int(pairs[i, 1])
-            for j in range(i + 1, len(pairs)):
-                c, d = int(pairs[j, 0]), int(pairs[j, 1])
-                e = int(third[a, c])
-                f = int(third[a, d])
-                if e != int(third[b, d]) or f != int(third[b, c]):
-                    continue
-                pts = frozenset((p, a, b, c, d, e, f))
-                if len(pts) != 7 or pts in planes:
-                    continue
-                if all(int(third[x, y]) in pts for x, y in combinations(pts, 2)):
-                    planes.add(pts)
-    return tuple(sorted(planes, key=sorted))
-
-
 def census(s: TripleSystem) -> ConfigCensus:
     """Exact Pasch and Fano counts per point and per triple."""
     counts, _ = _kernels.pasch_census(s.third_table, s.others)
-    planes = _fano_planes(s)
-    fano_through = [0] * s.v
-    fano_tri = [0] * s.b
-    for plane in planes:
-        for p in plane:
-            fano_through[p] += 1
-        for x, y in combinations(sorted(plane), 2):
-            idx = int(s.pair_triple[x, y])
-            if s.third(x, y) > y:
-                fano_tri[idx] += 1
+    rows = _kernels.fano_planes(s.third_table, s.others)
+    # the seven lines of a row (p, a, b, c, d, e, f): pa, pc, pe, ac, bd, ad, bc
+    lines = s.pair_triple[rows[:, [0, 0, 0, 1, 2, 1, 2]], rows[:, [1, 3, 5, 3, 4, 4, 3]]]
+    planes = np.sort(rows, axis=1)
+    planes = planes[np.lexsort(planes.T[::-1])]
     return ConfigCensus(
-        tuple(int(c) for c in counts), tuple(fano_through), tuple(fano_tri), planes
+        tuple(counts.tolist()),
+        tuple(np.bincount(planes.ravel(), minlength=s.v).tolist()),
+        tuple(np.bincount(lines.ravel(), minlength=s.b).tolist()),
+        tuple(map(tuple, planes.tolist())),
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -150,3 +151,70 @@ def reference_operator_check(q, n_loop, blocks):
     for p in range(m):
         if not np.array_equal(blocks[p, 0][:, 0], idx):
             raise AssertionError(f"block ({p},0) does not fix x under the subloop identity")
+
+
+def reference_fano_planes(s):
+    """Test-local oracle: the pure-Python search over every pair of lines
+    through every point that census used before its array kernel. Planes
+    are frozensets, in the order of their sorted points."""
+    third = s.third_table.tolist()
+    planes = set()
+    for p in range(s.v):
+        pairs = s.others[p].tolist()
+        for i in range(len(pairs)):
+            a, b = pairs[i]
+            for j in range(i + 1, len(pairs)):
+                c, d = pairs[j]
+                e = third[a][c]
+                f = third[a][d]
+                if e != third[b][d] or f != third[b][c]:
+                    continue
+                pts = frozenset((p, a, b, c, d, e, f))
+                if len(pts) != 7 or pts in planes:
+                    continue
+                if all(third[x][y] in pts for x, y in combinations(pts, 2)):
+                    planes.add(pts)
+    return tuple(sorted(planes, key=sorted))
+
+
+def reference_census(s):
+    """Test-local oracle for census: Fano counts per point and per triple
+    tallied plane by plane over reference_fano_planes. The Pasch counts come
+    from the same kernel as in census; they are checked elsewhere."""
+    from steinerloops import _kernels
+
+    counts, _ = _kernels.pasch_census(s.third_table, s.others)
+    planes = reference_fano_planes(s)
+    fano_through = [0] * s.v
+    fano_tri = [0] * s.b
+    for plane in planes:
+        for p in plane:
+            fano_through[p] += 1
+        for x, y in combinations(sorted(plane), 2):
+            if s.third(x, y) > y:
+                fano_tri[int(s.pair_triple[x, y])] += 1
+    return sl.ConfigCensus(
+        tuple(int(c) for c in counts),
+        tuple(fano_through),
+        tuple(fano_tri),
+        tuple(tuple(sorted(plane)) for plane in planes),
+    )
+
+
+def reference_normality_witness(loop, n):
+    """Test-local oracle: the loop of n^2 |N| products that normality_witness
+    ran before its array form; first (x, y, m) with x.(y.m) outside
+    (x.y).N, m taken in the iteration order of n.members."""
+    members = n.members
+    cosets = {}
+    for x in range(loop.n):
+        for y in range(loop.n):
+            xy = loop.mul(x, y)
+            target = cosets.get(xy)
+            if target is None:
+                target = frozenset(loop.mul(xy, m) for m in members)
+                cosets[xy] = target
+            for m in members:
+                if loop.mul(x, loop.mul(y, m)) not in target:
+                    return (x, y, m)
+    return None

@@ -53,6 +53,32 @@ class TestAnalyze:
             code, out, _ = run(capsys, "analyze", "--seed-fixture", key)
             assert code == 0 and json.loads(out)["projective"] is projective
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["pg5"], "5624eec768c80deaec3dd9c311ddf3656ac7097d9910a0a507e50d1644b472ae"),
+            (
+                ["pg6", "--bound-v", "127"],
+                "b732fe83eb089abb97eddb220f7c2ed175b03ac6f9cf593eb1e53b2ab91dc8d1",
+            ),
+            (
+                ["ag4", "--bound-v", "81"],
+                "7ef5f8a32b956bdb472886884226885341367c082d839c613a8ff57b62cbdf5e",
+            ),
+            (["sts15_2"], "9654bbe478510b4f4bc682d99da9fbe95af5bddeea272f7d99434a9f3aea30e4"),
+            (
+                ["sts15_2", "--format", "text"],
+                "a36276b7a9c955690f8423c4349b80a5355c40a49ad0cfad406b263c71a8daf7",
+            ),
+        ],
+        ids=["pg5", "pg6", "ag4", "sts15_2-json", "sts15_2-text"],
+    )
+    def test_analyze_golden(self, capsys, argv, digest):
+        """The whole report stays byte for byte."""
+        code, out, err = run(capsys, "analyze", "--seed-fixture", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "analyze", "--input", "/nonexistent.sts")
         assert code == 2 and "error" in err

@@ -1,10 +1,13 @@
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import steinerloops as sl
-from steinerloops import catalog
+from conftest import reference_census, reference_normality_witness
+from steinerloops import _kernels, catalog
 from steinerloops.design_core import _VIOLATION_TEXT
 from steinerloops.errors import (
     BadTriple,
@@ -148,6 +151,23 @@ class TestNormality:
             sl.subloop(loop, {0, 1, 2})  # elements 1.2 close outside the set
         with pytest.raises(NotASubloop):
             sl.subloop(loop, {1, 2, 3})  # identity missing
+
+
+    def test_witness_matches_reference(self, sts19_example):
+        rng = random.Random(5)
+        loops = [catalog.fixture(k).loop() for k in ("fano_labeled", "sts9_labeled", "sts13_a")]
+        loops += [s.loop() for s in (catalog.fixture("sts15_2"), catalog.pg(3), sts19_example)]
+        loops.append(catalog.pg(4).loop())
+        kinds = set()
+        for loop in loops:
+            for size in (0, 1, 1, 2, 2, 3, loop.n - 1):
+                for _ in range(4):
+                    seed = rng.sample(range(1, loop.n), min(size, loop.n - 1))
+                    sub = sl.generated_subloop(loop, seed)
+                    want = reference_normality_witness(loop, sub)
+                    assert sl.normality_witness(loop, sub) == want, (loop, seed)
+                    kinds.add(want is None)
+        assert kinds == {True, False}
 
 
 class TestQuotient:
@@ -296,6 +316,79 @@ class TestCensus:
                 for b in pts:
                     if a != b:
                         assert s.third(a, b) in pts
+
+
+    @pytest.mark.parametrize(
+        "name", ["pg3", "pg4", "pg5", "ag3", "ag4", "sts13_a", "sts13_b", "sts19_double"]
+    )
+    def test_matches_reference(self, name):
+        if name == "sts19_double":
+            s = sl.double(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11"))
+        elif name[2:].isdigit():
+            s = getattr(catalog, name[:2])(int(name[2:]))
+        else:
+            s = catalog.fixture(name)
+        assert sl.census(s) == reference_census(s)
+
+    def test_matches_reference_on_family(self, constructed_family):
+        for label, s in constructed_family:
+            assert sl.census(s) == reference_census(s), label
+
+    def test_matches_reference_on_relabelled_schreier31(self, sts15_2):
+        rng = random.Random(31)
+        q = sts15_2.loop()
+        n = sl.ElemAbelian2(1)
+        for _ in range(8):
+            f = sl.FactorSystem(q, 1, [rng.randrange(2) for _ in range(sts15_2.b)])
+            s = sl.build_schreier(n, q, f).system()
+            perm = list(range(s.v))
+            rng.shuffle(perm)
+            s = s.relabel(perm)
+            assert sl.census(s) == reference_census(s)
+
+    @pytest.mark.parametrize("n, planes", [(3, 15), (4, 155), (5, 1395), (6, 11811)])
+    def test_projective_closed_form(self, n, planes):
+        """pg(n) is PG(n,2) on GF(2)^(n+1); its Fano subplanes are the
+        3-dimensional subspaces, counted by the Gaussian binomial."""
+        gauss = 1
+        for i in range(3):
+            gauss = gauss * (2 ** (n + 1 - i) - 1) // (2 ** (i + 1) - 1)
+        s = catalog.pg(n)
+        c = sl.census(s)
+        assert c.fano_total == planes == gauss
+        assert set(c.fano_through) == {7 * planes // s.v}
+        assert set(c.fano_containing_triple) == {7 * planes // s.b}
+        assert list(c.fano_planes) == sorted(c.fano_planes)
+        assert all(list(plane) == sorted(set(plane)) for plane in c.fano_planes)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_affine_has_no_planes(self, n):
+        c = sl.census(catalog.ag(n))
+        assert c.fano_planes == () and set(c.fano_through) == {0}
+
+    def test_one_call_of_each_kernel(self, pg3, monkeypatch):
+        calls = []
+        for name in ("pasch_census", "fano_planes"):
+            kernel = getattr(_kernels, name)
+            monkeypatch.setattr(
+                _kernels, name, lambda *args, k=kernel, n=name: calls.append(n) or k(*args)
+            )
+        sl.census(pg3)
+        assert sorted(calls) == ["fano_planes", "pasch_census"]
+
+    def test_kept_census_stays_small(self):
+        """A kept census of pg(5) holds its 1395 planes as tuples of ints:
+        about 155 KB, where frozensets took about 1 MB."""
+        s = catalog.pg(5)
+        s.others  # cached on the system, not part of the census
+        tracemalloc.start()
+        try:
+            c = sl.census(s)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert c.fano_total == 1395
+        assert retained < 400_000
 
 
 class TestNormalTripleFano:
