@@ -154,9 +154,9 @@ def reference_operator_check(q, n_loop, blocks):
 
 
 def reference_fano_planes(s):
-    """Test-local oracle: the pure-Python search over every pair of lines
-    through every point that census used before its array kernel. Planes
-    are frozensets, in the order of their sorted points."""
+    """Test-local oracle for the Fano planes of census: a pure-Python search
+    over every pair of lines through every point. Planes are frozensets, in
+    the order of their sorted points."""
     third = s.third_table.tolist()
     planes = set()
     for p in range(s.v):
@@ -202,9 +202,9 @@ def reference_census(s):
 
 
 def reference_normality_witness(loop, n):
-    """Test-local oracle: the loop of n^2 |N| products that normality_witness
-    ran before its array form; first (x, y, m) with x.(y.m) outside
-    (x.y).N, m taken in the iteration order of n.members."""
+    """Test-local oracle for normality_witness, one loop.mul at a time: the
+    first (x, y, m) with x.(y.m) outside (x.y).N, m taken in the iteration
+    order of n.members."""
     members = n.members
     cosets = {}
     for x in range(loop.n):

@@ -152,14 +152,12 @@ class TestNormality:
         with pytest.raises(NotASubloop):
             sl.subloop(loop, {1, 2, 3})  # identity missing
 
-
     def test_witness_matches_reference(self, sts19_example):
         rng = random.Random(5)
-        loops = [catalog.fixture(k).loop() for k in ("fano_labeled", "sts9_labeled", "sts13_a")]
-        loops += [s.loop() for s in (catalog.fixture("sts15_2"), catalog.pg(3), sts19_example)]
-        loops.append(catalog.pg(4).loop())
+        keys = ("fano_labeled", "sts9_labeled", "sts13_a", "sts15_2")
+        systems = [catalog.fixture(k) for k in keys] + [catalog.pg(3), catalog.pg(4), sts19_example]
         kinds = set()
-        for loop in loops:
+        for loop in (s.loop() for s in systems):
             for size in (0, 1, 1, 2, 2, 3, loop.n - 1):
                 for _ in range(4):
                     seed = rng.sample(range(1, loop.n), min(size, loop.n - 1))
@@ -317,7 +315,6 @@ class TestCensus:
                     if a != b:
                         assert s.third(a, b) in pts
 
-
     @pytest.mark.parametrize(
         "name", ["pg3", "pg4", "pg5", "ag3", "ag4", "sts13_a", "sts13_b", "sts19_double"]
     )
@@ -378,7 +375,7 @@ class TestCensus:
 
     def test_kept_census_stays_small(self):
         """A kept census of pg(5) holds its 1395 planes as tuples of ints:
-        about 155 KB, where frozensets took about 1 MB."""
+        about 155 KB, where frozensets of the same planes take about 1 MB."""
         s = catalog.pg(5)
         s.others  # cached on the system, not part of the census
         tracemalloc.start()
