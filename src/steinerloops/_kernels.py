@@ -1,4 +1,6 @@
-"""Hot table-scan kernels, one vectorized numpy implementation each.
+"""Hot table-scan kernels, one vectorized numpy implementation each. Each
+object is scanned once: a SteinerLoop keeps its centre and a TripleSystem
+its Pasch scan.
 
 Kernel contracts (n = loop order, v = system order):
 
@@ -11,10 +13,8 @@ Kernel contracts (n = loop order, v = system order):
 
 ``center_mask(table)``
     bool[n]; entry z is True iff (a.b).z == a.(b.z) for all a, b, i.e. z is
-    central (for a commutative loop the one identity implies the rest).
-
-``is_associative(table)``
-    True iff every element is central, with early exit.
+    central (for a commutative loop the one identity implies the rest). The
+    loop is associative iff every entry is True.
 
 ``pasch_census(third, others)``
     (counts int64[v], closed bool[v]). ``others[p]`` lists the (v-1)/2
@@ -69,14 +69,6 @@ def center_mask(table: np.ndarray) -> np.ndarray:
     for z in range(n):
         mask[z] = np.array_equal(table[table, z], table[:, table[:, z]])
     return mask
-
-
-def is_associative(table: np.ndarray) -> bool:
-    n = table.shape[0]
-    for z in range(n):
-        if not np.array_equal(table[table, z], table[:, table[:, z]]):
-            return False
-    return True
 
 
 def pasch_census(third: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,17 +24,12 @@ from .steiner_operator import LatinSquare
 
 def pg(n: int) -> TripleSystem:
     """Point-line design of the projective space of dimension n over GF(2):
-    points are the nonzero (n+1)-bit vectors, lines are the xor-triples."""
+    points are the nonzero (n+1)-bit vectors, lines are the xor-triples, so
+    its loop is the group of all (n+1)-bit vectors under xor."""
     if n < 1:
         raise ValueError("projective dimension must be >= 1")
-    m = (1 << (n + 1)) - 1
-    triples = []
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            c = a ^ b
-            if c > b:
-                triples.append((a - 1, b - 1, c - 1))
-    return TripleSystem(m, triples)
+    x = np.arange(1 << (n + 1), dtype=np.int32)
+    return SteinerLoop(x[:, None] ^ x).system()
 
 
 def ag(n: int) -> TripleSystem:
@@ -42,25 +37,13 @@ def ag(n: int) -> TripleSystem:
     points are base-3 vectors, lines are the zero-sum triples."""
     if n < 1:
         raise ValueError("affine dimension must be >= 1")
-    v = 3**n
-
-    def third(a, b):
-        c = 0
-        mult = 1
-        for _ in range(n):
-            c += (-(a % 3) - (b % 3)) % 3 * mult
-            a //= 3
-            b //= 3
-            mult *= 3
-        return c
-
-    triples = []
-    for a in range(v):
-        for b in range(a + 1, v):
-            c = third(a, b)
-            if c > b:
-                triples.append((a, b, c))
-    return TripleSystem(v, triples)
+    p = np.arange(3**n)
+    third = np.zeros((3**n, 3**n), dtype=np.int64)
+    for k in range(n):  # digit k of the third point is -(a_k + b_k) mod 3
+        digit = p // 3**k % 3
+        third += (-(digit[:, None] + digit) % 3) * 3**k
+    a, b = np.nonzero((third > p) & (p > p[:, None]))  # each line a < b < c once
+    return TripleSystem(3**n, np.stack([a, b, third[a, b]], axis=1))
 
 
 # order-15 system #2 of the standard enumeration of the 80 order-15 systems
@@ -142,29 +125,18 @@ def _sts13_cyclic() -> TripleSystem:
     return TripleSystem(13, sorted(triples))
 
 
-def _pasch_quads(s: TripleSystem):
-    """All Pasch configurations as 4-sets of triple indices, sorted."""
+def pasch_configurations(s: TripleSystem):
+    """All Pasch configurations of s as sorted 4-tuples of triple indices:
+    lines {p,a,b}, {p,c,d} through p closed by two lines through e."""
+    third, line = s.third_table, s.pair_triple
+    i, j = np.triu_indices((s.v - 1) // 2, 1)
     quads = set()
-    third = s.third_table
     for p in range(s.v):
-        pairs = s.others[p]
-        for i in range(len(pairs)):
-            a, b = int(pairs[i, 0]), int(pairs[i, 1])
-            for j in range(i + 1, len(pairs)):
-                c, d = int(pairs[j, 0]), int(pairs[j, 1])
-                for (x, y), (u, w) in (((a, c), (b, d)), ((a, d), (b, c))):
-                    e = int(third[x, y])
-                    if e == int(third[u, w]):
-                        quad = frozenset(
-                            (
-                                int(s.pair_triple[p, a]),
-                                int(s.pair_triple[p, c]),
-                                int(s.pair_triple[x, y]),
-                                int(s.pair_triple[u, w]),
-                            )
-                        )
-                        quads.add(quad)
-    return sorted(tuple(sorted(q)) for q in quads)
+        (a, b), (c, d) = s.others[p, i].T, s.others[p, j].T
+        for x, y, u, w in ((a, c, b, d), (a, d, b, c)):
+            rows = np.stack([line[p, a], line[p, c], line[x, y], line[u, w]], axis=1)
+            quads.update(map(tuple, np.sort(rows[third[x, y] == third[u, w]], axis=1).tolist()))
+    return sorted(quads)
 
 
 def _pasch_switch(s: TripleSystem, quad) -> TripleSystem:
@@ -194,7 +166,7 @@ def _sts13_pair():
     reached deterministically by switching the first Pasch configuration
     that changes the isomorphism type."""
     a = _sts13_cyclic()
-    for quad in _pasch_quads(a):
+    for quad in pasch_configurations(a):
         b = _pasch_switch(a, quad)
         if are_isomorphic(a, b) is None:
             return a, b
@@ -279,11 +251,6 @@ def fixture_provenance(key: str) -> str:
     if key in _EXTERNAL:
         return _PROVENANCE[key]
     return f"built-in: {_PROVENANCE[key]}"
-
-
-def pasch_configurations(s: TripleSystem):
-    """All Pasch configurations of s as sorted 4-tuples of triple indices."""
-    return _pasch_quads(s)
 
 
 __all__ = [

@@ -44,7 +44,9 @@ _SYSTEM_ALIASES = {
 }
 
 
-def _resolve_system(spec: str) -> TripleSystem:
+def _resolve_system(spec: str, refuse=lambda v: None) -> TripleSystem:
+    """The system named by a path or key. A pgN or agN key is built only
+    after refuse has been called with its order and has not raised."""
     path = Path(spec)
     if path.exists():
         return formats.read_system(path)
@@ -52,10 +54,10 @@ def _resolve_system(spec: str) -> TripleSystem:
         return validate_system(1, [])
     if spec == "sts3":
         return validate_system(3, [(0, 1, 2)])
-    if spec.startswith("pg") and spec[2:].isdigit():
-        return catalog.pg(int(spec[2:]))
-    if spec.startswith("ag") and spec[2:].isdigit():
-        return catalog.ag(int(spec[2:]))
+    if spec[:2] in ("pg", "ag") and spec[2:].isdigit():
+        dim = int(spec[2:])
+        refuse((1 << (dim + 1)) - 1 if spec[:2] == "pg" else 3**dim)
+        return catalog.pg(dim) if spec[:2] == "pg" else catalog.ag(dim)
     key = _SYSTEM_ALIASES.get(spec, spec)
     obj = catalog.fixture(key)
     if isinstance(obj, TripleSystem):
@@ -65,7 +67,8 @@ def _resolve_system(spec: str) -> TripleSystem:
     raise UnknownKey(spec)
 
 
-def _resolve_loop(spec: str) -> SteinerLoop:
+def _resolve_loop(spec: str, refuse=lambda v: None) -> SteinerLoop:
+    """The loop named by a path or key; refuse as for _resolve_system."""
     path = Path(spec)
     if path.exists():
         if path.suffix == ".csv":
@@ -74,7 +77,7 @@ def _resolve_loop(spec: str) -> SteinerLoop:
     try:
         obj = catalog.fixture(_SYSTEM_ALIASES.get(spec, spec))
     except UnknownKey:
-        return _resolve_system(spec).loop()
+        return _resolve_system(spec, refuse).loop()
     if isinstance(obj, SteinerLoop):
         return obj
     if isinstance(obj, TripleSystem):
@@ -121,9 +124,8 @@ def cmd_analyze(args) -> int:
     spec = args.seed_fixture or args.input
     if not spec:
         raise ValidationError("analyze needs --input or --seed-fixture")
-    s = _resolve_system(spec)
-    if s.v > args.bound_v:
-        raise BoundExceeded(f"order {s.v} exceeds --bound-v {args.bound_v}")
+    s = _resolve_system(spec, lambda v: _check_order(v, args.bound_v))
+    _check_order(s.v, args.bound_v)
     veblen = sorted(veblen_points(s))
     cens = census(s)
     planes = [sorted(h) for h in hyperplanes(s)]
@@ -159,34 +161,42 @@ def _provenance(args) -> str:
     return "built by: steiner " + " ".join(parts)
 
 
-def _check_extension_order(v: int, bound: int) -> None:
-    """Refuse an extension of system order v before any table is built."""
+def _check_order(v: int, bound: int, what: str = "order") -> None:
+    """Refuse a system of order v above --bound-v before it is built."""
     if v > bound:
-        raise BoundExceeded(f"built order {v} exceeds --bound-v {bound}")
+        raise BoundExceeded(f"{what} {v} exceeds --bound-v {bound}")
+
+
+def _extension_base(spec: str, bound: int, built_order) -> SteinerLoop:
+    """The loop named by spec, refused before it is built (pgN/agN keys) or
+    right after when built_order(its order) exceeds --bound-v."""
+    loop = _resolve_loop(spec, lambda v: _check_order(built_order(v + 1), bound, "built order"))
+    _check_order(built_order(loop.n), bound, "built order")
+    return loop
 
 
 def cmd_extend(args) -> int:
     if args.kind == "schreier":
         if args.q is None or args.t is None or args.f is None:
             raise ValidationError("extend schreier needs --q, --t and --f")
-        q = _resolve_loop(args.q)
+        q = _extension_base(
+            args.q, args.bound_v, lambda m: m * schreier.ElemAbelian2(args.t).size - 1
+        )
         n = schreier.ElemAbelian2(args.t)
-        _check_extension_order(q.n * n.size - 1, args.bound_v)
         f = _resolve_factor(args.f, q, args.t)
         loop = schreier.build_schreier(n, q, f)
     elif args.kind == "operator":
         if args.q is None or args.n is None or args.op is None:
             raise ValidationError("extend operator needs --q, --n and --op")
-        q = _resolve_loop(args.q)
-        n_loop = _resolve_loop(args.n)
-        _check_extension_order(q.n * n_loop.n - 1, args.bound_v)
+        # the extension has at least as many points as q's system
+        q = _resolve_loop(args.q, lambda v: _check_order(v, args.bound_v))
+        n_loop = _extension_base(args.n, args.bound_v, lambda m: q.n * m - 1)
         op = formats.read_operator(args.op, q, n_loop)
         loop = steiner_operator.build_extension(op)
     elif args.kind == "double":
         if args.n is None or args.square is None:
             raise ValidationError("extend double needs --n and --square")
-        n_loop = _resolve_loop(args.n)
-        _check_extension_order(2 * n_loop.n - 1, args.bound_v)
+        n_loop = _extension_base(args.n, args.bound_v, lambda m: 2 * m - 1)
         square = _resolve_square(args.square)
         loop = steiner_operator.build_extension(
             steiner_operator.double_operator(n_loop, square)
@@ -198,11 +208,15 @@ def cmd_extend(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    q = _resolve_loop(args.q)
+    def refuse(v):
+        tb = args.t * (v * (v - 1) // 6)
+        if tb > args.bound_tb:
+            raise BoundExceeded(f"t*b = {tb} exceeds --bound-tb {args.bound_tb}")
+
+    q = _resolve_loop(args.q, refuse)
     n = schreier.ElemAbelian2(args.t)
+    refuse(q.n - 1)
     b = q.system().b
-    if n.t * b > args.bound_tb:
-        raise BoundExceeded(f"t*b = {n.t * b} exceeds --bound-tb {args.bound_tb}")
     payload = {"schema": 1, "t": n.t, "b": b, "total": 1 << (n.t * b)}
     if args.output is not None:
         if n.t * b > 16:
@@ -216,7 +230,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    q = _resolve_loop(args.q)
+    def refuse(v):  # classify's own check, before a pgN/agN key is built
+        tb = args.t * (v * (v - 1) // 6)
+        if tb > args.bound_tb:
+            raise BoundExceeded(f"t*b = {tb} exceeds enumeration bound {args.bound_tb}")
+
+    q = _resolve_loop(args.q, refuse)
     n = schreier.ElemAbelian2(args.t)
     report = schreier.classify(n, q, tb_bound=args.bound_tb)
     _emit(formats.render_report_json(report), args.output)
@@ -232,10 +251,13 @@ def cmd_double(args) -> int:
 
 
 def cmd_isomorphic(args) -> int:
-    s1 = _resolve_system(args.first)
-    s2 = _resolve_system(args.second)
-    if max(s1.v, s2.v) > args.bound_v:
-        raise BoundExceeded(f"order exceeds --bound-v {args.bound_v}")
+    def refuse(v):
+        if v > args.bound_v:
+            raise BoundExceeded(f"order exceeds --bound-v {args.bound_v}")
+
+    s1 = _resolve_system(args.first, refuse)
+    s2 = _resolve_system(args.second, refuse)
+    refuse(max(s1.v, s2.v))
     mapping = are_isomorphic(s1, s2, bound=args.bound_v)
     payload = {
         "schema": 1,

@@ -55,46 +55,76 @@ def admissible_factorization(n: int, factors) -> bool:
     return prod == n
 
 
+def _sorted_triple(v: int, t) -> tuple:
+    t = tuple(sorted(int(x) for x in t))
+    if len(t) != 3 or len(set(t)) != 3 or t[0] < 0 or t[2] >= v:
+        raise BadTriple(t)
+    return t
+
+
+def _triple_rows(v: int, triples) -> np.ndarray:
+    """The triples as a (b, 3) int64 array in input order, each row sorted;
+    BadTriple on the first bad triple."""
+    triples = triples if isinstance(triples, np.ndarray) else list(triples)
+    try:
+        rows = np.sort(np.asarray(triples, dtype=np.int64), axis=1)
+    except (TypeError, ValueError, OverflowError):  # ragged, empty or not numbers
+        rows = None
+    if rows is None or rows.shape[1:] != (3,):  # one triple at a time
+        rows = np.array([_sorted_triple(v, t) for t in triples], dtype=np.int64).reshape(-1, 3)
+    bad = (rows[:, 0] < 0) | (rows[:, 2] >= v) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    if bad.any():
+        raise BadTriple(rows[bad.argmax()].tolist())
+    return rows
+
+
 class TripleSystem:
     """A Steiner triple system on points 0..v-1, validated on construction."""
 
-    __slots__ = ("v", "triples", "b", "third_table", "pair_triple", "_loop", "_others", "_hash")
+    __slots__ = (
+        "v", "triples", "b", "third_table", "pair_triple", "_loop", "_others", "_pasch", "_hash"
+    )
 
     def __init__(self, v: int, triples):
         if not admissible(v):
             raise NotAdmissible(v)
-        norm = []
-        for t in triples:
-            t = tuple(sorted(int(x) for x in t))
-            if len(t) != 3 or len(set(t)) != 3 or t[0] < 0 or t[2] >= v:
-                raise BadTriple(t)
-            norm.append(t)
-        norm.sort()
+        rows = _triple_rows(v, triples)
         third = np.full((v, v), -1, dtype=np.int32)
+        a, b, c = rows.T
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            third[x, y] = third[y, x] = z
+        if np.count_nonzero(third >= 0) != 6 * len(rows):
+            # a pair is covered twice: report the first one met when the
+            # sorted triples are scanned, each through (a,b), (a,c), (b,c)
+            rows = rows[np.lexsort(rows.T[::-1])]
+            codes = (rows[:, [0, 0, 1]] * v + rows[:, [1, 2, 2]]).ravel()
+            _, first = np.unique(codes, return_index=True)
+            repeat = np.setdiff1d(np.arange(len(codes)), first)[0]
+            raise PairDuplicated(*divmod(int(codes[repeat]), v))
+        if len(rows) != v * (v - 1) // 6:  # the first uncovered pair in row-major order
+            raise PairMissing(*np.argwhere(np.triu(third < 0, 1))[0].tolist())
+        self._build(third)
+
+    def _build(self, third: np.ndarray) -> None:
+        """Fill every field from the third-point table of a valid system
+        (v x v, diagonal -1); nothing is checked here."""
+        v = third.shape[0]
+        idx = np.arange(v)
+        # each triple x < y < z read at its least pair, in lexicographic order
+        x, y = np.nonzero((third > idx) & (idx > idx[:, None]))
+        z = third[x, y]
         pair_triple = np.full((v, v), -1, dtype=np.int32)
-        for idx, (a, b, c) in enumerate(norm):
-            for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-                if third[x, y] != -1:
-                    raise PairDuplicated(x, y)
-                third[x, y] = z
-                third[y, x] = z
-                pair_triple[x, y] = idx
-                pair_triple[y, x] = idx
-        if len(norm) != v * (v - 1) // 6:
-            for x in range(v):
-                for y in range(x + 1, v):
-                    if third[x, y] == -1:
-                        raise PairMissing(x, y)
+        lines = np.arange(len(x), dtype=np.int32)
+        for p, q in ((x, y), (x, z), (y, z)):
+            pair_triple[p, q] = pair_triple[q, p] = lines
         third.flags.writeable = False
         pair_triple.flags.writeable = False
         self.v = v
-        self.triples = tuple(norm)
-        self.b = len(norm)
+        self.triples = tuple(zip(x.tolist(), y.tolist(), z.tolist()))
+        self.b = len(lines)
         self.third_table = third
         self.pair_triple = pair_triple
-        self._loop = None
-        self._others = None
-        self._hash = None
+        self._loop = self._others = self._pasch = self._hash = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -107,19 +137,16 @@ class TripleSystem:
 
     @property
     def others(self) -> np.ndarray:
-        """(v, r, 2) array: the point pairs completing each triple through p."""
+        """(v, r, 2) array: the point pairs completing each triple through p,
+        the lines through p in triple order, each pair ascending."""
         if self._others is None:
-            v = self.v
-            r = (v - 1) // 2
-            arr = np.empty((v, r, 2), dtype=np.int32)
-            fill = [0] * v
-            for a, b, c in self.triples:
-                arr[a, fill[a], 0], arr[a, fill[a], 1] = b, c
-                arr[b, fill[b], 0], arr[b, fill[b], 1] = a, c
-                arr[c, fill[c], 0], arr[c, fill[c], 1] = a, b
-                fill[a] += 1
-                fill[b] += 1
-                fill[c] += 1
+            v, third = self.v, self.third_table
+            # the r pairs (q, third[p, q]) of row p with q < third[p, q]
+            p, q = np.nonzero(third > np.arange(v))
+            q = q.reshape(v, -1)
+            lines = np.argsort(self.pair_triple[p.reshape(v, -1), q], axis=1)
+            q = np.take_along_axis(q, lines, axis=1)
+            arr = np.stack([q, third[np.arange(v)[:, None], q]], axis=2).astype(np.int32)
             arr.flags.writeable = False
             self._others = arr
         return self._others
@@ -159,7 +186,7 @@ class SteinerLoop:
     SCAN_ORDER_LIMIT with BoundExceeded.
     """
 
-    __slots__ = ("n", "table", "_system", "_hash")
+    __slots__ = ("n", "table", "_system", "_center", "_hash")
 
     def __init__(self, table):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
@@ -169,8 +196,7 @@ class SteinerLoop:
         table.flags.writeable = False
         self.n = int(table.shape[0])
         self.table = table
-        self._system = None
-        self._hash = None
+        self._system = self._center = self._hash = None
 
     @property
     def order(self) -> int:
@@ -179,21 +205,19 @@ class SteinerLoop:
     def mul(self, x: int, y: int) -> int:
         return int(self.table[x, y])
 
-    def _check_scan_order(self) -> None:
+    def is_associative(self) -> bool:
+        """True iff every element is central."""
+        return len(self.center()) == self.n
+
+    def center(self) -> frozenset:
+        """All central elements, identity included; scanned once per loop."""
         if self.n > SCAN_ORDER_LIMIT:
             raise BoundExceeded(
                 f"loop of order {self.n} exceeds the table-scan limit {SCAN_ORDER_LIMIT}"
             )
-
-    def is_associative(self) -> bool:
-        self._check_scan_order()
-        return _kernels.is_associative(self.table)
-
-    def center(self) -> frozenset:
-        """All central elements, identity included."""
-        self._check_scan_order()
-        mask = _kernels.center_mask(self.table)
-        return frozenset(int(i) for i in np.flatnonzero(mask))
+        if self._center is None:
+            self._center = frozenset(np.flatnonzero(_kernels.center_mask(self.table)).tolist())
+        return self._center
 
     def system(self) -> TripleSystem:
         if self._system is None:
@@ -218,31 +242,26 @@ class SteinerLoop:
 
 def loop_from_system(s: TripleSystem) -> SteinerLoop:
     """The loop of s: x.y is the third point on their line, x.x = 0."""
-    n = s.v + 1
-    table = np.empty((n, n), dtype=np.int32)
-    idx = np.arange(n, dtype=np.int32)
-    table[0, :] = idx
-    table[:, 0] = idx
-    table[1:, 1:] = s.third_table + 1
-    table[idx, idx] = 0
+    # the diagonal -1 of the third-point table becomes the identity 0
+    table = np.pad(s.third_table + 1, (1, 0))
+    table[0] = table[:, 0] = np.arange(s.v + 1)
     loop = SteinerLoop(table)
     loop._system = s
     return loop
 
 
 def system_from_loop(loop) -> TripleSystem:
-    """Inverse of loop_from_system under the fixed element labeling."""
+    """Inverse of loop_from_system under the fixed element labeling. The loop
+    check already makes x.y the third point of a triple, so the system is
+    read off the table without a second check."""
     if not isinstance(loop, SteinerLoop):
         loop = SteinerLoop(loop)
-    n = loop.n
-    t = loop.table
-    triples = []
-    for x in range(1, n):
-        for y in range(x + 1, n):
-            z = int(t[x, y])
-            if z > y:
-                triples.append((x - 1, y - 1, z - 1))
-    return TripleSystem(n - 1, triples)
+    if not admissible(loop.n - 1):  # the order-1 loop
+        raise NotAdmissible(loop.n - 1)
+    s = TripleSystem.__new__(TripleSystem)
+    s._build(loop.table[1:, 1:] - 1)
+    s._loop = loop
+    return s
 
 
 # -- subloops, normality, quotients -----------------------------------------
@@ -260,23 +279,31 @@ class Subloop:
     def as_loop(self):
         """Relabeled SteinerLoop on 0..|members|-1 plus the relabeling list."""
         order = [0] + sorted(m for m in self.members if m != 0)
-        pos = {m: i for i, m in enumerate(order)}
-        k = len(order)
-        table = np.empty((k, k), dtype=np.int32)
-        for i, x in enumerate(order):
-            for j, y in enumerate(order):
-                table[i, j] = pos[self.parent.mul(x, y)]
-        return SteinerLoop(table), order
+        pos = np.full(self.parent.n, -1, dtype=np.int32)
+        pos[order] = np.arange(len(order))
+        return SteinerLoop(pos[self.parent.table[np.ix_(order, order)]]), order
+
+
+def _require_elements(loop: SteinerLoop, members) -> None:
+    outside = sorted(m for m in members if not 0 <= m < loop.n)
+    if outside:
+        raise NotASubloop(f"elements {outside} outside 0..{loop.n - 1}")
 
 
 def _check_subloop(loop: SteinerLoop, members) -> frozenset:
+    """The members as a frozenset; NotASubloop at the first product x.y
+    that escapes, x and y in the set's iteration order."""
     members = frozenset(int(m) for m in members)
     if 0 not in members:
         raise NotASubloop("identity missing")
-    for x in members:
-        for y in members:
-            if loop.mul(x, y) not in members:
-                raise NotASubloop(f"not closed: {x}.{y} escapes")
+    _require_elements(loop, members)
+    m = np.fromiter(members, dtype=np.intp, count=len(members))
+    inside = np.zeros(loop.n, dtype=np.bool_)
+    inside[m] = True
+    escapes = np.argwhere(~inside[loop.table[m[:, None], m]])
+    if len(escapes):
+        i, j = escapes[0]
+        raise NotASubloop(f"not closed: {m[i]}.{m[j]} escapes")
     return members
 
 
@@ -291,6 +318,7 @@ def generated_subloop(loop: SteinerLoop, seed) -> Subloop:
     commutativity makes this cover every pair.
     """
     current = set(int(x) for x in seed) | {0}
+    _require_elements(loop, current)
     queue = list(current)
     while queue:
         x = queue.pop()
@@ -343,26 +371,19 @@ def quotient(loop: SteinerLoop, n: Subloop) -> QuotientLoop:
     """Factor loop modulo a normal subloop; the coset of the identity is 0."""
     if not is_normal(loop, n):
         raise NotNormal("subloop is not normal")
-    members = sorted(n.members)
-    epi = [-1] * loop.n
-    cosets = []
-    for x in range(loop.n):
-        if epi[x] != -1:
-            continue
-        coset = frozenset(loop.mul(x, m) for m in members)
-        idx = len(cosets)
-        cosets.append(coset)
-        for y in coset:
-            if epi[y] != -1:
-                raise NotNormal("cosets do not partition the carrier")
-            epi[y] = idx
-    reps = [min(c) for c in cosets]
-    k = len(cosets)
-    table = np.empty((k, k), dtype=np.int32)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i, j] = epi[loop.mul(a, b)]
-    return QuotientLoop(SteinerLoop(table), tuple(cosets), tuple(epi))
+    coset_of = loop.table[:, sorted(n.members)]  # row x is the coset xN
+    # a coset is listed at its least element, so cosets come in that order
+    reps = np.flatnonzero(coset_of.min(axis=1) == np.arange(loop.n))
+    cosets = coset_of[reps]
+    if not np.array_equal(np.sort(cosets, axis=None), np.arange(loop.n)):
+        raise NotNormal("cosets do not partition the carrier")
+    epi = np.empty(loop.n, dtype=np.int32)
+    epi[cosets] = np.arange(len(reps))[:, None]
+    return QuotientLoop(
+        SteinerLoop(epi[loop.table[np.ix_(reps, reps)]]),
+        tuple(map(frozenset, cosets.tolist())),
+        tuple(epi.tolist()),
+    )
 
 
 def coset_generated_subsystem(loop: SteinerLoop, n: Subloop, x: int) -> Subloop:
@@ -387,10 +408,17 @@ def veblen_points(s: TripleSystem) -> frozenset:
     return frozenset(z - 1 for z in center if z != 0)
 
 
+def _pasch(s: TripleSystem):
+    """(counts, closed) of the Pasch scan, run once per system."""
+    if s._pasch is None:
+        s._pasch = _kernels.pasch_census(s.third_table, s.others)
+    return s._pasch
+
+
 def veblen_points_pasch(s: TripleSystem) -> frozenset:
     """Independent route: points through which every pair of triples closes
     into a Pasch configuration."""
-    _, closed = _kernels.pasch_census(s.third_table, s.others)
+    _, closed = _pasch(s)
     return frozenset(int(p) for p in np.flatnonzero(closed))
 
 
@@ -452,7 +480,7 @@ class ConfigCensus:
 
 def census(s: TripleSystem) -> ConfigCensus:
     """Exact Pasch and Fano counts per point and per triple."""
-    counts, _ = _kernels.pasch_census(s.third_table, s.others)
+    counts, _ = _pasch(s)
     rows = _kernels.fano_planes(s.third_table, s.others)
     # the seven lines of a row (p, a, b, c, d, e, f): pa, pc, pe, ac, bd, ad, bc
     lines = s.pair_triple[rows[:, [0, 0, 0, 1, 2, 1, 2]], rows[:, [1, 3, 5, 3, 4, 4, 3]]]
@@ -498,7 +526,7 @@ def point_perm_to_loop_perm(pp):
 
 
 def _invariants(s: TripleSystem):
-    counts, closed = _kernels.pasch_census(s.third_table, s.others)
+    counts, closed = _pasch(s)
     return [(int(c), bool(f)) for c, f in zip(counts, closed)]
 
 

@@ -25,7 +25,7 @@ from .design_core import (
     point_perm_to_loop_perm,
 )
 from .errors import BoundExceeded, NotAdmissible, NotAutomorphism, OrderTooSmall
-from .steiner_operator import _extension_table, _schreier_blocks
+from .steiner_operator import _extension_table, _factor_table, _schreier_blocks
 
 DEFAULT_TB_BOUND = 24
 DEFAULT_CLASS_BOUND = 1 << 16
@@ -315,40 +315,26 @@ def apply_aut(f: FactorSystem, alpha, beta) -> FactorSystem:
     return f.precompose(perm_inverse(beta)).apply_alpha(tuple(alpha))
 
 
+def _cocycle_at(values: np.ndarray, qt: np.ndarray, p: int) -> bool:
+    """f(P,QR)+f(Q,R) = f(PQ,R)+f(P,Q) for P = p and every Q, R, given the
+    (m, m) table of f and the quotient table."""
+    return bool(np.array_equal(values[p, qt] ^ values, values[qt[p]] ^ values[p][:, None]))
+
+
 def further_veblen(f: FactorSystem) -> frozenset:
     """Quotient elements P such that every (P, x) is central in the built
     extension: P central in the quotient and f(P,Q)+f(PQ,R) = f(Q,R)+f(P,QR)."""
-    q = f.q
-    central = {z for z in q.center() if z != 0}
-    out = set()
-    for p in central:
-        ok = True
-        for a in range(q.n):
-            for r in range(q.n):
-                if f.value(p, a) ^ f.value(q.mul(p, a), r) != f.value(a, r) ^ f.value(
-                    p, q.mul(a, r)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(p)
-    return frozenset(out)
+    values = _factor_table(f)
+    return frozenset(p for p in f.q.center() if p and _cocycle_at(values, f.q.table, p))
 
 
 def associativity_condition(f: FactorSystem) -> bool:
-    """True iff f(P,QR)+f(Q,R) = f(PQ,R)+f(P,Q) everywhere, i.e. the built
-    extension is associative."""
-    q = f.q
-    for p in range(q.n):
-        for a in range(q.n):
-            for r in range(q.n):
-                if f.value(p, q.mul(a, r)) ^ f.value(a, r) != f.value(q.mul(p, a), r) ^ f.value(
-                    p, a
-                ):
-                    return False
-    return True
+    """True iff the quotient is associative and f(P,QR)+f(Q,R) =
+    f(PQ,R)+f(P,Q) everywhere, i.e. the built extension is associative."""
+    if not f.q.is_associative():
+        return False
+    values = _factor_table(f)
+    return all(_cocycle_at(values, f.q.table, p) for p in range(f.q.n))
 
 
 def veblen_existence(v: int, t: int) -> bool:

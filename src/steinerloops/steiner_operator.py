@@ -150,15 +150,19 @@ def _extension_table(qt: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return (qt[:, :, None, None] * k + blocks).transpose(0, 2, 1, 3).reshape(m * k, m * k)
 
 
-def _schreier_blocks(f) -> np.ndarray:
-    """The blocks x + y + f(P,Q) of a factor system f over its 2-group."""
-    size = 1 << f.t
+def _factor_table(f) -> np.ndarray:
+    """The (m, m) table of f(P,Q) over the quotient loop elements."""
     values = np.zeros((f.q.n, f.q.n), dtype=np.int32)
     # pair_triple is -1 on its diagonal, which reads the appended 0: f
     # vanishes on the diagonal as well as on the identity row and column
     values[1:, 1:] = np.array(f.values + (0,), dtype=np.int32)[f.q_system.pair_triple]
-    xor = np.bitwise_xor.outer(np.arange(size, dtype=np.int32), np.arange(size, dtype=np.int32))
-    return xor ^ values[:, :, None, None]
+    return values
+
+
+def _schreier_blocks(f) -> np.ndarray:
+    """The blocks x + y + f(P,Q) of a factor system f over its 2-group."""
+    x = np.arange(1 << f.t, dtype=np.int32)
+    return x[:, None] ^ x ^ _factor_table(f)[:, :, None, None]
 
 
 def build_extension(op: SteinerOperator) -> SteinerLoop:

@@ -8,8 +8,14 @@ import steinerloops as sl
 from steinerloops import catalog
 from steinerloops.errors import (
     BadIdentityBlock,
+    BadTriple,
     DiagonalViolation,
+    NotAdmissible,
+    NotASubloop,
     NotLatin,
+    NotNormal,
+    PairDuplicated,
+    PairMissing,
     TotalSymmetryViolation,
     TransposeViolation,
 )
@@ -218,3 +224,91 @@ def reference_normality_witness(loop, n):
                 if loop.mul(x, loop.mul(y, m)) not in target:
                     return (x, y, m)
     return None
+
+
+def reference_triple_system(v, triples):
+    """Test-local oracle for the TripleSystem constructor, one triple and one
+    pair at a time: (triples, third_table, pair_triple, others) of a valid
+    system, or the constructor's exception at the same first failure."""
+    if not sl.admissible(v):
+        raise NotAdmissible(v)
+    norm = []
+    for t in triples:
+        t = tuple(sorted(int(x) for x in t))
+        if len(t) != 3 or len(set(t)) != 3 or t[0] < 0 or t[2] >= v:
+            raise BadTriple(t)
+        norm.append(t)
+    norm.sort()
+    third = np.full((v, v), -1, dtype=np.int32)
+    pair_triple = np.full((v, v), -1, dtype=np.int32)
+    for idx, (a, b, c) in enumerate(norm):
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            if third[x, y] != -1:
+                raise PairDuplicated(x, y)
+            third[x, y] = third[y, x] = z
+            pair_triple[x, y] = pair_triple[y, x] = idx
+    if len(norm) != v * (v - 1) // 6:
+        for x in range(v):
+            for y in range(x + 1, v):
+                if third[x, y] == -1:
+                    raise PairMissing(x, y)
+    others = np.empty((v, (v - 1) // 2, 2), dtype=np.int32)
+    fill = [0] * v
+    for a, b, c in norm:
+        for p, pair in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
+            others[p, fill[p]] = pair
+            fill[p] += 1
+    return tuple(norm), third, pair_triple, others
+
+
+def reference_system_from_loop(loop):
+    """Test-local oracle for system_from_loop: the pair walk over the loop
+    table, checked again by reference_triple_system."""
+    triples = []
+    for x in range(1, loop.n):
+        for y in range(x + 1, loop.n):
+            z = loop.mul(x, y)
+            if z > y:
+                triples.append((x - 1, y - 1, z - 1))
+    return reference_triple_system(loop.n - 1, triples)
+
+
+def reference_check_subloop(loop, members):
+    """Test-local oracle for the subloop check, one product at a time; the
+    first escape in the iteration order of the frozenset."""
+    members = frozenset(int(m) for m in members)
+    if 0 not in members:
+        raise NotASubloop("identity missing")
+    for x in members:
+        for y in members:
+            if loop.mul(x, y) not in members:
+                raise NotASubloop(f"not closed: {x}.{y} escapes")
+    return members
+
+
+def reference_as_loop(sub):
+    """Test-local oracle for Subloop.as_loop: (table, relabeling list)."""
+    order = [0] + sorted(m for m in sub.members if m != 0)
+    pos = {m: i for i, m in enumerate(order)}
+    table = np.array([[pos[sub.parent.mul(x, y)] for y in order] for x in order], dtype=np.int32)
+    return table, order
+
+
+def reference_quotient(loop, n):
+    """Test-local oracle for quotient of a normal subloop: (table, cosets,
+    epi), each coset built at its first element not yet covered."""
+    members = sorted(n.members)
+    epi = [-1] * loop.n
+    cosets = []
+    for x in range(loop.n):
+        if epi[x] != -1:
+            continue
+        coset = frozenset(loop.mul(x, m) for m in members)
+        for y in coset:
+            if epi[y] != -1:
+                raise NotNormal("cosets do not partition the carrier")
+            epi[y] = len(cosets)
+        cosets.append(coset)
+    reps = [min(c) for c in cosets]
+    table = np.array([[epi[loop.mul(a, b)] for b in reps] for a in reps], dtype=np.int32)
+    return table, tuple(cosets), tuple(epi)

@@ -188,6 +188,38 @@ class TestExtend:
         assert s.v == 7
 
     @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["extend", "schreier", "--q", "fano", "--t", "1", "--f", "f_sts15_example"],
+                "c1be39ff8ae22b630ba38f18db7b973437dd27772ec781ed31b8339a927493f3",
+            ),
+            (
+                ["extend", "schreier", "--q", "fano", "--t", "2", "--f", "zero"],
+                "f51b6aec7bbfd29ec305a91146fc2d2605e02ee04800d095b603cef9540175f3",
+            ),
+            (
+                ["extend", "schreier", "--q", "pg4", "--t", "1", "--f", "zero"],
+                "636383f41543eef99cab6e41a877beb9d65505811985d4e3b7bd5a1eb7fae0a4",
+            ),
+            (
+                ["extend", "double", "--n", "sts9_loop_table", "--square", "phi_11"],
+                "ac11a0495a7696f8d7aa2783105d0922d145dcf8f02a1955967484d47731aba3",
+            ),
+            (
+                ["double", "--n", "sts9_loop_table", "--square", "phi_11"],
+                "587f2351af4429c4395ede13ae6f6ae70db8c44676443d1ae41d48d928f9e856",
+            ),
+        ],
+        ids=["schreier-fano-t1", "schreier-fano-t2-zero", "schreier-pg4-zero", "double", "alias"],
+    )
+    def test_extend_golden(self, capsys, argv, digest):
+        """The written system stays byte for byte."""
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("schreier", "--q", "pg5", "--t", "5", "--f", "zero"),
@@ -208,6 +240,62 @@ class TestExtend:
         monkeypatch.setattr(cli_mod.steiner_operator, "build_extension", forbidden)
         code, _, err = run(capsys, "extend", *argv)
         assert code == 3 and "exceeds --bound-v 63" in err
+
+
+class TestGeneratorKeys:
+    """pgN and agN keys are refused by their order before they are built."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--seed-fixture", "pg40"], "order 2199023255551 exceeds --bound-v 63"),
+            (["analyze", "--seed-fixture", "ag40"], f"order {3**40} exceeds --bound-v 63"),
+            (["isomorphic", "pg40", "pg40"], "order exceeds --bound-v 63"),
+            (["isomorphic", "fano", "ag40"], "order exceeds --bound-v 63"),
+            (
+                ["extend", "schreier", "--q", "pg40", "--t", "1", "--f", "zero"],
+                "built order 4398046511103 exceeds --bound-v 63",
+            ),
+            (
+                ["extend", "operator", "--q", "pg40", "--n", "fano", "--op", "unused.op"],
+                "order 2199023255551 exceeds --bound-v 63",
+            ),
+            (
+                ["extend", "operator", "--q", "sts1", "--n", "pg40", "--op", "unused.op"],
+                "built order 4398046511103 exceeds --bound-v 63",
+            ),
+            (
+                ["extend", "double", "--n", "pg40", "--square", "phi_11"],
+                "built order 4398046511103 exceeds --bound-v 63",
+            ),
+            (
+                ["enumerate", "--q", "pg40", "--t", "1"],
+                f"t*b = {(2**41 - 1) * (2**41 - 2) // 6} exceeds --bound-tb 24",
+            ),
+            (
+                ["classify", "--q", "ag40", "--t", "2"],
+                f"t*b = {2 * 3**40 * (3**40 - 1) // 6} exceeds enumeration bound 24",
+            ),
+        ],
+        ids=[
+            "analyze-pg", "analyze-ag", "isomorphic-pg", "isomorphic-ag", "schreier-q",
+            "operator-q", "operator-n", "double-n", "enumerate", "classify",
+        ],
+    )
+    def test_refused_before_build(self, capsys, monkeypatch, argv, message):
+        def forbidden(n):
+            raise AssertionError("the system was built despite its bound")
+
+        monkeypatch.setattr(catalog, "pg", forbidden)
+        monkeypatch.setattr(catalog, "ag", forbidden)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_within_bounds_still_built(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--seed-fixture", "pg2", "--bound-v", "7")
+        assert code == 0 and json.loads(out)["v"] == 7
+        code, _, err = run(capsys, "analyze", "--seed-fixture", "pg0")
+        assert code == 2 and err == "error: projective dimension must be >= 1\n"
 
 
 class TestEnumerateClassify:

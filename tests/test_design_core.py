@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import steinerloops as sl
-from conftest import reference_census, reference_normality_witness
+from conftest import (
+    reference_as_loop,
+    reference_census,
+    reference_check_subloop,
+    reference_normality_witness,
+    reference_quotient,
+    reference_system_from_loop,
+    reference_triple_system,
+)
 from steinerloops import _kernels, catalog
 from steinerloops.design_core import _VIOLATION_TEXT
 from steinerloops.errors import (
@@ -59,6 +67,89 @@ class TestValidateSystem:
     def test_block_count(self, sts15_2):
         assert sts15_2.b == 15 * 14 // 6
 
+    @staticmethod
+    def _mutate(rng, v, triples):
+        """One seeded mutation of a triple list: (v, triples, kind)."""
+        out = [list(t) for t in triples]
+        kind = rng.choice(
+            ["drop", "add", "duplicate", "repeat", "above", "below", "length", "swap", "v"]
+        )
+        i, j = rng.randrange(len(out)), rng.randrange(len(out))
+        if kind == "drop":
+            del out[i]
+        elif kind == "add":
+            out.insert(rng.randrange(len(out) + 1), rng.sample(range(v), 3))
+        elif kind == "duplicate":
+            out.insert(rng.randrange(len(out) + 1), list(out[i]))
+        elif kind == "repeat":
+            out[i][rng.randrange(3)] = out[i][rng.randrange(3)]
+        elif kind == "above":
+            out[i][rng.randrange(3)] = v + rng.randrange(3)
+        elif kind == "below":
+            out[i][rng.randrange(3)] = -1 - rng.randrange(3)
+        elif kind == "length":
+            if rng.random() < 0.5:
+                del out[i][rng.randrange(3)]
+            else:
+                out[i].append(rng.randrange(v))
+        elif kind == "swap":
+            a, b = rng.randrange(3), rng.randrange(3)
+            out[i][a], out[j][b] = out[j][b], out[i][a]
+        else:
+            v += rng.choice([-6, -2, 2, 6])
+        return v, out, kind
+
+    def test_matches_reference_on_mutations(self, fano, sts9, sts15_2):
+        """The array constructor raises the reference's exception, message
+        and pair or triple, at the same first failure, on 640 seeded
+        mutations; valid input gives the reference's tables."""
+        rng = random.Random(20261018)
+        outcomes = set()
+        for base in (fano, sts9, sts15_2, catalog.pg(4)):
+            for _ in range(160):
+                v, triples = base.v, [list(t) for t in base.triples]
+                kinds = []
+                for _ in range(rng.choice([0, 1, 1, 2, 3])):
+                    v, triples, kind = self._mutate(rng, v, triples)
+                    kinds.append(kind)
+                rng.shuffle(triples)
+                triples = [rng.sample(t, len(t)) for t in triples]
+                form = rng.choice(["list", "tuple", "numpy-int", "array"])
+                if form == "tuple":
+                    triples = [tuple(t) for t in triples]
+                elif form == "numpy-int":
+                    dtype = rng.choice([np.int64, np.int32, np.int16])
+                    triples = [tuple(dtype(x) for x in t) for t in triples]
+                elif form == "array" and len({len(t) for t in triples}) == 1:
+                    triples = np.array(triples)
+                try:
+                    want = reference_triple_system(v, triples)
+                except Exception as exc:  # noqa: BLE001 - compared below
+                    with pytest.raises(type(exc)) as got:
+                        sl.TripleSystem(v, triples)
+                    assert str(got.value) == str(exc), kinds
+                    assert getattr(got.value, "pair", None) == getattr(exc, "pair", None)
+                    assert getattr(got.value, "triple", None) == getattr(exc, "triple", None)
+                    outcomes.add(type(exc).__name__)
+                    continue
+                s = sl.TripleSystem(v, triples)
+                assert s.triples == want[0]
+                assert all(type(x) is int for t in s.triples for x in t)
+                for got, ref in zip((s.third_table, s.pair_triple, s.others), want[1:]):
+                    assert np.array_equal(got, ref)
+                outcomes.add("valid")
+        assert outcomes == {
+            "valid", "NotAdmissible", "BadTriple", "PairDuplicated", "PairMissing"
+        }
+
+    def test_ragged_and_non_integer_input(self):
+        assert sl.TripleSystem(3, [("2", "0", 1.0)]).triples == ((0, 1, 2),)
+        assert sl.TripleSystem(1, iter([])).triples == ()
+        with pytest.raises(BadTriple, match=re.escape("bad triple (0, 1)")):
+            sl.TripleSystem(3, [(0, 1)])
+        with pytest.raises(BadTriple, match=re.escape("bad triple (0, 1, 2, 3)")):
+            sl.TripleSystem(7, [(0, 1, 2), (3, 2, 1, 0)])
+
 
 class TestLoopFromSystem:
     def test_sts15_products(self, sts15_2):
@@ -94,6 +185,10 @@ class TestSystemFromLoop:
     def test_round_trip_fano(self, fano):
         assert sl.system_from_loop(fano.loop()) == fano
 
+    def test_order_one_loop_has_no_system(self):
+        with pytest.raises(NotAdmissible, match="order 0 "):
+            sl.system_from_loop(sl.SteinerLoop([[0]]))
+
     def test_order_two_loop(self):
         loop = sl.SteinerLoop([[0, 1], [1, 0]])
         s = sl.system_from_loop(loop)
@@ -105,6 +200,36 @@ class TestSystemFromLoop:
     def test_round_trip_all_fixtures(self, sts15_2, pg3):
         for s in (sts15_2, pg3, catalog.ag(2)):
             assert sl.system_from_loop(s.loop()) == s
+
+    def test_read_off_the_checked_table(self, sts19_example, monkeypatch):
+        """A checked loop gives its system with no second check and no walk
+        over pairs: the constructor, the triple check and loop.mul may not run."""
+        q = catalog.fixture("fano_labeled").loop()
+        f = sl.FactorSystem(q, 2, [0, 1, 2, 3, 1, 2, 3])
+        tables = [
+            sts19_example.loop().table,
+            catalog.fixture("sts9_loop_table").table,
+            [[0, 1], [1, 0]],
+            catalog.pg(4).loop().table,
+            sl.build_schreier(sl.ElemAbelian2(2), q, f).table,
+        ]
+        loops = [sl.SteinerLoop(table) for table in tables]  # fresh, no system cached
+        want = [reference_system_from_loop(loop) for loop in loops]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("system read off a loop was checked again")
+
+        import steinerloops.design_core as dc
+
+        monkeypatch.setattr(dc.TripleSystem, "__init__", forbidden)
+        monkeypatch.setattr(dc, "_triple_rows", forbidden)
+        monkeypatch.setattr(dc.SteinerLoop, "mul", forbidden)
+        for loop, ref in zip(loops, want):
+            s = loop.system()
+            assert s.triples == ref[0] and s.v == loop.n - 1 and s.b == len(ref[0])
+            for got, exp in zip((s.third_table, s.pair_triple, s.others), ref[1:]):
+                assert np.array_equal(got, exp)
+            assert s.loop() is loop
 
 
 class TestGeneratedSubloop:
@@ -121,6 +246,18 @@ class TestGeneratedSubloop:
 
     def test_empty_seed(self, fano):
         assert sl.generated_subloop(fano.loop(), set()).members == {0}
+
+    @pytest.mark.parametrize("members", [{0, 7, -1}, {0, 8}, {0, 1, 2, 3, 100}])
+    def test_members_outside_the_carrier_rejected(self, fano, members):
+        """-1 would index the table from its end and pass for element 7."""
+        loop = fano.loop()
+        with pytest.raises(NotASubloop, match="outside 0..7"):
+            sl.subloop(loop, members)
+        with pytest.raises(NotASubloop, match="outside 0..7"):
+            sl.generated_subloop(loop, members - {0})
+        with pytest.raises(NotASubloop, match="outside 0..7"):
+            # a subloop of another loop object is checked against this one
+            sl.normality_witness(sl.loop_from_system(fano), sl.Subloop(loop, members))
 
 
 class TestNormality:
@@ -166,6 +303,50 @@ class TestNormality:
                     assert sl.normality_witness(loop, sub) == want, (loop, seed)
                     kinds.add(want is None)
         assert kinds == {True, False}
+
+
+class TestSubloopArrays:
+    def test_match_reference(self, sts19_example):
+        """The subloop check, as_loop and quotient give the reference's first
+        witness, table, relabeling, cosets and epi on seeded subloops of
+        seven loops, closed or not, normal or not."""
+        rng = random.Random(8)
+        systems = [catalog.fixture(k) for k in ("fano_labeled", "sts9_labeled", "sts15_2")]
+        systems += [catalog.pg(3), catalog.pg(4), catalog.ag(2), sts19_example]
+        seen = set()
+        for loop in (s.loop() for s in systems):
+            for size in (0, 1, 1, 2, 2, 3, loop.n - 1):
+                for _ in range(4):
+                    seed = rng.sample(range(1, loop.n), min(size, loop.n - 1))
+                    sub = sl.generated_subloop(loop, seed)
+                    # a generated subloop with one element more or less
+                    extra = rng.choice([[], [rng.randrange(loop.n)]])
+                    raw = set(sub.members) | set(extra)
+                    if len(raw) > 1 and rng.random() < 0.3:
+                        raw.discard(rng.choice(sorted(raw - {0})))
+                    try:
+                        want = reference_check_subloop(loop, raw)
+                    except NotASubloop as exc:
+                        with pytest.raises(NotASubloop, match=re.escape(str(exc)) + "$"):
+                            sl.subloop(loop, raw)
+                        seen.add("escape")
+                        continue
+                    got = sl.subloop(loop, raw)
+                    assert got.members == want
+                    table, order = got.as_loop()
+                    ref_table, ref_order = reference_as_loop(got)
+                    assert np.array_equal(table.table, ref_table) and order == ref_order
+                    if not sl.is_normal(loop, got):
+                        seen.add("not normal")
+                        continue
+                    q = sl.quotient(loop, got)
+                    ref_table, ref_cosets, ref_epi = reference_quotient(loop, got)
+                    assert np.array_equal(q.loop.table, ref_table)
+                    assert q.cosets == ref_cosets and q.epi == ref_epi
+                    assert all(type(x) is int for c in q.cosets for x in c)
+                    assert all(type(x) is int for x in q.epi)
+                    seen.add("normal")
+        assert seen == {"escape", "not normal", "normal"}
 
 
 class TestQuotient:
@@ -223,6 +404,40 @@ class TestCosetGeneratedSubsystem:
         n = sl.subloop(loop, {0, 1})
         with pytest.raises(ElementInsideN):
             sl.coset_generated_subsystem(loop, n, 1)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
+    return calls
+
+
+class TestScansOncePerObject:
+    def test_one_pasch_scan_per_system(self, monkeypatch):
+        s = catalog.fixture("sts13_a").relabel(range(13))  # a fresh system
+        calls = _count_calls(monkeypatch, _kernels, "pasch_census")
+        assert sl.veblen_points_pasch(s) == sl.veblen_points(s)
+        sl.census(s)
+        assert sl.are_isomorphic(s, s) is not None
+        assert len(calls) == 1
+        # are_isomorphic(a, b) scans each new relabel once, a not again
+        for perm in ([1, 0] + list(range(2, 13)), [2, 1, 0] + list(range(3, 13))):
+            assert sl.are_isomorphic(s, s.relabel(perm)) is not None
+        assert len(calls) == 3
+
+    def test_one_centre_scan_per_loop(self, monkeypatch):
+        s, loop = catalog.pg(3), catalog.ag(2).loop()
+        calls = _count_calls(monkeypatch, _kernels, "center_mask")
+        assert len(sl.veblen_points(s)) == 15
+        assert s.loop().is_associative() and s.loop().center() == frozenset(range(16))
+        assert sl.veblen_points(s) == frozenset(range(15))
+        assert len(calls) == 1
+        assert not loop.is_associative() and loop.center() == {0}
+        assert len(calls) == 2
+
+    def test_associativity_is_the_centre_scan(self):
+        assert not hasattr(_kernels, "is_associative")
 
 
 class TestVeblen:
@@ -363,7 +578,8 @@ class TestCensus:
         c = sl.census(catalog.ag(n))
         assert c.fano_planes == () and set(c.fano_through) == {0}
 
-    def test_one_call_of_each_kernel(self, pg3, monkeypatch):
+    def test_one_call_of_each_kernel(self, monkeypatch):
+        pg3 = catalog.pg(3)  # a fresh system: the session one may hold its Pasch scan
         calls = []
         for name in ("pasch_census", "fano_planes"):
             kernel = getattr(_kernels, name)

@@ -423,14 +423,16 @@ class TestFurtherVeblen:
         import random
 
         rng = random.Random(11)
-        for _ in range(40):
-            vals = [rng.randint(0, 1) for _ in range(7)]
-            f = sl.FactorSystem(fano_q, 1, vals)
-            loop = sl.build_schreier(n1, fano_q, f)
-            expected = {0, 1}
-            for p in sl.further_veblen(f):
-                expected |= {2 * p, 2 * p + 1}
-            assert loop.center() == expected
+        for t in (1, 2):
+            n, size = sl.ElemAbelian2(t), 1 << t
+            for _ in range(40):
+                vals = [rng.randrange(size) for _ in range(7)]
+                f = sl.FactorSystem(fano_q, t, vals)
+                loop = sl.build_schreier(n, fano_q, f)
+                expected = set(range(size))
+                for p in sl.further_veblen(f):
+                    expected |= set(range(p * size, (p + 1) * size))
+                assert loop.center() == expected
 
 
 class TestVeblenExistence:
@@ -485,6 +487,31 @@ class TestAssociativityCondition:
             f = sl.FactorSystem(fano_q, 1, [rng.randint(0, 1) for _ in range(7)])
             loop = sl.build_schreier(n1, fano_q, f)
             assert associativity_condition(f) == loop.is_associative()
+
+    def test_needs_an_associative_quotient(self, sts9_q):
+        """Over the non-associative sts9 loop the cocycle identity can hold
+        (the zero factor system) while no built extension is associative."""
+        import random
+
+        from steinerloops.schreier import associativity_condition
+
+        rng = random.Random(4)
+        zero = sl.zero_factor_system(n1, sts9_q)
+        assert not sl.build_schreier(n1, sts9_q, zero).is_associative()
+        assert associativity_condition(zero) is False
+        for _ in range(10):
+            f = sl.FactorSystem(sts9_q, 1, [rng.randint(0, 1) for _ in range(12)])
+            assert associativity_condition(f) == sl.build_schreier(n1, sts9_q, f).is_associative()
+
+    def test_reads_f_as_one_table(self, fano_q, monkeypatch):
+        from steinerloops.schreier import associativity_condition
+
+        def forbidden(*args):
+            raise AssertionError("f read one pair at a time")
+
+        monkeypatch.setattr(sl.FactorSystem, "value", forbidden)
+        f = sl.zero_factor_system(sl.ElemAbelian2(2), fano_q)
+        assert associativity_condition(f) and sl.further_veblen(f) == frozenset(range(1, 8))
 
 
 def test_linear_system_oracle_agreement(fano_q):
