@@ -35,7 +35,6 @@ from .errors import (
 )
 
 DEFAULT_BOUND_V = 63
-DEFAULT_BOUND_TB = 24
 
 _SYSTEM_ALIASES = {
     "fano": "fano_labeled",
@@ -207,15 +206,24 @@ def cmd_extend(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
+def _quotient(args, tb_name: str) -> SteinerLoop:
+    """The loop --q, refused before a pgN/agN key is built and again once
+    read: t*b against --bound-tb (named tb_name), then v against --bound-v."""
+
     def refuse(v):
         tb = args.t * (v * (v - 1) // 6)
         if tb > args.bound_tb:
-            raise BoundExceeded(f"t*b = {tb} exceeds --bound-tb {args.bound_tb}")
+            raise BoundExceeded(f"t*b = {tb} exceeds {tb_name} {args.bound_tb}")
+        _check_order(v, args.bound_v)
 
     q = _resolve_loop(args.q, refuse)
-    n = schreier.ElemAbelian2(args.t)
     refuse(q.n - 1)
+    return q
+
+
+def cmd_enumerate(args) -> int:
+    q = _quotient(args, "--bound-tb")
+    n = schreier.ElemAbelian2(args.t)
     b = q.system().b
     payload = {"schema": 1, "t": n.t, "b": b, "total": 1 << (n.t * b)}
     if args.output is not None:
@@ -230,12 +238,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    def refuse(v):  # classify's own check, before a pgN/agN key is built
-        tb = args.t * (v * (v - 1) // 6)
-        if tb > args.bound_tb:
-            raise BoundExceeded(f"t*b = {tb} exceeds enumeration bound {args.bound_tb}")
-
-    q = _resolve_loop(args.q, refuse)
+    q = _quotient(args, "enumeration bound")  # classify's own wording
     n = schreier.ElemAbelian2(args.t)
     report = schreier.classify(n, q, tb_bound=args.bound_tb)
     _emit(formats.render_report_json(report), args.output)
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to this path instead of stdout")
         p.add_argument("--format", choices=("text", "json"), default="json")
         p.add_argument("--bound-v", type=int, default=DEFAULT_BOUND_V, dest="bound_v")
-        p.add_argument("--bound-tb", type=int, default=DEFAULT_BOUND_TB, dest="bound_tb")
+        p.add_argument("--bound-tb", type=int, default=schreier.DEFAULT_TB_BOUND, dest="bound_tb")
 
     p = sub.add_parser("analyze", help="Veblen points, census, hyperplanes of a system")
     p.add_argument("--input", help="system file")

@@ -439,11 +439,15 @@ def is_projective_hyperplane(s: TripleSystem, subset) -> bool:
     return meets_all
 
 
+def _triple_point_rows(s: TripleSystem) -> list:
+    """One GF(2) row per triple; bit j set iff point j lies on the triple."""
+    return [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.triples]
+
+
 def hyperplanes(s: TripleSystem) -> tuple:
     """All projective hyperplanes, via GF(2) solutions of the triple sums."""
-    rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.triples]
     out = []
-    for vec in gf2.span(gf2.nullspace_basis(rows, s.v)):
+    for vec in gf2.span(gf2.nullspace_basis(_triple_point_rows(s), s.v)):
         if vec == 0:
             continue
         out.append(frozenset(p for p in range(s.v) if not (vec >> p) & 1))

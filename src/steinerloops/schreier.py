@@ -19,9 +19,9 @@ from .design_core import (
     SteinerLoop,
     TripleSystem,
     admissible,
+    _triple_point_rows,
     automorphisms,
     perm_compose,
-    perm_inverse,
     point_perm_to_loop_perm,
 )
 from .errors import BoundExceeded, NotAdmissible, NotAutomorphism, OrderTooSmall
@@ -85,18 +85,6 @@ class FactorSystem:
         ):
             raise ValueError("factor systems live over different frames")
 
-    def precompose(self, gamma) -> "FactorSystem":
-        """The factor system (p, r) -> f(gamma(p), gamma(r)) for a loop
-        automorphism gamma of the quotient."""
-        out = []
-        for a, b, _ in self._qs.triples:
-            out.append(self.value(gamma[a + 1], gamma[b + 1]))
-        return FactorSystem(self.q, self.t, out)
-
-    def apply_alpha(self, alpha) -> "FactorSystem":
-        """Push every triple value through a 2-group automorphism."""
-        return FactorSystem(self.q, self.t, [alpha[x] for x in self.values])
-
     def __eq__(self, other):
         return (
             isinstance(other, FactorSystem)
@@ -152,11 +140,6 @@ def build_schreier(n: ElemAbelian2, q: SteinerLoop, f: FactorSystem) -> SteinerL
     if f.t != n.t or f.q.n != q.n or not np.array_equal(f.q.table, q.table):
         raise ValueError("factor system does not match the given frame")
     return SteinerLoop(_extension_table(q.table, _schreier_blocks(f)))
-
-
-def _triple_point_rows(qs: TripleSystem):
-    """One GF(2) row per triple; bit j set iff point j lies on the triple."""
-    return [(1 << a) | (1 << b) | (1 << c) for a, b, c in qs.triples]
 
 
 def _planes(values, t: int) -> list:
@@ -247,8 +230,7 @@ def _class_space(n: ElemAbelian2, q: SteinerLoop):
     checked against the closed form 2^(tb) / (2^(tw) / |Hom|)."""
     qs = q.system()
     t, b, w = n.t, qs.b, qs.v
-    gens = [sum(1 << i for i, tri in enumerate(qs.triples) if j in tri) for j in range(w)]
-    basis, pivots = gf2.echelonize(gens, b)
+    basis, pivots = gf2.echelonize(_planes(_triple_point_rows(qs), w), b)
     r = len(basis)
     if t * (w - r) <= 16:
         hom_count = len(hom_set(q, n, bound=16))
@@ -265,30 +247,18 @@ def count_nonequivalent(n: ElemAbelian2, q: SteinerLoop) -> int:
     return 1 << (n.t * (q.system().b - len(basis)))
 
 
-def identity_alpha(t: int):
-    return tuple(range(1 << t))
-
-
 def gl2_elements(t: int, bound: int = GL_DIMENSION_BOUND):
     """All automorphisms of the 2-group as element permutations."""
     if t > bound:
         raise BoundExceeded(f"GL enumeration limited to dimension {bound}")
     if t == 0:
         return [(0,)]
-    size = 1 << t
-    out = []
-    for cols in product(range(size), repeat=t):
-        if gf2.rank(list(cols), t) != t:
-            continue
-        img = []
-        for x in range(size):
-            acc = 0
-            for i in range(t):
-                if (x >> i) & 1:
-                    acc ^= cols[i]
-            img.append(acc)
-        out.append(tuple(img))
-    return sorted(out)
+    # span lists the XOR of cols[i] over the bits i of x at position x
+    return sorted(
+        tuple(gf2.span(list(cols)))
+        for cols in product(range(1 << t), repeat=t)
+        if gf2.rank(list(cols), t) == t
+    )
 
 
 def _check_alpha(alpha, t: int):
@@ -308,11 +278,20 @@ def _check_beta(beta, q: SteinerLoop):
         raise NotAutomorphism("beta does not preserve the quotient multiplication")
 
 
+def _triple_dest(qs: TripleSystem, beta) -> list:
+    """dest[j]: the triple onto which the loop automorphism beta maps triple j."""
+    return [int(qs.pair_triple[beta[a + 1] - 1, beta[b + 1] - 1]) for a, b, _ in qs.triples]
+
+
 def apply_aut(f: FactorSystem, alpha, beta) -> FactorSystem:
-    """The left action (alpha, beta) . f = alpha o f o (beta^-1 x beta^-1)."""
+    """The left action (alpha, beta) . f = alpha o f o (beta^-1 x beta^-1):
+    the value x on triple j becomes alpha[x] on triple beta(j)."""
     _check_alpha(alpha, f.t)
     _check_beta(beta, f.q)
-    return f.precompose(perm_inverse(beta)).apply_alpha(tuple(alpha))
+    out = [0] * len(f.values)
+    for j, d in enumerate(_triple_dest(f.q_system, beta)):
+        out[d] = alpha[f.values[j]]
+    return FactorSystem(f.q, f.t, out)
 
 
 def _cocycle_at(values: np.ndarray, qt: np.ndarray, p: int) -> bool:
@@ -372,17 +351,40 @@ class ClassificationReport:
     orbit_reps: tuple
     witnesses: tuple
 
-    def classes_in_orbit(self, oid: int):
-        return tuple(
-            i for i, o in enumerate(self.orbit_of_class) if o == oid
-        )
 
+def _class_action(q: SteinerLoop, t: int, basis, pivots):
+    """(gens, images): the generators (alpha, 1), alpha != 1 in GL(t,2), and
+    (1, beta), beta generating Aut(q), each checked once, and each one's
+    image of every class index.
 
-def canonical_values(f: FactorSystem, basis, pivots):
-    """Lexicographically least member of f's equivalence class (per bit
-    component, pivot triple coordinates are cleared)."""
-    per_bit = [gf2.reduce_vector(plane, basis, pivots) for plane in _planes(f.values, f.t)]
-    return _unplanes(per_bit, len(f.values))
+    Bits shift[j] .. shift[j] + t - 1 of a class index hold the value on the
+    free (non-pivot) triple j. The action is GF(2)-linear, so the images of
+    the unit indices span a generator's image. (alpha, beta) sends 1 << c on
+    free triple j to alpha[1 << c] on triple dest[j], the class with index
+    alpha[1 << c] * unit_class[dest[j]]: unit_class[i] has bit shift[j] for
+    each free j that survives reducing the unit plane of triple i, and the
+    product never carries since alpha[x] < 2^t.
+    """
+    qs = q.system()
+    free = [i for i in range(qs.b) if i not in set(pivots)]
+    if not t * len(free):  # a single class leaves nothing to act on
+        return [], []
+    id_a, id_b = tuple(range(1 << t)), tuple(range(q.n))
+    gens = [(a, id_b) for a in gl2_elements(t) if a != id_a]
+    gens += [(id_a, point_perm_to_loop_perm(g)) for g in automorphisms(qs).generators]
+    shift = {j: t * s for s, j in enumerate(reversed(free))}
+    unit_class = []
+    for i in range(qs.b):
+        reduced = gf2.reduce_vector(1 << i, basis, pivots)
+        unit_class.append(sum(1 << shift[j] for j in free if (reduced >> j) & 1))
+    images = []
+    for alpha, beta in gens:
+        _check_alpha(alpha, t)
+        _check_beta(beta, q)
+        dest = _triple_dest(qs, beta)
+        units = [unit_class[dest[j]] * alpha[1 << c] for j in reversed(free) for c in range(t)]
+        images.append(gf2.span(units))
+    return gens, images
 
 
 def classify(
@@ -405,9 +407,7 @@ def classify(
 
     # Pivot coordinates of a class representative are 0, so product() lists
     # the representatives in sorted order and the bits of index i are the
-    # free triple values of class i. The (alpha, beta) action is GF(2)-linear
-    # on classes, hence on indices: each generator's images of the t(b-r)
-    # unit indices span its image of every index.
+    # free triple values of class i.
     free = [i for i in range(b) if i not in set(pivots)]
     reps = []
     for combo in product(range(n.size), repeat=len(free)):
@@ -415,22 +415,12 @@ def classify(
         for pos, val in zip(free, combo):
             vals[pos] = val
         reps.append(tuple(vals))
-    index = {vals: i for i, vals in enumerate(reps)}
 
     if t > GL_DIMENSION_BOUND:
         # every witness carries an alpha with 2^t entries
         raise BoundExceeded(f"GL enumeration limited to dimension {GL_DIMENSION_BOUND}")
-    id_a, id_b = identity_alpha(t), tuple(range(q.n))
-    gens = []
-    if free:  # a single class leaves nothing to act on
-        beta_gens = [point_perm_to_loop_perm(g) for g in automorphisms(qs).generators]
-        alpha_gens = [a for a in gl2_elements(t) if a != id_a]
-        gens = [(a, id_b) for a in alpha_gens] + [(id_a, b_) for b_ in beta_gens]
-    units = [FactorSystem(q, t, reps[1 << k]) for k in range(t * len(free))]
-    images = [
-        gf2.span([index[canonical_values(apply_aut(u, ga, gb), basis, pivots)] for u in units])
-        for ga, gb in gens
-    ]
+    id_a, id_b = tuple(range(n.size)), tuple(range(q.n))
+    gens, images = _class_action(q, t, basis, pivots)
 
     orbit_of = [-1] * len(reps)
     witnesses = [None] * len(reps)

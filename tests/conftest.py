@@ -1,11 +1,12 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 import steinerloops as sl
-from steinerloops import catalog
+from steinerloops import catalog, gf2, schreier
+from steinerloops.design_core import perm_inverse, point_perm_to_loop_perm
 from steinerloops.errors import (
     BadIdentityBlock,
     BadTriple,
@@ -312,3 +313,42 @@ def reference_quotient(loop, n):
     reps = [min(c) for c in cosets]
     table = np.array([[epi[loop.mul(a, b)] for b in reps] for a in reps], dtype=np.int32)
     return table, tuple(cosets), tuple(epi)
+
+
+def reference_class_images(n, q):
+    """Test-local oracle for the generator images of classify: (gens,
+    images), each unit class pushed through (alpha, beta) . f = alpha o f o
+    (beta^-1 x beta^-1) pair by pair, reduced per bit plane to its least
+    representative and looked up among all class representatives."""
+    qs = q.system()
+    t, b = n.t, qs.b
+    point_rows = [sum(1 << i for i, tri in enumerate(qs.triples) if j in tri) for j in range(qs.v)]
+    basis, pivots = gf2.echelonize(point_rows, b)
+    free = [i for i in range(b) if i not in pivots]
+    if not t * len(free):
+        return [], []
+    reps = []
+    for combo in product(range(n.size), repeat=len(free)):
+        vals = [0] * b
+        for pos, val in zip(free, combo):
+            vals[pos] = val
+        reps.append(tuple(vals))
+    index = {vals: i for i, vals in enumerate(reps)}
+    id_a, id_b = tuple(range(n.size)), tuple(range(q.n))
+    gens = [(a, id_b) for a in schreier.gl2_elements(t) if a != id_a]
+    gens += [(id_a, point_perm_to_loop_perm(g)) for g in sl.automorphisms(qs).generators]
+    images = []
+    for alpha, beta in gens:
+        inv = perm_inverse(beta)
+        unit_images = []
+        for k in range(t * len(free)):
+            f = sl.FactorSystem(q, t, reps[1 << k])
+            moved = [alpha[f.value(inv[x + 1], inv[y + 1])] for x, y, _ in qs.triples]
+            planes = [sum(((x >> c) & 1) << i for i, x in enumerate(moved)) for c in range(t)]
+            reduced = [gf2.reduce_vector(plane, basis, pivots) for plane in planes]
+            canon = tuple(
+                sum(((plane >> i) & 1) << c for c, plane in enumerate(reduced)) for i in range(b)
+            )
+            unit_images.append(index[canon])
+        images.append(gf2.span(unit_images))
+    return gens, images

@@ -276,10 +276,13 @@ class TestGeneratorKeys:
                 ["classify", "--q", "ag40", "--t", "2"],
                 f"t*b = {2 * 3**40 * (3**40 - 1) // 6} exceeds enumeration bound 24",
             ),
+            (["enumerate", "--q", "pg40", "--t", "0"], "order 2199023255551 exceeds --bound-v 63"),
+            (["classify", "--q", "ag40", "--t", "0"], f"order {3**40} exceeds --bound-v 63"),
         ],
         ids=[
             "analyze-pg", "analyze-ag", "isomorphic-pg", "isomorphic-ag", "schreier-q",
-            "operator-q", "operator-n", "double-n", "enumerate", "classify",
+            "operator-q", "operator-n", "double-n", "enumerate", "classify", "enumerate-t0",
+            "classify-t0",
         ],
     )
     def test_refused_before_build(self, capsys, monkeypatch, argv, message):
@@ -334,9 +337,29 @@ class TestEnumerateClassify:
         assert payload["equivalence_class_count"] == 8
         assert payload["isomorphism_class_count"] == 2
 
-    def test_classify_t0(self, capsys):
+    def test_classify_t0(self, capsys, monkeypatch):
+        """t = 0 leaves one class, so Aut(q) is not listed, even for pg5,
+        whose group is far above the automorphism bound."""
+        import steinerloops.cli as cli_mod
+
         code, out, _ = run(capsys, "classify", "--q", "fano", "--t", "0")
         assert json.loads(out)["total"] == 1
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("automorphisms listed for a single class")
+
+        monkeypatch.setattr(cli_mod.schreier, "automorphisms", forbidden)
+        code, out, err = run(capsys, "classify", "--q", "pg5", "--t", "0")
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert payload["equivalence_class_count"] == payload["isomorphism_class_count"] == 1
+
+    def test_enumerate_classify_order_bound(self, capsys):
+        """Both commands refuse a quotient above --bound-v, also when it is
+        read from a fixture or a file rather than built from a key."""
+        for command in ("enumerate", "classify"):
+            code, out, err = run(capsys, command, "--q", "fano", "--t", "1", "--bound-v", "5")
+            assert (code, out, err) == (3, "", "error: order 7 exceeds --bound-v 5\n")
 
     def test_classify_bound(self, capsys):
         code, _, _ = run(capsys, "classify", "--q", "fano", "--t", "1", "--bound-tb", "3")
@@ -354,10 +377,12 @@ class TestEnumerateClassify:
         [
             ("fano", 1, "591e4743bb06fc35791ef1338fb6759f66779ae8b2d5ecdb44e49e22cdb6afea"),
             ("fano", 2, "79acba0c3cf6fae909ea896ed3d2eb6f5672367ab42e7f8fb816d480c25000c3"),
+            ("fano", 3, "14c81feb660ab8f183376fa5d692217c547974427c78b36ffe089ec4dc34c609"),
+            ("sts9", 1, "aeed4bf0f381bb3b1cea7fbad6ff4b8855d533510a3f9696306970ae53f90a4d"),
             ("sts9", 2, "66da2bdffa6b5b02d9e7f6ad71dcf4c88e1548f3d6f91ab76eb09f83df2705e3"),
             ("sts3", 3, "721ab3e74057b31e038084702e61ac7cfaf95a3baad59c016762d44deaf613dc"),
         ],
-        ids=["fano-t1", "fano-t2", "sts9-t2", "sts3-t3"],
+        ids=["fano-t1", "fano-t2", "fano-t3", "sts9-t1", "sts9-t2", "sts3-t3"],
     )
     def test_classify_golden(self, capsys, q, t, digest):
         """The whole report, witnesses included, stays byte for byte."""

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from steinerloops import catalog, schreier
 from steinerloops.design_core import perm_inverse, point_perm_to_loop_perm
 from steinerloops.errors import BoundExceeded, NotAdmissible, NotAutomorphism, OrderTooSmall
 
-from conftest import brute_force_equivalent
+from conftest import brute_force_equivalent, reference_class_images
 
 P = lambda p: p + 1
 
@@ -343,20 +344,22 @@ class TestClassify:
         with pytest.raises(BoundExceeded):
             sl.classify(sl.ElemAbelian2(3), sts9_q)
 
-    def test_single_class_builds_no_generators(self, sts3, monkeypatch):
+    def test_single_class_builds_no_generators(self, sts3, fano, pg3, monkeypatch):
         """With t(b-r) = 0 there is one class and nothing to act on, so
-        neither GL(t,2) nor Aut(q) is enumerated."""
+        neither GL(t,2) nor Aut(q) is enumerated, also for t = 0 over a
+        quotient with free triples and a large Aut(q)."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("generators built for a single class")
 
         monkeypatch.setattr(schreier, "gl2_elements", forbidden)
         monkeypatch.setattr(schreier, "automorphisms", forbidden)
-        q = sts3.loop()
-        rep = sl.classify(sl.ElemAbelian2(4), q)
-        assert rep.equivalence_class_count == rep.isomorphism_class_count == 1
-        assert rep.class_reps == rep.orbit_reps == ((0,),)
-        assert rep.witnesses == ((tuple(range(16)), tuple(range(q.n))),)
+        for qs, t in ((sts3, 4), (fano, 0), (pg3, 0)):
+            q = qs.loop()
+            rep = sl.classify(sl.ElemAbelian2(t), q)
+            assert rep.equivalence_class_count == rep.isomorphism_class_count == 1
+            assert rep.class_reps == rep.orbit_reps == ((0,) * qs.b,)
+            assert rep.witnesses == ((tuple(range(1 << t)), tuple(range(q.n))),)
 
     @pytest.mark.parametrize(
         "key, t", [("fano", 1), ("sts9", 1), ("sts3", 1), ("sts3", 2), ("sts3", 3)]
@@ -381,32 +384,54 @@ class TestClassify:
         assert fixed % group_order == 0
         assert fixed // group_order == rep.isomorphism_class_count
 
-    @pytest.mark.parametrize("key, t", [("fano", 2), ("sts9", 2)])
-    def test_action_precomputed_on_unit_classes(self, request, monkeypatch, key, t):
-        """Each generator goes through apply_aut once per unit class, and no
-        FactorSystem is built per visited class."""
+    @pytest.mark.parametrize("key, t", [("fano", 2), ("fano", 3), ("sts9", 2)])
+    def test_action_read_off_the_triple_table(self, request, monkeypatch, key, t):
+        """No FactorSystem is built and apply_aut is never called, and each
+        generator is checked exactly once."""
         qs = request.getfixturevalue(key)
         q = qs.loop()
-        calls = {"apply_aut": 0, "FactorSystem": 0}
-        apply_aut, init = schreier.apply_aut, schreier.FactorSystem.__init__
+        checks = {"alpha": 0, "beta": 0}
+        check_alpha, check_beta = schreier._check_alpha, schreier._check_beta
 
-        def counted_apply(*args):
-            calls["apply_aut"] += 1
-            return apply_aut(*args)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("classify went through a FactorSystem")
 
-        def counted_init(self, *args):
-            calls["FactorSystem"] += 1
-            init(self, *args)
+        def counted_alpha(*args):
+            checks["alpha"] += 1
+            check_alpha(*args)
 
-        monkeypatch.setattr(schreier, "apply_aut", counted_apply)
-        monkeypatch.setattr(schreier.FactorSystem, "__init__", counted_init)
+        def counted_beta(*args):
+            checks["beta"] += 1
+            check_beta(*args)
+
+        monkeypatch.setattr(schreier, "apply_aut", forbidden)
+        monkeypatch.setattr(schreier.FactorSystem, "__init__", forbidden)
+        monkeypatch.setattr(schreier, "_check_alpha", counted_alpha)
+        monkeypatch.setattr(schreier, "_check_beta", counted_beta)
         rep = sl.classify(sl.ElemAbelian2(t), q)
         monkeypatch.undo()
         n_gens = len(schreier.gl2_elements(t)) - 1 + len(sl.automorphisms(qs).generators)
-        units = (rep.equivalence_class_count - 1).bit_length()
-        assert calls["apply_aut"] == n_gens * units
-        # the unit classes, plus the two systems apply_aut itself builds
-        assert calls["FactorSystem"] == units + 2 * calls["apply_aut"]
+        assert checks == {"alpha": n_gens, "beta": n_gens}
+        assert rep.equivalence_class_count > 1
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["labeled", "relabeled"])
+    @pytest.mark.parametrize(
+        "key, t",
+        [("fano", 1), ("fano", 2), ("fano", 3), ("sts9", 1), ("sts9", 2),
+         ("sts3", 1), ("sts3", 2), ("sts3", 3), ("sts13_a", 1)],
+    )
+    def test_class_images_match_reference(self, request, key, t, relabel):
+        """Every generator's image of every class index agrees with the
+        oracle that pushes each unit class through the action pair by pair
+        and looks up its least representative."""
+        qs = catalog.fixture(key) if key == "sts13_a" else request.getfixturevalue(key)
+        if relabel:
+            perm = list(range(qs.v))
+            random.Random(f"relabel-{key}-{t}").shuffle(perm)
+            qs = qs.relabel(perm)
+        q, n = qs.loop(), sl.ElemAbelian2(t)
+        basis, pivots, _ = schreier._class_space(n, q)
+        assert schreier._class_action(q, t, basis, pivots) == reference_class_images(n, q)
 
 
 class TestFurtherVeblen:
