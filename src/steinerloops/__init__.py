@@ -54,6 +54,7 @@ from .schreier import (
     coboundary,
     count_nonequivalent,
     enumerate_factor_systems,
+    factor_system_from_extension,
     further_veblen,
     hom_set,
     is_coboundary,

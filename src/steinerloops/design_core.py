@@ -371,7 +371,12 @@ def quotient(loop: SteinerLoop, n: Subloop) -> QuotientLoop:
     """Factor loop modulo a normal subloop; the coset of the identity is 0."""
     if not is_normal(loop, n):
         raise NotNormal("subloop is not normal")
-    coset_of = loop.table[:, sorted(n.members)]  # row x is the coset xN
+    return _quotient(loop, n.members)
+
+
+def _quotient(loop: SteinerLoop, members) -> QuotientLoop:
+    """quotient for members already known to form a normal subloop."""
+    coset_of = loop.table[:, sorted(members)]  # row x is the coset xN
     # a coset is listed at its least element, so cosets come in that order
     reps = np.flatnonzero(coset_of.min(axis=1) == np.arange(loop.n))
     cosets = coset_of[reps]
@@ -535,42 +540,58 @@ def _invariants(s: TripleSystem):
 
 
 def _assignment_order(s: TripleSystem, inv):
-    """Static point order: rare invariants first, forced extensions greedily."""
+    """Static point order: rare invariants first, forced extensions greedily.
+
+    The next point is the least unplaced one on which two placed points
+    close, read through the earliest such pair (i, j) of placement positions;
+    without one, the next point of the rarest invariant class.
+    """
     v = s.v
     freq = {}
     for i in inv:
         freq[i] = freq.get(i, 0) + 1
     free_rank = sorted(range(v), key=lambda p: (freq[inv[p]], p))
-    third = s.third_table
+    third = s.third_table.tolist()
     placed = []
     in_place = [False] * v
+    # closer[p]: the earliest pair (i, j), i < j, with third(placed[i], placed[j]) = p,
+    # kept for the unplaced points in forced
+    closer = [None] * v
+    forced = set()
     steps = []
-    while len(placed) < v:
-        forced = None
-        for p in range(v):
-            if in_place[p]:
-                continue
-            for i in range(len(placed)):
-                for j in range(i + 1, len(placed)):
-                    if third[placed[i], placed[j]] == p:
-                        forced = (p, placed[i], placed[j])
-                        break
-                if forced:
-                    break
-            if forced:
-                break
+    for k in range(v):
         if forced:
-            p, a, b = forced
-            steps.append(("forced", p, a, b))
+            p = min(forced)
+            forced.remove(p)
+            i, j = closer[p]
+            steps.append(("forced", p, placed[i], placed[j]))
         else:
             p = next(q for q in free_rank if not in_place[q])
             steps.append(("free", p, -1, -1))
-        placed.append(steps[-1][1])
-        in_place[steps[-1][1]] = True
+        in_place[p] = True
+        # the new pairs (i, k) come after every pair (i, j < k) already kept
+        row = third[p]
+        for i, a in enumerate(placed):
+            c = row[a]
+            if in_place[c]:
+                continue
+            if c not in forced:
+                forced.add(c)
+                closer[c] = (i, k)
+            elif i < closer[c][0]:
+                closer[c] = (i, k)
+        placed.append(p)
     return steps
 
 
-def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, find_all: bool):
+def _search_isomorphisms(
+    s1: TripleSystem, s2: TripleSystem, find_all: bool, budget=None, reject=None
+):
+    """Point maps carrying s1's triples to s2's: all of them, or the first.
+
+    Past budget nodes the search raises BoundExceeded. reject is called once,
+    at the first dead end; when it returns True the search stops with no map.
+    """
     if s1.v != s2.v:
         return []
     v = s1.v
@@ -590,6 +611,7 @@ def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, find_all: bool):
     pre = [-1] * v
     placed = []
     found = []
+    nodes = 0
 
     def consistent(p, q):
         for r in placed:
@@ -603,6 +625,10 @@ def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, find_all: bool):
         return True
 
     def extend(k):
+        nonlocal nodes, reject
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BoundExceeded(f"isomorphism search exceeded its budget of {budget} nodes")
         if k == len(steps):
             found.append(tuple(img))
             return not find_all
@@ -624,17 +650,71 @@ def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, find_all: bool):
             pre[q] = -1
             if done:
                 return True
+            if reject is not None:
+                consult, reject = reject, None
+                if consult():
+                    return True  # nothing found: the search stops empty
         return False
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # extend refers to itself: free the search now, not at the next gc
     return found
 
 
+# nodes an are_isomorphic search may visit, as find_equivalence's default
+_NODE_BUDGET = 1_000_000
+
+
+def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
+    """True when the centres Z of the two loops prove the systems
+    non-isomorphic; called only once their Pasch invariants agree.
+
+    Z is characteristic, so s1 and s2 are isomorphic iff their quotients by
+    Z are, through some gamma, and the factor system of s2, carried through
+    gamma onto the quotient of s1, lies in the orbit of that of s1 under
+    GL(t,2) x Aut(Q). Decided only for 1 < |Z| < v + 1 and within the
+    bounds of classify; otherwise (False) the plain search decides.
+    """
+    from . import schreier
+
+    closed = int(np.count_nonzero(_pasch(s1)[1]))
+    if not 0 < closed < s1.v:
+        return False
+    try:
+        # fresh loops, not s.loop(): a cached loop and its system refer to each other
+        loops = [loop_from_system(s) for s in (s1, s2)]
+        f1, f2 = (
+            schreier.factor_system_from_extension(loop, Subloop(loop, loop.center()))
+            for loop in loops
+        )
+        q1, q2 = f1.q_system, f2.q_system
+        found = _search_isomorphisms(q1, q2, find_all=False, budget=_NODE_BUDGET)
+        if not found:
+            return True
+        gamma, pair = found[0], q2.pair_triple
+        carried = [f2.values[pair[gamma[a], gamma[b]]] for a, b, _ in q1.triples]
+        report = schreier.classify(schreier.ElemAbelian2(f1.t), f1.q)
+    except BoundExceeded:
+        return False
+    orbit = report.orbit_of_class
+    g2 = schreier.FactorSystem(f1.q, f1.t, carried)
+    return orbit[schreier._class_index(f1)] != orbit[schreier._class_index(g2)]
+
+
 def are_isomorphic(s1: TripleSystem, s2: TripleSystem, bound: int = 31):
-    """A point bijection carrying triples to triples, or None."""
+    """A point bijection carrying triples to triples, or None.
+
+    BoundExceeded above order bound or past _NODE_BUDGET search nodes. A
+    search that dead-ends once asks the centre route (_centre_rejects)
+    whether to stop; maps and verdicts are those of the plain search.
+    """
     if max(s1.v, s2.v) > bound:
         raise BoundExceeded(f"order {max(s1.v, s2.v)} above isomorphism bound {bound}")
-    found = _search_isomorphisms(s1, s2, find_all=False)
+    found = _search_isomorphisms(
+        s1, s2, find_all=False, budget=_NODE_BUDGET, reject=lambda: _centre_rejects(s1, s2)
+    )
     return found[0] if found else None
 
 

@@ -49,6 +49,10 @@ class NotNormal(SteinerError):
     pass
 
 
+class NotCentral(SteinerError):
+    pass
+
+
 class ElementInsideN(SteinerError):
     pass
 

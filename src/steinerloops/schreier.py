@@ -17,14 +17,17 @@ import numpy as np
 from . import gf2
 from .design_core import (
     SteinerLoop,
+    Subloop,
     TripleSystem,
     admissible,
+    _check_subloop,
+    _quotient,
     _triple_point_rows,
     automorphisms,
     perm_compose,
     point_perm_to_loop_perm,
 )
-from .errors import BoundExceeded, NotAdmissible, NotAutomorphism, OrderTooSmall
+from .errors import BoundExceeded, NotAdmissible, NotAutomorphism, NotCentral, OrderTooSmall
 from .steiner_operator import _extension_table, _factor_table, _schreier_blocks
 
 DEFAULT_TB_BOUND = 24
@@ -142,6 +145,34 @@ def build_schreier(n: ElemAbelian2, q: SteinerLoop, f: FactorSystem) -> SteinerL
     return SteinerLoop(_extension_table(q.table, _schreier_blocks(f)))
 
 
+def factor_system_from_extension(loop: SteinerLoop, z: Subloop) -> FactorSystem:
+    """The factor system of loop over loop / Z for a subloop Z of central
+    elements; the Schreier analogue of operator_from_extension.
+
+    The section takes the least element of each coset, as quotient lists
+    them, and Z gets coordinates from the greedy basis of its sorted members.
+    The value on the quotient triple {P, Q, R} is s(R).(s(P).s(Q)), which
+    lies in Z. On build_schreier output this returns the input values. Z
+    must be proper: the order-1 quotient has no system (NotAdmissible).
+    """
+    members = z.members if z.parent is loop else _check_subloop(loop, z.members)
+    outside = sorted(members - loop.center())
+    if outside:
+        raise NotCentral(f"elements {outside} are not central")
+    coord = {0: 0}  # element of Z -> its bits over the basis
+    t = 0
+    for m in sorted(members):
+        if m not in coord:
+            coord.update({int(loop.table[m, x]): c | (1 << t) for x, c in list(coord.items())})
+            t += 1
+    ql = _quotient(loop, members)
+    reps = np.array([min(c) for c in ql.cosets])
+    qs = ql.loop.system()
+    sp, sq, sr = reps[np.array(qs.triples, dtype=np.intp).reshape(-1, 3) + 1].T
+    lt = loop.table
+    return FactorSystem(ql.loop, t, [coord[x] for x in lt[sr, lt[sp, sq]].tolist()])
+
+
 def _planes(values, t: int) -> list:
     """The t bit planes of a sequence of t-bit values: bit i of plane k is
     bit k of values[i]."""
@@ -222,23 +253,40 @@ def hom_set(q: SteinerLoop, n: ElemAbelian2, bound: int = DEFAULT_TB_BOUND):
     return sorted(homs)
 
 
+def _coboundary_basis(qs: TripleSystem):
+    """(basis, pivots): the reduced echelon basis of the single-component
+    coboundary space over the b triple coordinates, where generator j is the
+    coboundary of the indicator of point j, and its pivot columns."""
+    return gf2.echelonize(_planes(_triple_point_rows(qs), qs.v), qs.b)
+
+
 def _class_space(n: ElemAbelian2, q: SteinerLoop):
-    """(basis, pivots, |Hom(q, n)|): the reduced echelon basis of the
-    single-component coboundary space over the b triple coordinates, where
-    generator j is the coboundary of the indicator of point j, its pivot
-    columns, and the homomorphism count. The class count 2^(t(b-r)) is
-    checked against the closed form 2^(tb) / (2^(tw) / |Hom|)."""
+    """(basis, pivots, |Hom(q, n)|): the coboundary basis and pivots, and the
+    homomorphism count 2^(tk), k the dimension of the kernel of the triple
+    rows. The class count 2^(t(b-r)) is checked against the closed form
+    2^(tb) / (2^(tw) / |Hom|), the two ranks coming from two eliminations."""
     qs = q.system()
     t, b, w = n.t, qs.b, qs.v
-    basis, pivots = gf2.echelonize(_planes(_triple_point_rows(qs), w), b)
+    basis, pivots = _coboundary_basis(qs)
     r = len(basis)
-    if t * (w - r) <= 16:
-        hom_count = len(hom_set(q, n, bound=16))
-    else:
-        hom_count = 1 << (t * (w - r))
+    hom_count = 1 << (t * len(gf2.nullspace_basis(_triple_point_rows(qs), w)))
     if 1 << (t * (b - r + w)) != (1 << (t * b)) * hom_count:
         raise AssertionError("class count disagrees with the homomorphism count")
     return basis, pivots, hom_count
+
+
+def _class_index(f: FactorSystem) -> int:
+    """The index of f's equivalence class in classify's class list: each bit
+    plane reduced to its least representative, whose values on the free
+    (non-pivot) triples, the first the most significant, are its digits."""
+    basis, pivots = _coboundary_basis(f.q_system)
+    planes = [gf2.reduce_vector(plane, basis, pivots) for plane in _planes(f.values, f.t)]
+    pivots = set(pivots)
+    index = 0
+    for j, x in enumerate(_unplanes(planes, len(f.values))):
+        if j not in pivots:
+            index = (index << f.t) | x
+    return index
 
 
 def count_nonequivalent(n: ElemAbelian2, q: SteinerLoop) -> int:

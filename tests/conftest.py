@@ -6,7 +6,7 @@ import pytest
 
 import steinerloops as sl
 from steinerloops import catalog, gf2, schreier
-from steinerloops.design_core import perm_inverse, point_perm_to_loop_perm
+from steinerloops.design_core import _invariants, perm_inverse, point_perm_to_loop_perm
 from steinerloops.errors import (
     BadIdentityBlock,
     BadTriple,
@@ -352,3 +352,103 @@ def reference_class_images(n, q):
             unit_images.append(index[canon])
         images.append(gf2.span(unit_images))
     return gens, images
+
+
+def reference_assignment_order(s, inv):
+    """Test-local oracle for design_core._assignment_order: the O(v^3) scan
+    over every pair of placed points for each unplaced point, step by step."""
+    v = s.v
+    freq = {}
+    for i in inv:
+        freq[i] = freq.get(i, 0) + 1
+    free_rank = sorted(range(v), key=lambda p: (freq[inv[p]], p))
+    third = s.third_table
+    placed = []
+    in_place = [False] * v
+    steps = []
+    while len(placed) < v:
+        forced = None
+        for p in range(v):
+            if in_place[p]:
+                continue
+            for i in range(len(placed)):
+                for j in range(i + 1, len(placed)):
+                    if third[placed[i], placed[j]] == p:
+                        forced = (p, placed[i], placed[j])
+                        break
+                if forced:
+                    break
+            if forced:
+                break
+        if forced:
+            p, a, b = forced
+            steps.append(("forced", p, a, b))
+        else:
+            p = next(q for q in free_rank if not in_place[q])
+            steps.append(("free", p, -1, -1))
+        placed.append(steps[-1][1])
+        in_place[steps[-1][1]] = True
+    return steps
+
+
+def reference_search_isomorphisms(s1, s2, find_all):
+    """Test-local oracle for the isomorphism search: the plain backtracking
+    search, no centre route and no node budget, over the same invariants and
+    the oracle order."""
+    if s1.v != s2.v:
+        return []
+    v = s1.v
+    if v == 1:
+        return [(0,)]
+    inv1 = _invariants(s1)
+    inv2 = _invariants(s2)
+    if sorted(inv1) != sorted(inv2):
+        return []
+    steps = reference_assignment_order(s1, inv1)
+    third1 = s1.third_table
+    third2 = s2.third_table
+    by_inv = {}
+    for q in range(v):
+        by_inv.setdefault(inv2[q], []).append(q)
+    img = [-1] * v
+    pre = [-1] * v
+    placed = []
+    found = []
+
+    def consistent(p, q):
+        for r in placed:
+            t = int(third1[p, r])
+            u = int(third2[q, img[r]])
+            if img[t] != -1:
+                if img[t] != u:
+                    return False
+            elif pre[u] != -1:
+                return False
+        return True
+
+    def extend(k):
+        if k == len(steps):
+            found.append(tuple(img))
+            return not find_all
+        kind, p, a, b = steps[k]
+        if kind == "forced":
+            q = int(third2[img[a], img[b]])
+            candidates = (q,)
+        else:
+            candidates = by_inv.get(inv1[p], ())
+        for q in candidates:
+            if pre[q] != -1 or inv2[q] != inv1[p] or not consistent(p, q):
+                continue
+            img[p] = q
+            pre[q] = p
+            placed.append(p)
+            done = extend(k + 1)
+            placed.pop()
+            img[p] = -1
+            pre[q] = -1
+            if done:
+                return True
+        return False
+
+    extend(0)
+    return found

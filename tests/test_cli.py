@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -393,7 +394,8 @@ class TestEnumerateClassify:
     def test_classify_internal_check_exit_code(self, capsys, monkeypatch):
         import steinerloops.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod.schreier, "hom_set", lambda *args, **kwargs: [()] * 3)
+        # the fano kernel has dimension 3; a wrong one must fail the cross-check
+        monkeypatch.setattr(cli_mod.schreier.gf2, "nullspace_basis", lambda *args: [1, 2])
         code, out, err = run(capsys, "classify", "--q", "fano", "--t", "1")
         assert code == 1 and out == ""
         assert err == (
@@ -424,6 +426,54 @@ class TestIsomorphic:
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "isomorphic", "pg2", "fano", "--format", "text")
         assert out.strip() == "isomorphic true"
+
+    @staticmethod
+    def _inputs(tmp_path, case):
+        """Two system files: two non-isomorphic STS(19) (Schreier over sts9,
+        t = 1, the first two orbit representatives), or a system and a
+        seeded relabel of it."""
+        q = catalog.fixture("sts9_labeled").loop()
+        n = sl.ElemAbelian2(1)
+        sts19 = [
+            sl.build_schreier(n, q, sl.FactorSystem(q, 1, vals)).system()
+            for vals in sl.classify(n, q).orbit_reps[:2]
+        ]
+        first = catalog.fixture("sts15_2") if case == "relabel15" else sts19[0]
+        if case == "pair19":
+            second = sts19[1]
+        else:
+            perm = list(range(first.v))
+            random.Random(5).shuffle(perm)
+            second = first.relabel(perm)
+        paths = [tmp_path / "first.sts", tmp_path / "second.sts"]
+        for path, s in zip(paths, (first, second)):
+            path.write_text(formats.render_system(s))
+        return [str(path) for path in paths]
+
+    GOLDEN = {
+        ("pair19", "text"): "f948199b14ca703da9b15b80a39aa8e1b173776981e785bbb662ff357c60e284",
+        ("pair19", "json"): "d5bd7e25fb0ace6a5544c1a8d681794f97579eb42a324416a3fb96dff8f24b9b",
+        ("relabel19", "text"): "607618d7413748d9ab0af79c7ba74ca84b2bad270ae68ead0bec06b1dd5c1634",
+        ("relabel19", "json"): "f262595f4373742b5383593e78524f858230d196674952e8ae73033e508b6b5a",
+        ("relabel15", "text"): "607618d7413748d9ab0af79c7ba74ca84b2bad270ae68ead0bec06b1dd5c1634",
+        ("relabel15", "json"): "4b5ad1f532670306a64d08fec491bb76ad5089e28ed9d77973a77fb04861e751",
+    }
+
+    @pytest.mark.parametrize("case, fmt", GOLDEN)
+    def test_isomorphic_golden(self, capsys, tmp_path, case, fmt):
+        """Verdict and map stay byte for byte, rejections included."""
+        code, out, err = run(capsys, "isomorphic", *self._inputs(tmp_path, case), "--format", fmt)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[case, fmt]
+
+    def test_node_budget(self, capsys, monkeypatch):
+        import steinerloops.design_core as dc
+
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 5)
+        # a found map takes v + 1 = 8 nodes
+        code, out, err = run(capsys, "isomorphic", "pg2", "fano")
+        assert (code, out) == (3, "")
+        assert err == "error: isomorphism search exceeded its budget of 5 nodes\n"
 
 
 class TestCatalog:

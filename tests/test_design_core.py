@@ -8,14 +8,17 @@ import pytest
 import steinerloops as sl
 from conftest import (
     reference_as_loop,
+    reference_assignment_order,
     reference_census,
     reference_check_subloop,
     reference_normality_witness,
     reference_quotient,
+    reference_search_isomorphisms,
     reference_system_from_loop,
     reference_triple_system,
 )
-from steinerloops import _kernels, catalog
+from steinerloops import _kernels, catalog, schreier
+from steinerloops import design_core as dc
 from steinerloops.design_core import _VIOLATION_TEXT
 from steinerloops.errors import (
     BadTriple,
@@ -668,6 +671,103 @@ class TestAreIsomorphic:
 
     def test_different_orders(self, fano, pg3):
         assert sl.are_isomorphic(fano, pg3) is None
+
+
+def _named_system(name):
+    if name[:2] in ("ag", "pg"):
+        return getattr(catalog, name[:2])(int(name[2:]))
+    if name == "double19":
+        return sl.double(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11"))
+    return catalog.fixture({"fano": "fano_labeled", "sts9": "sts9_labeled"}.get(name, name))
+
+
+def _relabelled(s, seed):
+    perm = list(range(s.v))
+    random.Random(seed).shuffle(perm)
+    return s.relabel(perm)
+
+
+def _orbit_representatives(key, t):
+    """The Schreier extensions of a fixture by classify's orbit
+    representatives: one system per isomorphism class."""
+    q = catalog.fixture(key).loop()
+    n = sl.ElemAbelian2(t)
+    reps = sl.classify(n, q).orbit_reps
+    return [sl.build_schreier(n, q, sl.FactorSystem(q, t, vals)).system() for vals in reps]
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize(
+        "name", ["fano", "sts9", "sts13_a", "sts15_2", "ag3", "ag4", "pg4", "pg5", "double19"]
+    )
+    def test_steps_match_reference(self, name):
+        s = _named_system(name)
+        for system in (s, _relabelled(s, 1), _relabelled(s, 2)):
+            inv = dc._invariants(system)
+            assert dc._assignment_order(system, inv) == reference_assignment_order(system, inv)
+
+
+class TestCentreRoute:
+    @pytest.mark.parametrize(
+        "key, t", [("fano_labeled", 1), ("fano_labeled", 2), ("sts9_labeled", 1)]
+    )
+    def test_same_verdicts_and_maps_as_plain_search(self, key, t):
+        systems = _orbit_representatives(key, t)
+        for i, a in enumerate(systems):
+            for j, b in enumerate(systems):
+                b = _relabelled(b, 10 * i + j)
+                want = reference_search_isomorphisms(a, b, find_all=False)
+                assert sl.are_isomorphic(a, b) == (want[0] if want else None), (i, j)
+                assert (want != []) == (i == j)
+
+    def test_sts39_rejections(self):
+        """The five STS(39) over sts9 (t = 2), each pair with a relabelled
+        second system, rejected through the centre; each also against
+        itself."""
+        systems = _orbit_representatives("sts9_labeled", 2)
+        assert len(systems) == 5
+        for i, a in enumerate(systems):
+            for j, b in enumerate(systems):
+                if i != j:
+                    b = _relabelled(b, 10 * i + j)
+                assert (sl.are_isomorphic(a, b, bound=39) is not None) == (i == j), (i, j)
+
+    def test_rejection_consults_the_route_once(self, monkeypatch):
+        calls = []
+        route = dc._centre_rejects
+        monkeypatch.setattr(dc, "_centre_rejects", lambda a, b: calls.append(1) or route(a, b))
+        a, b = _orbit_representatives("sts9_labeled", 1)[:2]
+        assert sl.are_isomorphic(a, b) is None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "name, bound", [("ag3", 31), ("ag4", 81), ("pg4", 31), ("pg5", 63), ("sts15_2", 31)]
+    )
+    def test_positives_never_consult_the_route(self, monkeypatch, name, bound):
+        def boom(*args, **kwargs):
+            raise AssertionError("centre route consulted")
+
+        monkeypatch.setattr(schreier, "classify", boom)
+        monkeypatch.setattr(schreier, "factor_system_from_extension", boom)
+        s = _named_system(name)
+        assert sl.are_isomorphic(s, s, bound=bound) == tuple(range(s.v))
+        for seed in range(3):
+            other = _relabelled(s, seed)
+            found = sl.are_isomorphic(s, other, bound=bound)
+            assert found is not None and s.relabel(found) == other
+
+
+class TestNodeBudget:
+    def test_are_isomorphic_refuses_past_the_budget(self, monkeypatch, fano):
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 5)
+        with pytest.raises(BoundExceeded, match="budget of 5 nodes"):
+            sl.are_isomorphic(fano, _relabelled(fano, 1))
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 8)  # a found map takes v + 1 nodes
+        assert sl.are_isomorphic(fano, fano) == tuple(range(7))
+
+    def test_automorphisms_unbudgeted(self, monkeypatch, fano):
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 5)
+        assert sl.automorphisms(fano).order == 168
 
 
 class TestScanBound:

@@ -8,7 +8,14 @@ import pytest
 import steinerloops as sl
 from steinerloops import catalog, schreier
 from steinerloops.design_core import perm_inverse, point_perm_to_loop_perm
-from steinerloops.errors import BoundExceeded, NotAdmissible, NotAutomorphism, OrderTooSmall
+from steinerloops.errors import (
+    BoundExceeded,
+    NotAdmissible,
+    NotASubloop,
+    NotAutomorphism,
+    NotCentral,
+    OrderTooSmall,
+)
 
 from conftest import brute_force_equivalent, reference_class_images
 
@@ -87,6 +94,63 @@ class TestBuildSchreier:
         loop = sl.build_schreier(n1, fano_q, f_example)
         q = sl.quotient(loop, sl.subloop(loop, {0, 1}))
         assert sl.are_isomorphic(q.loop.system(), fano_q.system()) is not None
+
+
+class TestFactorSystemFromExtension:
+    @pytest.mark.parametrize("key", ["fano_labeled", "sts9_labeled", "sts3"])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_round_trips_build_schreier(self, key, t):
+        q = (sl.validate_system(3, [(0, 1, 2)]) if key == "sts3" else catalog.fixture(key)).loop()
+        rng = random.Random(100 * t + len(key))
+        for _ in range(3):
+            f = sl.FactorSystem(q, t, [rng.randrange(1 << t) for _ in range(q.system().b)])
+            loop = sl.build_schreier(sl.ElemAbelian2(t), q, f)
+            got = schreier.factor_system_from_extension(loop, sl.subloop(loop, range(1 << t)))
+            assert got.t == t and got.values == f.values
+            assert (got.q.table == q.table).all()
+
+    def test_greedy_basis_of_a_relabelled_centre(self, fano_q):
+        """A centre whose sorted members are not 0..2^t - 1 gets coordinates
+        from its greedy basis; the result is a factor system of an
+        isomorphic extension."""
+        f = catalog.fixture("f_sts15_example")
+        s = sl.build_schreier(n1, fano_q, f).system()
+        perm = list(range(s.v))
+        random.Random(2).shuffle(perm)
+        loop = s.relabel(perm).loop()
+        got = schreier.factor_system_from_extension(loop, sl.subloop(loop, loop.center()))
+        assert got.t == 1 and got.q.n == 8
+        rebuilt = sl.build_schreier(n1, got.q, got).system()
+        assert sl.are_isomorphic(rebuilt, s) is not None
+
+    def test_whole_loop_leaves_no_quotient_system(self):
+        loop = catalog.pg(2).loop()
+        with pytest.raises(NotAdmissible):
+            schreier.factor_system_from_extension(loop, sl.subloop(loop, range(8)))
+
+    def test_non_central_refused(self, sts9_q):
+        with pytest.raises(NotCentral):
+            schreier.factor_system_from_extension(sts9_q, sl.subloop(sts9_q, {0, 1}))
+
+    def test_subloop_of_another_loop_checked(self, fano_q, sts9_q):
+        # the line {0, 3, 4} of the plane is no line of sts9
+        with pytest.raises(NotASubloop):
+            schreier.factor_system_from_extension(sts9_q, sl.subloop(fano_q, {0, 1, 4, 5}))
+
+
+class TestClassIndex:
+    @pytest.mark.parametrize("key, t", [("fano_labeled", 2), ("sts9_labeled", 1)])
+    def test_indexes_classify_list(self, key, t):
+        """Each class representative, and each of its coboundary shifts,
+        has its own position in classify's list as index."""
+        q = catalog.fixture(key).loop()
+        rep = sl.classify(sl.ElemAbelian2(t), q)
+        rng = random.Random(t)
+        for i, vals in enumerate(rep.class_reps):
+            f = sl.FactorSystem(q, t, vals)
+            phi = sl.Cochain1(q, t, tuple(rng.randrange(1 << t) for _ in range(q.n - 1)))
+            assert schreier._class_index(f) == i
+            assert schreier._class_index(f + sl.coboundary(phi)) == i
 
 
 class TestCoboundary:
@@ -199,6 +263,19 @@ class TestCountNonequivalent:
     def test_t0(self, fano_q):
         assert sl.count_nonequivalent(sl.ElemAbelian2(0), fano_q) == 1
 
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_counts_up_to_t6(self, fano_q, sts9_q, t):
+        """2^(3t) classes over both (b - r = 3); |Hom| is 2^(3t) over the
+        plane (kernel dimension 3) and 1 over sts9, and for t <= 3 the
+        listed homomorphisms agree."""
+        n = sl.ElemAbelian2(t)
+        for q, kernel_dim in ((fano_q, 3), (sts9_q, 0)):
+            assert sl.count_nonequivalent(n, q) == 1 << (3 * t)
+            hom_count = schreier._class_space(n, q)[2]
+            assert hom_count == 1 << (kernel_dim * t)
+            if t <= 3:
+                assert hom_count == len(sl.hom_set(q, n))
+
     def test_cross_check_survives_python_O(self):
         """The closed form is checked against |Hom| by an explicit raise,
         which python -O does not strip, in count_nonequivalent and in
@@ -207,7 +284,7 @@ class TestCountNonequivalent:
             "import steinerloops as sl\n"
             "from steinerloops import catalog, schreier\n"
             "assert False, 'this line runs only without -O'\n"
-            "schreier.hom_set = lambda *args, **kwargs: [()] * 3\n"
+            "schreier.gf2.nullspace_basis = lambda *args: [1, 2]\n"
             "q = catalog.fixture('fano_labeled').loop()\n"
             "for fn in (schreier.count_nonequivalent, schreier.classify):\n"
             "    try:\n"
