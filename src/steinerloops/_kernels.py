@@ -22,7 +22,10 @@ Kernel contracts (n = loop order, v = system order):
     third point on the line a,b. counts[p] is the number of Pasch
     configurations through p, closed[p] is True iff every pair of triples
     through p closes both ways (the Pasch-closure reading of a Veblen
-    point).
+    point). Points are scanned in blocks: for each block the i < j pairs
+    of lines through its points are gathered at once by flat ``take`` on
+    ``third.ravel()``, so each temporary holds about 2^14 entries (one
+    point's r(r-1)/2 pairs when that is more), r = (v-1)/2.
 
 ``fano_planes(third, others)``
     int32[k, 7], one row per Fano subplane, each plane exactly once. A row
@@ -37,6 +40,11 @@ Kernel contracts (n = loop order, v = system order):
 from __future__ import annotations
 
 import numpy as np
+
+
+# entries in each temporary of the Pasch block scan: points per block times
+# line pairs per point, at least one point
+_PASCH_BLOCK_ENTRIES = 1 << 14
 
 
 def backend_name() -> str:
@@ -77,16 +85,18 @@ def pasch_census(third: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.
     closed = np.ones(v, dtype=np.bool_)
     if r < 2:
         return counts, closed
+    flat = third.ravel()
     iu, ju = np.triu_indices(r, k=1)
-    for p in range(v):
-        a = others[p, :, 0]
-        b = others[p, :, 1]
-        straight = third[a[:, None], a[None, :]] == third[b[:, None], b[None, :]]
-        crossed = third[a[:, None], b[None, :]] == third[b[:, None], a[None, :]]
-        s = straight[iu, ju]
-        c = crossed[iu, ju]
-        counts[p] = int(s.sum()) + int(c.sum())
-        closed[p] = bool(s.all() and c.all())
+    step = max(1, _PASCH_BLOCK_ENTRIES // len(iu))
+    for start in range(0, v, step):
+        block = others[start : start + step].astype(np.intp)
+        a, b = block[..., 0], block[..., 1]
+        av, bv = a * v, b * v
+        # lines i < j through each point: (a_i, b_i) and (a_j, b_j)
+        straight = flat.take(av[:, iu] + a[:, ju]) == flat.take(bv[:, iu] + b[:, ju])
+        crossed = flat.take(av[:, iu] + b[:, ju]) == flat.take(bv[:, iu] + a[:, ju])
+        counts[start : start + step] = straight.sum(axis=1) + crossed.sum(axis=1)
+        closed[start : start + step] = straight.all(axis=1) & crossed.all(axis=1)
     return counts, closed
 
 

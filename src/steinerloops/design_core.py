@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -157,8 +158,22 @@ class TripleSystem:
         return self._loop
 
     def relabel(self, perm) -> "TripleSystem":
-        """Apply a point permutation (point p goes to perm[p])."""
-        return TripleSystem(self.v, [(perm[a], perm[b], perm[c]) for a, b, c in self.triples])
+        """Apply a point permutation (point p goes to perm[p]). A permutation
+        of range(v) moves the checked table once; anything else goes through
+        the constructor, which reports what is wrong."""
+        p = np.asarray(perm)
+        if not (
+            p.shape == (self.v,)
+            and p.dtype.kind in "iu"
+            and np.array_equal(np.sort(p), np.arange(self.v))
+        ):
+            return TripleSystem(self.v, [(perm[a], perm[b], perm[c]) for a, b, c in self.triples])
+        to = np.append(p, -1).astype(np.int32)  # the diagonal -1 stays -1
+        third = np.empty_like(self.third_table)
+        third[np.ix_(p, p)] = to[self.third_table]
+        s = TripleSystem.__new__(TripleSystem)
+        s._build(third)
+        return s
 
     def __eq__(self, other):
         return (
@@ -602,8 +617,8 @@ def _search_isomorphisms(
     if sorted(inv1) != sorted(inv2):
         return []
     steps = _assignment_order(s1, inv1)
-    third1 = s1.third_table
-    third2 = s2.third_table
+    third1 = s1.third_table.tolist()
+    third2 = s2.third_table.tolist()
     by_inv = {}
     for q in range(v):
         by_inv.setdefault(inv2[q], []).append(q)
@@ -614,9 +629,11 @@ def _search_isomorphisms(
     nodes = 0
 
     def consistent(p, q):
+        row1 = third1[p]
+        row2 = third2[q]
         for r in placed:
-            t = int(third1[p, r])
-            u = int(third2[q, img[r]])
+            t = row1[r]
+            u = row2[img[r]]
             if img[t] != -1:
                 if img[t] != u:
                     return False
@@ -634,12 +651,12 @@ def _search_isomorphisms(
             return not find_all
         kind, p, a, b = steps[k]
         if kind == "forced":
-            q = int(third2[img[a], img[b]])
-            candidates = (q,)
+            q = third2[img[a]][img[b]]
+            candidates = (q,) if inv2[q] == inv1[p] else ()
         else:
-            candidates = by_inv.get(inv1[p], ())
+            candidates = by_inv.get(inv1[p], ())  # every one shares p's invariant
         for q in candidates:
-            if pre[q] != -1 or inv2[q] != inv1[p] or not consistent(p, q):
+            if pre[q] != -1 or not consistent(p, q):
                 continue
             img[p] = q
             pre[q] = p
@@ -725,32 +742,36 @@ class PermGroup:
     elements: tuple
 
 
-def _closure(gens, v):
-    ident = tuple(range(v))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = perm_compose(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
 def automorphisms(s: TripleSystem, bound: int = 31) -> PermGroup:
-    """Full automorphism group of s by exhaustive backtracking."""
+    """Full automorphism group of s by exhaustive backtracking.
+
+    The generators are chosen greedily: the sorted elements, each time the
+    first one outside the subgroup generated so far. Elements are numbered in
+    sorted order; each generator's right multiplication x -> x o g is built
+    once as an index map, and membership grows by a search from the current
+    subgroup over all maps built so far.
+    """
     if s.v > bound:
         raise BoundExceeded(f"order {s.v} above automorphism bound {bound}")
     elements = sorted(_search_isomorphisms(s, s, find_all=True))
-    gens = []
-    known = {tuple(range(s.v))}
-    for g in elements:
-        if g in known:
+    index = {g: i for i, g in enumerate(elements)}
+    member = bytearray(len(elements))
+    member[index[tuple(range(s.v))]] = 1
+    gens, maps = [], []
+    for i, g in enumerate(elements):
+        if member[i]:
             continue
         gens.append(g)
-        known = _closure(gens, s.v)
+        times_g = itemgetter(*g)  # x -> x o g as a tuple, for v >= 3
+        maps.append([index[times_g(x)] for x in elements])
+        frontier = [j for j in range(len(elements)) if member[j]]
+        while frontier:
+            nxt = []
+            for j in frontier:
+                for right in maps:
+                    k = right[j]
+                    if not member[k]:
+                        member[k] = 1
+                        nxt.append(k)
+            frontier = nxt
     return PermGroup(len(elements), tuple(gens), tuple(elements))

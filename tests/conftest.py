@@ -6,7 +6,12 @@ import pytest
 
 import steinerloops as sl
 from steinerloops import catalog, gf2, schreier
-from steinerloops.design_core import _invariants, perm_inverse, point_perm_to_loop_perm
+from steinerloops.design_core import (
+    _invariants,
+    perm_compose,
+    perm_inverse,
+    point_perm_to_loop_perm,
+)
 from steinerloops.errors import (
     BadIdentityBlock,
     BadTriple,
@@ -184,13 +189,32 @@ def reference_fano_planes(s):
     return tuple(sorted(planes, key=sorted))
 
 
-def reference_census(s):
-    """Test-local oracle for census: Fano counts per point and per triple
-    tallied plane by plane over reference_fano_planes. The Pasch counts come
-    from the same kernel as in census; they are checked elsewhere."""
-    from steinerloops import _kernels
+def reference_pasch_census(s):
+    """Test-local oracle for _kernels.pasch_census: (counts, closed) as lists,
+    point by point over the pairs of triples through it. Lines {p,a,b} and
+    {p,c,d} lie in a Pasch configuration through p once for each way they
+    close: third(a,c) = third(b,d), and third(a,d) = third(b,c)."""
+    third = s.third_table.tolist()
+    counts, closed = [], []
+    for p in range(s.v):
+        lines = [(q, third[p][q]) for q in range(s.v) if q != p and q < third[p][q]]
+        found = missed = 0
+        for (a, b), (c, d) in combinations(lines, 2):
+            for x, y in ((third[a][c], third[b][d]), (third[a][d], third[b][c])):
+                if x == y:
+                    found += 1
+                else:
+                    missed += 1
+        counts.append(found)
+        closed.append(missed == 0)
+    return counts, closed
 
-    counts, _ = _kernels.pasch_census(s.third_table, s.others)
+
+def reference_census(s):
+    """Test-local oracle for census: Pasch counts from reference_pasch_census,
+    Fano counts per point and per triple tallied plane by plane over
+    reference_fano_planes."""
+    counts, _ = reference_pasch_census(s)
     planes = reference_fano_planes(s)
     fano_through = [0] * s.v
     fano_tri = [0] * s.b
@@ -201,7 +225,7 @@ def reference_census(s):
             if s.third(x, y) > y:
                 fano_tri[int(s.pair_triple[x, y])] += 1
     return sl.ConfigCensus(
-        tuple(int(c) for c in counts),
+        tuple(counts),
         tuple(fano_through),
         tuple(fano_tri),
         tuple(tuple(sorted(plane)) for plane in planes),
@@ -389,6 +413,39 @@ def reference_assignment_order(s, inv):
         placed.append(steps[-1][1])
         in_place[steps[-1][1]] = True
     return steps
+
+
+def reference_closure(gens, v):
+    """Test-local oracle for the subgroup generated by point permutations:
+    the set of all products, grown from the identity by composing on the
+    right with each generator."""
+    ident = tuple(range(v))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = perm_compose(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def reference_generators(elements, v):
+    """Test-local oracle for the generators automorphisms() chooses: the
+    sorted elements, each time the first one outside the subgroup that
+    reference_closure gives for the generators chosen so far."""
+    gens = []
+    known = {tuple(range(v))}
+    for g in sorted(elements):
+        if g in known:
+            continue
+        gens.append(g)
+        known = reference_closure(gens, v)
+    return tuple(gens)
 
 
 def reference_search_isomorphisms(s1, s2, find_all):

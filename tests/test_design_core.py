@@ -11,7 +11,10 @@ from conftest import (
     reference_assignment_order,
     reference_census,
     reference_check_subloop,
+    reference_closure,
+    reference_generators,
     reference_normality_witness,
+    reference_pasch_census,
     reference_quotient,
     reference_search_isomorphisms,
     reference_system_from_loop,
@@ -152,6 +155,41 @@ class TestValidateSystem:
             sl.TripleSystem(3, [(0, 1)])
         with pytest.raises(BadTriple, match=re.escape("bad triple (0, 1, 2, 3)")):
             sl.TripleSystem(7, [(0, 1, 2), (3, 2, 1, 0)])
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("name", ["sts15_2", "pg4"])
+    def test_matches_constructor(self, monkeypatch, name):
+        """A permutation of range(v) moves the checked table once: on seeded
+        relabels the result equals, table by table, the system the
+        constructor builds from the relabelled triples, and no triple is
+        checked again."""
+        s = _named_system(name)
+        for seed in range(6):
+            perm = list(range(s.v))
+            random.Random(seed).shuffle(perm)
+            want = sl.TripleSystem(s.v, [(perm[a], perm[b], perm[c]) for a, b, c in s.triples])
+            form = (perm, tuple(perm), np.array(perm, dtype=np.int16))[seed % 3]
+            with monkeypatch.context() as m:
+                m.setattr(dc, "_triple_rows", None)  # the constructor would fail
+                got = s.relabel(form)
+            assert got == want and got.b == want.b
+            assert all(type(x) is int for t in got.triples for x in t)
+            for field in ("third_table", "pair_triple", "others"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert not got.third_table.flags.writeable
+            assert not got.pair_triple.flags.writeable
+
+    def test_other_sequences_go_through_the_constructor(self, fano):
+        with pytest.raises(BadTriple, match=re.escape("bad triple (0, 0, 0)")):
+            fano.relabel([0] * 7)
+        with pytest.raises(BadTriple, match=re.escape("bad triple (0, 5, 7)")):
+            fano.relabel([0, 1, 2, 3, 4, 5, 7])
+        with pytest.raises(IndexError):
+            fano.relabel(range(6))
+        # entries past v are never read, floats are read as ints
+        assert fano.relabel(range(8)) == fano
+        assert fano.relabel([float(p) for p in range(7)]) == fano
 
 
 class TestLoopFromSystem:
@@ -607,6 +645,44 @@ class TestCensus:
         assert retained < 400_000
 
 
+class TestPaschKernel:
+    @pytest.mark.parametrize("block", ["default", "one entry", "four points"])
+    @pytest.mark.parametrize(
+        "name",
+        ["pg2", "pg3", "pg4", "pg5", "ag2", "ag3", "ag4", "sts13_a", "sts13_b", "sts15_2", "sts19"],
+    )
+    def test_matches_reference(self, monkeypatch, name, block):
+        """The block scan gives the point-by-point counts and closed flags,
+        whether a block is one point, four points (never a divisor of the
+        odd v) or as many as fit in the default temporaries."""
+        if name == "sts19":  # a Schreier extension of sts9 with a proper centre
+            s = _orbit_representatives("sts9_labeled", 1)[1]
+        else:
+            s = _named_system(name)
+        pairs = s.others.shape[1] * (s.others.shape[1] - 1) // 2
+        if block == "one entry":
+            monkeypatch.setattr(_kernels, "_PASCH_BLOCK_ENTRIES", 1)
+        elif block == "four points":
+            monkeypatch.setattr(_kernels, "_PASCH_BLOCK_ENTRIES", 4 * pairs)
+        counts, closed = _kernels.pasch_census(s.third_table, s.others)
+        assert counts.dtype == np.int64 and closed.dtype == np.bool_
+        assert (counts.tolist(), closed.tolist()) == reference_pasch_census(s)
+
+    def test_temporaries_stay_bounded(self):
+        """pg(6) has 1953 line pairs per point; a block of eight points keeps
+        each temporary near 2^14 entries, far below one table of all
+        127 * 1953 pairs."""
+        s = catalog.pg(6)
+        s.others
+        tracemalloc.start()
+        try:
+            _kernels.pasch_census(s.third_table, s.others)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 class TestNormalTripleFano:
     def test_pg3(self, pg3):
         loop = pg3.loop()
@@ -634,9 +710,17 @@ class TestAutomorphisms:
 
     def test_generators_generate(self):
         g = sl.automorphisms(catalog.pg(2))
-        from steinerloops.design_core import _closure
+        assert len(reference_closure(g.generators, 7)) == g.order
 
-        assert len(_closure(g.generators, 7)) == g.order
+    @pytest.mark.parametrize("name", ["fano", "sts9", "sts13_a", "sts13_b", "sts15_2", "ag2"])
+    def test_generators_are_the_greedy_choice(self, name):
+        """The one-pass closure keeps the greedy choice: the sorted elements,
+        each time the first one outside the subgroup generated so far."""
+        s = _named_system(name)
+        g = sl.automorphisms(s)
+        assert g.elements == tuple(sorted(reference_search_isomorphisms(s, s, find_all=True)))
+        assert g.generators == reference_generators(g.elements, s.v)
+        assert len(reference_closure(g.generators, s.v)) == g.order == len(g.elements)
 
     def test_every_generator_preserves_triples(self, sts15_2):
         g = sl.automorphisms(sts15_2)
