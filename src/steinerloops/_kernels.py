@@ -24,7 +24,7 @@ Kernel contracts (n = loop order, v = system order):
     through p closes both ways (the Pasch-closure reading of a Veblen
     point). Points are scanned in blocks: for each block the i < j pairs
     of lines through its points are gathered at once by flat ``take`` on
-    ``third.ravel()``, so each temporary holds about 2^14 entries (one
+    ``third.ravel()``, so each temporary holds about 2^12 entries (one
     point's r(r-1)/2 pairs when that is more), r = (v-1)/2.
 
 ``fano_planes(third, others)``
@@ -44,7 +44,7 @@ import numpy as np
 
 # entries in each temporary of the Pasch block scan: points per block times
 # line pairs per point, at least one point
-_PASCH_BLOCK_ENTRIES = 1 << 14
+_PASCH_BLOCK_ENTRIES = 1 << 12
 
 
 def backend_name() -> str:

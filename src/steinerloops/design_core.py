@@ -158,22 +158,8 @@ class TripleSystem:
         return self._loop
 
     def relabel(self, perm) -> "TripleSystem":
-        """Apply a point permutation (point p goes to perm[p]). A permutation
-        of range(v) moves the checked table once; anything else goes through
-        the constructor, which reports what is wrong."""
-        p = np.asarray(perm)
-        if not (
-            p.shape == (self.v,)
-            and p.dtype.kind in "iu"
-            and np.array_equal(np.sort(p), np.arange(self.v))
-        ):
-            return TripleSystem(self.v, [(perm[a], perm[b], perm[c]) for a, b, c in self.triples])
-        to = np.append(p, -1).astype(np.int32)  # the diagonal -1 stays -1
-        third = np.empty_like(self.third_table)
-        third[np.ix_(p, p)] = to[self.third_table]
-        s = TripleSystem.__new__(TripleSystem)
-        s._build(third)
-        return s
+        """Apply a point permutation (point p goes to perm[p])."""
+        return TripleSystem(self.v, [(perm[a], perm[b], perm[c]) for a, b, c in self.triples])
 
     def __eq__(self, other):
         return (
@@ -554,19 +540,19 @@ def _invariants(s: TripleSystem):
     return [(int(c), bool(f)) for c, f in zip(counts, closed)]
 
 
-def _assignment_order(s: TripleSystem, inv):
+def _assignment_order(third, inv):
     """Static point order: rare invariants first, forced extensions greedily.
 
     The next point is the least unplaced one on which two placed points
     close, read through the earliest such pair (i, j) of placement positions;
-    without one, the next point of the rarest invariant class.
+    without one, the next point of the rarest invariant class. third is the
+    third-point table as nested lists.
     """
-    v = s.v
+    v = len(third)
     freq = {}
     for i in inv:
         freq[i] = freq.get(i, 0) + 1
     free_rank = sorted(range(v), key=lambda p: (freq[inv[p]], p))
-    third = s.third_table.tolist()
     placed = []
     in_place = [False] * v
     # closer[p]: the earliest pair (i, j), i < j, with third(placed[i], placed[j]) = p,
@@ -616,9 +602,9 @@ def _search_isomorphisms(
     inv2 = _invariants(s2)
     if sorted(inv1) != sorted(inv2):
         return []
-    steps = _assignment_order(s1, inv1)
     third1 = s1.third_table.tolist()
-    third2 = s2.third_table.tolist()
+    third2 = third1 if s2 is s1 else s2.third_table.tolist()
+    steps = _assignment_order(third1, inv1)
     by_inv = {}
     for q in range(v):
         by_inv.setdefault(inv2[q], []).append(q)

@@ -158,29 +158,7 @@ class TestValidateSystem:
 
 
 class TestRelabel:
-    @pytest.mark.parametrize("name", ["sts15_2", "pg4"])
-    def test_matches_constructor(self, monkeypatch, name):
-        """A permutation of range(v) moves the checked table once: on seeded
-        relabels the result equals, table by table, the system the
-        constructor builds from the relabelled triples, and no triple is
-        checked again."""
-        s = _named_system(name)
-        for seed in range(6):
-            perm = list(range(s.v))
-            random.Random(seed).shuffle(perm)
-            want = sl.TripleSystem(s.v, [(perm[a], perm[b], perm[c]) for a, b, c in s.triples])
-            form = (perm, tuple(perm), np.array(perm, dtype=np.int16))[seed % 3]
-            with monkeypatch.context() as m:
-                m.setattr(dc, "_triple_rows", None)  # the constructor would fail
-                got = s.relabel(form)
-            assert got == want and got.b == want.b
-            assert all(type(x) is int for t in got.triples for x in t)
-            for field in ("third_table", "pair_triple", "others"):
-                assert np.array_equal(getattr(got, field), getattr(want, field))
-            assert not got.third_table.flags.writeable
-            assert not got.pair_triple.flags.writeable
-
-    def test_other_sequences_go_through_the_constructor(self, fano):
+    def test_errors_come_from_the_constructor(self, fano):
         with pytest.raises(BadTriple, match=re.escape("bad triple (0, 0, 0)")):
             fano.relabel([0] * 7)
         with pytest.raises(BadTriple, match=re.escape("bad triple (0, 5, 7)")):
@@ -669,8 +647,8 @@ class TestPaschKernel:
         assert (counts.tolist(), closed.tolist()) == reference_pasch_census(s)
 
     def test_temporaries_stay_bounded(self):
-        """pg(6) has 1953 line pairs per point; a block of eight points keeps
-        each temporary near 2^14 entries, far below one table of all
+        """pg(6) has 1953 line pairs per point; a block of two points keeps
+        each temporary near 2^12 entries, far below one table of all
         127 * 1953 pairs."""
         s = catalog.pg(6)
         s.others
@@ -680,7 +658,7 @@ class TestPaschKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1_000_000
+        assert peak < 400_000
 
 
 class TestNormalTripleFano:
@@ -788,7 +766,8 @@ class TestSearchOrder:
         s = _named_system(name)
         for system in (s, _relabelled(s, 1), _relabelled(s, 2)):
             inv = dc._invariants(system)
-            assert dc._assignment_order(system, inv) == reference_assignment_order(system, inv)
+            steps = dc._assignment_order(system.third_table.tolist(), inv)
+            assert steps == reference_assignment_order(system, inv)
 
 
 class TestCentreRoute:
