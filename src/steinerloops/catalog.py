@@ -14,7 +14,6 @@ from .design_core import (
     SteinerLoop,
     TripleSystem,
     are_isomorphic,
-    census,
     validate_system,
 )
 from .errors import UnknownKey
@@ -260,5 +259,4 @@ __all__ = [
     "fixture_keys",
     "fixture_provenance",
     "pasch_configurations",
-    "census",
 ]

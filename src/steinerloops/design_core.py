@@ -666,7 +666,8 @@ def _search_isomorphisms(
     return found
 
 
-# nodes an are_isomorphic search may visit, as find_equivalence's default
+# nodes a search may visit: the budget of are_isomorphic and the default
+# node_bound of steiner_operator.find_equivalence
 _NODE_BUDGET = 1_000_000
 
 

@@ -145,7 +145,10 @@ def parse_factor_system(text: str, q: SteinerLoop) -> FactorSystem:
     head = lines[0].split()
     if len(head) != 2:
         raise FormatError("first line must be 'w t'")
-    w, t = int(head[0]), int(head[1])
+    try:
+        w, t = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError("first line must be 'w t'") from exc
     qs = q.system()
     if w != qs.v:
         raise FormatError(f"file order {w} does not match the quotient order {qs.v}")
@@ -156,7 +159,10 @@ def parse_factor_system(text: str, q: SteinerLoop) -> FactorSystem:
         parts = line.split()
         if len(parts) != (4 if t else 3):
             raise FormatError(f"bad value line {line!r}")
-        tri = tuple(int(p) for p in parts[:3])
+        try:
+            tri = tuple(int(p) for p in parts[:3])
+        except ValueError as exc:
+            raise FormatError(f"bad point label in {line!r}") from exc
         if tri != qs.triples[idx]:
             raise FormatError(
                 f"line {idx + 2}: triple {tri} out of canonical order ({qs.triples[idx]})"
@@ -220,7 +226,10 @@ def parse_operator(text: str, q: SteinerLoop, n_loop: SteinerLoop) -> SteinerOpe
     head = lines[0].split()
     if len(head) != 2:
         raise FormatError("first line must be 'm n'")
-    m, k = int(head[0]), int(head[1])
+    try:
+        m, k = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError("first line must be 'm n'") from exc
     if m != q.n or k != n_loop.n:
         raise FormatError("operator header does not match the given loops")
     body = lines[1:]

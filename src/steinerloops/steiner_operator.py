@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design_core import SteinerLoop, Subloop, TripleSystem, quotient, system_from_loop
+from .design_core import (
+    _NODE_BUDGET,
+    SteinerLoop,
+    Subloop,
+    TripleSystem,
+    quotient,
+    system_from_loop,
+)
 from .errors import (
     BadDiagonal,
     BadIdentityBlock,
@@ -356,109 +363,73 @@ def verify_isotopy_family(op1: SteinerOperator, op2: SteinerOperator, gamma) -> 
     return bool(np.array_equal(lhs, rhs))
 
 
-def _candidate_maps(op1, op2, p, node_budget):
-    """Bijections g with op2[p,p](g x, g y) = op1[p,p](x, y) and compatible
-    with the identity-column blocks, found by backtracking."""
-    k = op1.n_loop.n
-    d1 = op1.blocks[p, p]
-    d2 = op2.blocks[p, p]
-    e1 = op1.blocks[p, 0]
-    e2 = op2.blocks[p, 0]
-    out = []
-    g = [-1] * k
-    taken = [False] * k
+def _candidate_maps(op1, op2, p) -> np.ndarray:
+    """The maps g that carry blocks (p, identity) and (p, p) of op1 to those
+    of op2, as the rows of an array in lexicographic order.
 
-    def ok(x):
-        # diagonal block maps straight through (the identity element of the
-        # quotient carries the identity permutation)
-        for a in range(k):
-            if g[a] < 0:
-                continue
-            if d2[g[x], g[a]] != d1[x, a] or d2[g[a], g[x]] != d1[a, x]:
-                return False
-        # block (p, identity): g(e1[u, y]) = e2[g(u), y]
-        for u in range(k):
-            if g[u] < 0:
-                continue
-            for y in range(k):
-                z = int(e1[u, y])
-                if g[z] != -1 and e2[g[u], y] != g[z]:
-                    return False
-        return True
-
-    def rec(x):
-        node_budget[0] -= 1
-        if node_budget[0] < 0:
-            raise BoundExceeded("isotopy search exceeded its node budget")
-        if x == k:
-            out.append(tuple(g))
-            return
-        for cand in range(k):
-            if taken[cand]:
-                continue
-            g[x] = cand
-            taken[cand] = True
-            if ok(x):
-                rec(x + 1)
-            taken[cand] = False
-            g[x] = -1
-
-    rec(0)
-    return out
+    Block (p, identity) is Latin, so g(e1[u, y]) = e2[g(u), y] fixes g once
+    g(0) = c is known: row c sends e1[0, y] to e2[c, y], and the rows come
+    in the order of c. By condition (iv) block (p, identity) undoes block
+    (p, p) row by row, so the rest of both conditions is one check,
+    d2[g(x), g(y)] = d1[x, y], made a row at a time."""
+    e1, e2 = op1.blocks[p, 0], op2.blocks[p, 0]
+    d1, d2 = op1.blocks[p, p], op2.blocks[p, p]
+    rows = np.empty_like(e1)
+    rows[:, e1[0]] = e2
+    return rows[[c for c, g in enumerate(rows) if (d2[g[:, None], g] == d1).all()]]
 
 
-def find_equivalence(op1: SteinerOperator, op2: SteinerOperator, node_bound: int = 1_000_000):
-    """Search for an isotopy family turning op1 into op2; None if exhaustive
-    search (within the node budget) finds none."""
+def find_equivalence(
+    op1: SteinerOperator, op2: SteinerOperator, node_bound: int = _NODE_BUDGET
+):
+    """Search for an isotopy family turning op1 into op2; None if there is
+    none. Depth-first over p = 1..m-1, each p's candidates in order; each
+    node places one map, and BoundExceeded is raised past node_bound
+    nodes."""
     _require_same_frame(op1, op2)
     m = op1.q.n
     k = op1.n_loop.n
     qt = op1.q.table
-    budget = [node_bound]
-    cands = [[tuple(range(k))]]
+    # per p: its candidate maps, and one block (a, b) per quotient triple
+    # {a, b, p} with a < b < p, checked when p is placed; conditions (ii)
+    # and (iv) carry that block's check to the other pairs of the triple
+    steps = [None]
     for p in range(1, m):
-        c = _candidate_maps(op1, op2, p, budget)
-        if not c:
+        cands = _candidate_maps(op1, op2, p)
+        if not len(cands):
             return None
-        cands.append(c)
-    maps = [None] * m
-    maps[0] = np.arange(k, dtype=np.int32)
+        a, b = np.nonzero(np.triu(qt[:p, :p] == p, 1))
+        steps.append((cands, a, b, op1.blocks[a, b]))
+    maps = np.empty((m, k), dtype=np.int32)
+    maps[0] = np.arange(k)
+    budget = node_bound
 
-    def compatible(p):
-        # every ordered pair with all three of (x, y, xy) assigned and p
-        # among them; this includes the pairs whose product is p, which
-        # become checkable only once p itself is placed
-        assigned = [a for a in range(m) if maps[a] is not None]
-        for x in assigned:
-            for y in assigned:
-                r = int(qt[x, y])
-                if maps[r] is None or p not in (x, y, r):
-                    continue
-                lhs = maps[r][op1.blocks[x, y]]
-                rhs = op2.blocks[x, y][maps[x][:, None], maps[y][None, :]]
-                if not np.array_equal(lhs, rhs):
-                    return False
-        return True
-
-    def rec(p):
-        budget[0] -= 1
-        if budget[0] < 0:
+    def place(p):
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
             raise BoundExceeded("isotopy search exceeded its node budget")
         if p == m:
             return True
-        for cand in cands[p]:
-            maps[p] = np.array(cand, dtype=np.int32)
-            if compatible(p) and rec(p + 1):
+        cands, a, b, block1 = steps[p]
+        for g in cands:
+            maps[p] = g
+            ga, gb = maps[a][:, :, None], maps[b][:, None, :]
+            block2 = op2.blocks[a[:, None, None], b[:, None, None], ga, gb]
+            if np.array_equal(g[block1], block2) and place(p + 1):
                 return True
-            maps[p] = None
         return False
 
-    if rec(1):
-        fam = IsotopyFamily(tuple(tuple(int(x) for x in g) for g in maps))
-        if not verify_isotopy_family(op1, op2, fam):
-            raise AssertionError("isotopy search returned a family that fails verification")
-        return fam
-    return None
+    try:
+        found = place(1)
+    finally:
+        del place  # place refers to itself: free the search now, not at the next gc
+    if not found:
+        return None
+    fam = IsotopyFamily(tuple(tuple(g) for g in maps.tolist()))
+    if not verify_isotopy_family(op1, op2, fam):
+        raise AssertionError("isotopy search returned a family that fails verification")
+    return fam
 
 
 def from_factor_system(f) -> SteinerOperator:

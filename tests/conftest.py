@@ -509,3 +509,112 @@ def reference_search_isomorphisms(s1, s2, find_all):
 
     extend(0)
     return found
+
+
+def reference_candidate_maps(op1, op2, p):
+    """Test-local oracle for steiner_operator._candidate_maps: the
+    backtracking search over bijections g, point by point in ascending
+    order, that keeps g consistent with the diagonal block (p, p) and the
+    identity-column block (p, 0) as it goes. Returns (maps, nodes), the maps
+    as tuples in the order found."""
+    k = op1.n_loop.n
+    d1 = op1.blocks[p, p]
+    d2 = op2.blocks[p, p]
+    e1 = op1.blocks[p, 0]
+    e2 = op2.blocks[p, 0]
+    out = []
+    g = [-1] * k
+    taken = [False] * k
+    nodes = 0
+
+    def ok(x):
+        # diagonal block maps straight through (the identity element of the
+        # quotient carries the identity permutation)
+        for a in range(k):
+            if g[a] < 0:
+                continue
+            if d2[g[x], g[a]] != d1[x, a] or d2[g[a], g[x]] != d1[a, x]:
+                return False
+        # block (p, identity): g(e1[u, y]) = e2[g(u), y]
+        for u in range(k):
+            if g[u] < 0:
+                continue
+            for y in range(k):
+                z = int(e1[u, y])
+                if g[z] != -1 and e2[g[u], y] != g[z]:
+                    return False
+        return True
+
+    def rec(x):
+        nonlocal nodes
+        nodes += 1
+        if x == k:
+            out.append(tuple(g))
+            return
+        for cand in range(k):
+            if taken[cand]:
+                continue
+            g[x] = cand
+            taken[cand] = True
+            if ok(x):
+                rec(x + 1)
+            taken[cand] = False
+            g[x] = -1
+
+    rec(0)
+    return out, nodes
+
+
+def reference_find_equivalence(op1, op2):
+    """Test-local oracle for steiner_operator.find_equivalence: the
+    candidates of reference_candidate_maps for every quotient element, then a
+    depth-first search over p = 1..m-1 that checks, whenever p is placed,
+    every ordered pair of quotient elements with both factors and their
+    product placed and p among the three. Returns (family or None,
+    candidate nodes, family nodes); no node budget."""
+    m = op1.q.n
+    k = op1.n_loop.n
+    qt = op1.q.table
+    cand_nodes = family_nodes = 0
+    cands = [[tuple(range(k))]]
+    for p in range(1, m):
+        c, nodes = reference_candidate_maps(op1, op2, p)
+        cand_nodes += nodes
+        if not c:
+            return None, cand_nodes, family_nodes
+        cands.append(c)
+    maps = [None] * m
+    maps[0] = np.arange(k, dtype=np.int32)
+
+    def compatible(p):
+        # every ordered pair with all three of (x, y, xy) assigned and p
+        # among them; this includes the pairs whose product is p, which
+        # become checkable only once p itself is placed
+        assigned = [a for a in range(m) if maps[a] is not None]
+        for x in assigned:
+            for y in assigned:
+                r = int(qt[x, y])
+                if maps[r] is None or p not in (x, y, r):
+                    continue
+                lhs = maps[r][op1.blocks[x, y]]
+                rhs = op2.blocks[x, y][maps[x][:, None], maps[y][None, :]]
+                if not np.array_equal(lhs, rhs):
+                    return False
+        return True
+
+    def rec(p):
+        nonlocal family_nodes
+        family_nodes += 1
+        if p == m:
+            return True
+        for cand in cands[p]:
+            maps[p] = np.array(cand, dtype=np.int32)
+            if compatible(p) and rec(p + 1):
+                return True
+            maps[p] = None
+        return False
+
+    if rec(1):
+        fam = sl.IsotopyFamily(tuple(tuple(int(x) for x in g) for g in maps))
+        return fam, cand_nodes, family_nodes
+    return None, cand_nodes, family_nodes

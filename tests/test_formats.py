@@ -78,6 +78,15 @@ class TestFactorFormat:
         with pytest.raises(FormatError):
             formats.parse_factor_system("\n".join(lines), f.q)
 
+    def test_non_numeric_header_and_label(self):
+        f = catalog.fixture("f_sts15_example")
+        with pytest.raises(FormatError, match="first line must be 'w t'"):
+            formats.parse_factor_system("x 1\n", f.q)
+        lines = formats.render_factor_system(f).splitlines()
+        lines[1] = "0 x 2 1"
+        with pytest.raises(FormatError, match="bad point label"):
+            formats.parse_factor_system("\n".join(lines), f.q)
+
     def test_t2_bits(self):
         q = catalog.fixture("fano_labeled").loop()
         f = sl.FactorSystem(q, 2, [0, 1, 2, 3, 0, 1, 2])
@@ -112,6 +121,14 @@ class TestSquareAndOperator:
         text = formats.render_operator(op)
         with pytest.raises(FormatError):
             formats.parse_operator(text, op.n_loop, op.n_loop)
+
+    def test_operator_non_numeric_header(self):
+        op = sl.double_operator(
+            catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11")
+        )
+        text = formats.render_operator(op).replace("2 10", "2 x", 1)
+        with pytest.raises(FormatError, match="first line must be 'm n'"):
+            formats.parse_operator(text, op.q, op.n_loop)
 
 
 class TestReportJson:

@@ -1,6 +1,13 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
-from conftest import reference_operator_check
+from conftest import (
+    reference_candidate_maps,
+    reference_find_equivalence,
+    reference_operator_check,
+)
 
 import steinerloops as sl
 from steinerloops import catalog
@@ -9,6 +16,7 @@ from steinerloops.errors import (
     BadDiagonal,
     BadIdentityBlock,
     BadSection,
+    BoundExceeded,
     DiagonalViolation,
     Incompletable,
     NotLatin,
@@ -375,6 +383,16 @@ class TestIsotopy:
         op2 = so.from_factor_system(catalog.fixture("f2_sts9"))
         assert sl.find_equivalence(op1, op2) is None
 
+    def test_node_bound_counts_family_nodes(self, example_op):
+        """The identity family places one map per non-identity quotient
+        element plus the closing node: m nodes in all. Candidate maps spend
+        none."""
+        m = example_op.q.n
+        fam = sl.find_equivalence(example_op, example_op, node_bound=m)
+        assert fam == sl.IsotopyFamily((tuple(range(10)),) * m)
+        with pytest.raises(BoundExceeded):
+            sl.find_equivalence(example_op, example_op, node_bound=m - 1)
+
     def test_shape_mismatch(self, example_op, fano_q):
         other = so.from_factor_system(sl.zero_factor_system(n1, fano_q))
         with pytest.raises(ShapeMismatch):
@@ -391,8 +409,9 @@ class TestIsotopy:
             assert (fam is not None) == (sl.are_equivalent(f1, f2) is not None)
 
     def test_equivalence_matches_theory_dimension_two(self, fano_q):
-        """Same agreement over a four-element subloop carrier, where the
-        search has genuine per-element permutation choices."""
+        """Same agreement over a four-element subloop carrier, where each
+        quotient element has up to four candidate maps (one per value at the
+        subloop identity) and the search must combine them."""
         import random
 
         rng = random.Random(31337)
@@ -406,3 +425,103 @@ class TestIsotopy:
                 f2 = sl.FactorSystem(fano_q, 2, [rng.randrange(4) for _ in range(7)])
             fam = sl.find_equivalence(so.from_factor_system(f1), so.from_factor_system(f2))
             assert (fam is not None) == (sl.are_equivalent(f1, f2) is not None)
+
+
+def assert_search_matches_reference(op1, op2):
+    """find_equivalence returns the oracle's family (or None) within exactly
+    the oracle's family nodes, and _candidate_maps lists the oracle's
+    candidates in the oracle's order."""
+    for p in range(1, op1.q.n):
+        want, _ = reference_candidate_maps(op1, op2, p)
+        assert so._candidate_maps(op1, op2, p).tolist() == [list(g) for g in want]
+    fam, cand_nodes, family_nodes = reference_find_equivalence(op1, op2)
+    # the oracle's search ran both stages on one budget of this default
+    assert cand_nodes + family_nodes <= so._NODE_BUDGET
+    assert sl.find_equivalence(op1, op2, node_bound=family_nodes) == fam
+    if family_nodes:
+        with pytest.raises(BoundExceeded):
+            sl.find_equivalence(op1, op2, node_bound=family_nodes - 1)
+    return fam
+
+
+class TestIsotopySearchMatchesReference:
+    """The closed-form candidates and the one-block-per-triple search give
+    the families of the backtracking oracle in tests/conftest.py."""
+
+    @pytest.mark.parametrize(
+        "key, ts",
+        [("fano_labeled", (1, 2, 3)), ("sts9_labeled", (1, 2)), ("sts15_2", (1, 2))],
+    )
+    def test_schreier_operators(self, key, ts):
+        """Half the pairs are f against f + delta(phi), half against an
+        independent f'."""
+        rng = random.Random(20241018)
+        q = catalog.fixture(key).loop()
+        qs = q.system()
+        found = []
+        for t in ts:
+            for i in range(4):
+                f1 = sl.FactorSystem(q, t, [rng.randrange(1 << t) for _ in range(qs.b)])
+                if i % 2:
+                    phi = sl.Cochain1(q, t, tuple(rng.randrange(1 << t) for _ in range(qs.v)))
+                    f2 = f1 + sl.coboundary(phi)
+                else:
+                    f2 = sl.FactorSystem(q, t, [rng.randrange(1 << t) for _ in range(qs.b)])
+                op1, op2 = so.from_factor_system(f1), so.from_factor_system(f2)
+                found.append(assert_search_matches_reference(op1, op2) is not None)
+        assert any(found) and not all(found)
+
+    @pytest.mark.parametrize("key", ["sts9_labeled", "sts15_2"])
+    def test_schreier_candidates_t3(self, key):
+        """Candidate lists alone over an eight-element carrier."""
+        rng = random.Random(20241018)
+        q = catalog.fixture(key).loop()
+        qs = q.system()
+        f1 = sl.FactorSystem(q, 3, [rng.randrange(8) for _ in range(qs.b)])
+        f2 = sl.FactorSystem(q, 3, [rng.randrange(8) for _ in range(qs.b)])
+        op1, op2 = so.from_factor_system(f1), so.from_factor_system(f2)
+        for p in range(1, q.n):
+            want, _ = reference_candidate_maps(op1, op2, p)
+            assert so._candidate_maps(op1, op2, p).tolist() == [list(g) for g in want]
+
+    def test_doubling_operators(self, sts9_loop):
+        """Every ordered pair of the first 12 symmetric squares of order 10
+        and phi_11."""
+        squares = list(itertools.islice(sl.enumerate_symmetric_squares(10), 12))
+        ops = [sl.double_operator(sts9_loop, sq) for sq in squares]
+        ops.append(sl.double_operator(sts9_loop, catalog.fixture("phi_11")))
+        found = [assert_search_matches_reference(a, b) is not None for a in ops for b in ops]
+        assert found.count(True) >= len(ops) and not all(found)
+
+    def test_extension_operators(self, fano_q, sts15_2):
+        """Operators of normal subloops {W, a, b, c} over a triple, under
+        seeded random sections; every ordered pair over one quotient table."""
+        rng = random.Random(20241019)
+        n2 = sl.ElemAbelian2(2)
+        q15 = sts15_2.loop()
+        loops = [
+            catalog.pg(3).loop(),
+            q15,
+            sl.build_schreier(n1, fano_q, catalog.fixture("f_sts15_example")),
+            catalog.pg(4).loop(),
+            sl.build_schreier(n2, fano_q, sl.FactorSystem(fano_q, 2, [1, 0, 0, 0, 0, 0, 0])),
+            sl.build_schreier(n1, q15, sl.FactorSystem(q15, 1, [1] + [0] * (sts15_2.b - 1))),
+        ]
+        frames = {}
+        for loop in loops:
+            subs = [sl.subloop(loop, {0, a + 1, b + 1, c + 1}) for a, b, c in loop.system().triples]
+            subs = [sub for sub in subs if sl.is_normal(loop, sub)]
+            for sub in rng.sample(subs, min(2, len(subs))):
+                cosets = sl.quotient(loop, sub).cosets
+                for _ in range(2):
+                    section = [0] + [rng.choice(sorted(c)) for c in cosets[1:]]
+                    op = sl.operator_from_extension(loop, sub, section)
+                    frames.setdefault(op.q.table.tobytes(), []).append(op)
+        assert sorted(ops[0].q.n for ops in frames.values()) == [4, 8]
+        found = [
+            assert_search_matches_reference(a, b) is not None
+            for ops in frames.values()
+            for a in ops
+            for b in ops
+        ]
+        assert any(found) and not all(found)
