@@ -13,6 +13,7 @@ import numpy as np
 from .design_core import (
     SteinerLoop,
     TripleSystem,
+    _derived_loop,
     are_isomorphic,
     validate_system,
 )
@@ -28,7 +29,7 @@ def pg(n: int) -> TripleSystem:
     if n < 1:
         raise ValueError("projective dimension must be >= 1")
     x = np.arange(1 << (n + 1), dtype=np.int32)
-    return SteinerLoop(x[:, None] ^ x).system()
+    return _derived_loop(x[:, None] ^ x).system()
 
 
 def ag(n: int) -> TripleSystem:

@@ -39,7 +39,6 @@ DEFAULT_BOUND_V = 63
 _SYSTEM_ALIASES = {
     "fano": "fano_labeled",
     "sts9": "sts9_labeled",
-    "sts15_2": "sts15_2",
 }
 
 
@@ -254,13 +253,11 @@ def cmd_double(args) -> int:
 
 
 def cmd_isomorphic(args) -> int:
-    def refuse(v):
-        if v > args.bound_v:
-            raise BoundExceeded(f"order exceeds --bound-v {args.bound_v}")
-
-    s1 = _resolve_system(args.first, refuse)
-    s2 = _resolve_system(args.second, refuse)
-    refuse(max(s1.v, s2.v))
+    s1, s2 = (
+        _resolve_system(spec, lambda v: _check_order(v, args.bound_v))
+        for spec in (args.first, args.second)
+    )
+    _check_order(max(s1.v, s2.v), args.bound_v)
     mapping = are_isomorphic(s1, s2, bound=args.bound_v)
     payload = {
         "schema": 1,

@@ -131,6 +131,9 @@ class TripleSystem:
 
     def third(self, x: int, y: int) -> int:
         """Third point of the triple through the distinct points x, y."""
+        for p in (x, y):
+            if not 0 <= p < self.v:
+                raise ValueError(f"point {p} outside 0..{self.v - 1}")
         z = int(self.third_table[x, y])
         if z < 0:
             raise ValueError(f"no triple through ({x},{y})")
@@ -181,7 +184,8 @@ def validate_system(v: int, triples) -> TripleSystem:
 
 
 class SteinerLoop:
-    """Totally symmetric loop with identity 0, stored as a dense Cayley table.
+    """Totally symmetric loop with identity 0, stored as a dense Cayley table,
+    validated on construction.
 
     The O(n^3) table scans (center, associativity) refuse orders above
     SCAN_ORDER_LIMIT with BoundExceeded.
@@ -194,6 +198,11 @@ class SteinerLoop:
         code = _kernels.steiner_violation(table)
         if code:
             raise NotTotallySymmetric(_VIOLATION_TEXT[code])
+        self._build(table)
+
+    def _build(self, table: np.ndarray) -> None:
+        """Fill every field from the int32 table of a Steiner loop; nothing
+        is checked here."""
         table.flags.writeable = False
         self.n = int(table.shape[0])
         self.table = table
@@ -204,6 +213,9 @@ class SteinerLoop:
         return self.n
 
     def mul(self, x: int, y: int) -> int:
+        for e in (x, y):
+            if not 0 <= e < self.n:
+                raise ValueError(f"element {e} outside 0..{self.n - 1}")
         return int(self.table[x, y])
 
     def is_associative(self) -> bool:
@@ -241,27 +253,31 @@ class SteinerLoop:
         return f"SteinerLoop(order={self.n})"
 
 
+def _derived_loop(table) -> SteinerLoop:
+    """The loop of a table that follows from checked data (a system, a
+    Schreier extension, an operator extension, an elementary abelian
+    2-group), made without a second check."""
+    loop = SteinerLoop.__new__(SteinerLoop)
+    loop._build(np.ascontiguousarray(table, dtype=np.int32))
+    return loop
+
+
 def loop_from_system(s: TripleSystem) -> SteinerLoop:
     """The loop of s: x.y is the third point on their line, x.x = 0."""
     # the diagonal -1 of the third-point table becomes the identity 0
     table = np.pad(s.third_table + 1, (1, 0))
     table[0] = table[:, 0] = np.arange(s.v + 1)
-    loop = SteinerLoop(table)
-    loop._system = s
-    return loop
+    return _derived_loop(table)
 
 
-def system_from_loop(loop) -> TripleSystem:
+def system_from_loop(loop: SteinerLoop) -> TripleSystem:
     """Inverse of loop_from_system under the fixed element labeling. The loop
     check already makes x.y the third point of a triple, so the system is
     read off the table without a second check."""
-    if not isinstance(loop, SteinerLoop):
-        loop = SteinerLoop(loop)
     if not admissible(loop.n - 1):  # the order-1 loop
         raise NotAdmissible(loop.n - 1)
     s = TripleSystem.__new__(TripleSystem)
     s._build(loop.table[1:, 1:] - 1)
-    s._loop = loop
     return s
 
 
@@ -323,8 +339,9 @@ def generated_subloop(loop: SteinerLoop, seed) -> Subloop:
     queue = list(current)
     while queue:
         x = queue.pop()
+        row = loop.table[x].tolist()
         for y in list(current):
-            z = loop.mul(x, y)
+            z = row[y]
             if z not in current:
                 current.add(z)
                 queue.append(z)
@@ -399,7 +416,7 @@ def coset_generated_subsystem(loop: SteinerLoop, n: Subloop, x: int) -> Subloop:
     if x in n.members:
         raise ElementInsideN(f"element {x} lies in the subloop")
     sub = generated_subloop(loop, set(n.members) | {x})
-    expected = frozenset(loop.mul(x, m) for m in n.members) | n.members
+    expected = frozenset(loop.table[x, list(n.members)].tolist()) | n.members
     if sub.members != expected or len(sub.members) != 2 * len(n.members):
         raise NotNormal("coset closure is inconsistent")
     return sub
@@ -431,9 +448,13 @@ def veblen_points_pasch(s: TripleSystem) -> frozenset:
 def is_projective_hyperplane(s: TripleSystem, subset) -> bool:
     """True iff the subsystem meets every triple of s."""
     subset = frozenset(int(p) for p in subset)
+    outside = sorted(p for p in subset if not 0 <= p < s.v)
+    if outside:
+        raise NotASubsystem(f"points {outside} outside 0..{s.v - 1}")
+    third = s.third_table.tolist()
     for x in subset:
         for y in subset:
-            if x < y and s.third(x, y) not in subset:
+            if x < y and third[x][y] not in subset:
                 raise NotASubsystem(f"pair ({x},{y}) closes outside the subset")
     if len(subset) == s.v:
         return False
@@ -585,13 +606,17 @@ def _assignment_order(third, inv):
     return steps
 
 
-def _search_isomorphisms(
-    s1: TripleSystem, s2: TripleSystem, find_all: bool, budget=None, reject=None
-):
+# nodes a search may visit: the budget of are_isomorphic and automorphisms and
+# the default node_bound of steiner_operator.find_equivalence
+_NODE_BUDGET = 1_000_000
+
+
+def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, find_all: bool, reject=None):
     """Point maps carrying s1's triples to s2's: all of them, or the first.
 
-    Past budget nodes the search raises BoundExceeded. reject is called once,
-    at the first dead end; when it returns True the search stops with no map.
+    Past _NODE_BUDGET nodes the search raises BoundExceeded. reject is called
+    once, at the first dead end; when it returns True the search stops with
+    no map.
     """
     if s1.v != s2.v:
         return []
@@ -613,6 +638,7 @@ def _search_isomorphisms(
     placed = []
     found = []
     nodes = 0
+    budget = _NODE_BUDGET  # read per call, so a patched module value takes effect
 
     def consistent(p, q):
         row1 = third1[p]
@@ -630,7 +656,7 @@ def _search_isomorphisms(
     def extend(k):
         nonlocal nodes, reject
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > budget:
             raise BoundExceeded(f"isomorphism search exceeded its budget of {budget} nodes")
         if k == len(steps):
             found.append(tuple(img))
@@ -666,11 +692,6 @@ def _search_isomorphisms(
     return found
 
 
-# nodes a search may visit: the budget of are_isomorphic and the default
-# node_bound of steiner_operator.find_equivalence
-_NODE_BUDGET = 1_000_000
-
-
 def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
     """True when the centres Z of the two loops prove the systems
     non-isomorphic; called only once their Pasch invariants agree.
@@ -687,14 +708,12 @@ def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
     if not 0 < closed < s1.v:
         return False
     try:
-        # fresh loops, not s.loop(): a cached loop and its system refer to each other
-        loops = [loop_from_system(s) for s in (s1, s2)]
         f1, f2 = (
             schreier.factor_system_from_extension(loop, Subloop(loop, loop.center()))
-            for loop in loops
+            for loop in (s1.loop(), s2.loop())
         )
         q1, q2 = f1.q_system, f2.q_system
-        found = _search_isomorphisms(q1, q2, find_all=False, budget=_NODE_BUDGET)
+        found = _search_isomorphisms(q1, q2, find_all=False)
         if not found:
             return True
         gamma, pair = found[0], q2.pair_triple
@@ -716,9 +735,7 @@ def are_isomorphic(s1: TripleSystem, s2: TripleSystem, bound: int = 31):
     """
     if max(s1.v, s2.v) > bound:
         raise BoundExceeded(f"order {max(s1.v, s2.v)} above isomorphism bound {bound}")
-    found = _search_isomorphisms(
-        s1, s2, find_all=False, budget=_NODE_BUDGET, reject=lambda: _centre_rejects(s1, s2)
-    )
+    found = _search_isomorphisms(s1, s2, find_all=False, reject=lambda: _centre_rejects(s1, s2))
     return found[0] if found else None
 
 
@@ -730,7 +747,8 @@ class PermGroup:
 
 
 def automorphisms(s: TripleSystem, bound: int = 31) -> PermGroup:
-    """Full automorphism group of s by exhaustive backtracking.
+    """Full automorphism group of s by exhaustive backtracking, refused with
+    BoundExceeded above order bound or past _NODE_BUDGET search nodes.
 
     The generators are chosen greedily: the sorted elements, each time the
     first one outside the subgroup generated so far. Elements are numbered in

@@ -21,6 +21,7 @@ from .design_core import (
     TripleSystem,
     admissible,
     _check_subloop,
+    _derived_loop,
     _quotient,
     _triple_point_rows,
     automorphisms,
@@ -139,10 +140,13 @@ def build_schreier(n: ElemAbelian2, q: SteinerLoop, f: FactorSystem) -> SteinerL
 
     Element (P, x) is flattened to index P * 2^t + x, so the copy of the
     2-group occupies indices 0 .. 2^t - 1 and is central by construction.
+    f is symmetric, vanishes on the identity and the diagonal and is constant
+    on quotient triples, so the table is a Steiner loop and is not checked
+    again.
     """
     if f.t != n.t or f.q.n != q.n or not np.array_equal(f.q.table, q.table):
         raise ValueError("factor system does not match the given frame")
-    return SteinerLoop(_extension_table(q.table, _schreier_blocks(f)))
+    return _derived_loop(_extension_table(q.table, _schreier_blocks(f)))
 
 
 def factor_system_from_extension(loop: SteinerLoop, z: Subloop) -> FactorSystem:

@@ -24,6 +24,7 @@ from .design_core import (
     SteinerLoop,
     Subloop,
     TripleSystem,
+    _derived_loop,
     quotient,
     system_from_loop,
 )
@@ -173,8 +174,10 @@ def _schreier_blocks(f) -> np.ndarray:
 
 
 def build_extension(op: SteinerOperator) -> SteinerLoop:
-    """Multiplication table on pairs (P, x) flattened to index P*k + x."""
-    return SteinerLoop(_extension_table(op.q.table, op.blocks))
+    """Multiplication table on pairs (P, x) flattened to index P*k + x;
+    conditions (i)-(iv), checked when op was built, make it a Steiner loop,
+    so it is not checked again."""
+    return _derived_loop(_extension_table(op.q.table, op.blocks))
 
 
 def operator_from_extension(loop: SteinerLoop, n: Subloop, section=None) -> SteinerOperator:
@@ -285,7 +288,7 @@ def double_operator(n_loop: SteinerLoop, square) -> SteinerOperator:
         raise NotSymmetric("doubling square must be symmetric")
     if (np.diagonal(square.entries) != 0).any():
         raise BadDiagonal("doubling square must carry the identity on its diagonal")
-    q2 = SteinerLoop(np.array([[0, 1], [1, 0]], dtype=np.int32))
+    q2 = _derived_loop(np.array([[0, 1], [1, 0]], dtype=np.int32))
     return complete_from_blocks(q2, n_loop, {1: square}, {})
 
 
@@ -436,4 +439,4 @@ def from_factor_system(f) -> SteinerOperator:
     """The operator of a Schreier extension: block (P,Q) sends (x, y) to
     x + y + f(P,Q) over the elementary abelian carrier."""
     blocks = _schreier_blocks(f)
-    return SteinerOperator(f.q, SteinerLoop(blocks[0, 0]), blocks)
+    return SteinerOperator(f.q, _derived_loop(blocks[0, 0]), blocks)

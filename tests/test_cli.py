@@ -251,8 +251,8 @@ class TestGeneratorKeys:
         [
             (["analyze", "--seed-fixture", "pg40"], "order 2199023255551 exceeds --bound-v 63"),
             (["analyze", "--seed-fixture", "ag40"], f"order {3**40} exceeds --bound-v 63"),
-            (["isomorphic", "pg40", "pg40"], "order exceeds --bound-v 63"),
-            (["isomorphic", "fano", "ag40"], "order exceeds --bound-v 63"),
+            (["isomorphic", "pg40", "pg40"], "order 2199023255551 exceeds --bound-v 63"),
+            (["isomorphic", "fano", "ag40"], f"order {3**40} exceeds --bound-v 63"),
             (
                 ["extend", "schreier", "--q", "pg40", "--t", "1", "--f", "zero"],
                 "built order 4398046511103 exceeds --bound-v 63",

@@ -184,6 +184,17 @@ class TestLoopFromSystem:
         loop = sts9.loop()
         assert all(loop.mul(x, x) == 0 for x in range(loop.n))
 
+    @pytest.mark.parametrize("x, y, label", [(-1, 0, -1), (0, 7, 7), (2, -3, -3)])
+    def test_third_refuses_points_outside(self, fano, x, y, label):
+        """-1 would index the table from its end and pass for point 6."""
+        with pytest.raises(ValueError, match=re.escape(f"point {label} outside 0..6")):
+            fano.third(x, y)
+
+    @pytest.mark.parametrize("x, y, label", [(-1, 1, -1), (1, 8, 8), (3, -8, -8)])
+    def test_mul_refuses_elements_outside(self, fano, x, y, label):
+        with pytest.raises(ValueError, match=re.escape(f"element {label} outside 0..7")):
+            fano.loop().mul(x, y)
+
     @pytest.mark.parametrize(
         "code, table",
         [
@@ -248,7 +259,7 @@ class TestSystemFromLoop:
             assert s.triples == ref[0] and s.v == loop.n - 1 and s.b == len(ref[0])
             for got, exp in zip((s.third_table, s.pair_triple, s.others), ref[1:]):
                 assert np.array_equal(got, exp)
-            assert s.loop() is loop
+            assert s.loop() == loop
 
 
 class TestGeneratedSubloop:
@@ -265,6 +276,20 @@ class TestGeneratedSubloop:
 
     def test_empty_seed(self, fano):
         assert sl.generated_subloop(fano.loop(), set()).members == {0}
+
+    def test_members_match_closure(self, sts15_2, pg3):
+        """Generated members equal the closure under all products."""
+        rng = random.Random(4)
+        for loop in (sts15_2.loop(), pg3.loop()):
+            for size in (1, 2, 3):
+                seed = set(rng.sample(range(1, loop.n), size))
+                want = seed | {0}
+                while True:
+                    grown = want | {int(loop.table[x, y]) for x in want for y in want}
+                    if grown == want:
+                        break
+                    want = grown
+                assert sl.generated_subloop(loop, seed).members == want
 
     @pytest.mark.parametrize("members", [{0, 7, -1}, {0, 8}, {0, 1, 2, 3, 100}])
     def test_members_outside_the_carrier_rejected(self, fano, members):
@@ -505,6 +530,27 @@ class TestHyperplanes:
     def test_not_subsystem_rejected(self, fano):
         with pytest.raises(NotASubsystem):
             sl.is_projective_hyperplane(fano, {0, 1, 3})
+
+    @pytest.mark.parametrize("subset, outside", [([0, 1, 2, 9], "[9]"), ([0, 1, 2, -7], "[-7]")])
+    def test_points_outside_the_carrier_rejected(self, fano, subset, outside):
+        """9 would leak a numpy IndexError, -7 would index row 0."""
+        with pytest.raises(NotASubsystem, match=re.escape(f"points {outside} outside 0..6")):
+            sl.is_projective_hyperplane(fano, subset)
+
+    def test_reported_pair_matches_reference(self, sts15_2):
+        """The first pair that closes outside, in the subset's iteration order."""
+        rng = random.Random(3)
+        for size in range(2, 12):
+            subset = frozenset(rng.sample(range(15), size))
+            want = None
+            for x in subset:
+                for y in subset:
+                    if want is None and x < y and sts15_2.third(x, y) not in subset:
+                        want = f"pair ({x},{y}) closes outside the subset"
+            if want is None:
+                continue
+            with pytest.raises(NotASubsystem, match=re.escape(want) + "$"):
+                sl.is_projective_hyperplane(sts15_2, subset)
 
     def test_enumeration(self, sts15_2):
         hs = sl.hyperplanes(sts15_2)
@@ -828,9 +874,15 @@ class TestNodeBudget:
         monkeypatch.setattr(dc, "_NODE_BUDGET", 8)  # a found map takes v + 1 nodes
         assert sl.are_isomorphic(fano, fano) == tuple(range(7))
 
-    def test_automorphisms_unbudgeted(self, monkeypatch, fano):
+    def test_automorphisms_refuse_past_the_budget(self, monkeypatch, fano):
+        """The listing search runs under the same budget: PG(4,2) would list
+        |GL(5,2)| = 9,999,360 elements."""
         monkeypatch.setattr(dc, "_NODE_BUDGET", 5)
-        assert sl.automorphisms(fano).order == 168
+        with pytest.raises(BoundExceeded, match="budget of 5 nodes"):
+            sl.automorphisms(fano)
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 20_000)
+        with pytest.raises(BoundExceeded, match="budget of 20000 nodes"):
+            sl.automorphisms(catalog.pg(4))
 
 
 class TestScanBound:

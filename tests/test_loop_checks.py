@@ -1,0 +1,154 @@
+"""Where a Steiner loop table is checked: once where it enters, never on a
+table derived from checked data. Derived tables stay checked a second way
+here, against the kernel, and a system and its loop hold no reference
+cycle."""
+
+import gc
+import itertools
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import steinerloops as sl
+from steinerloops import _kernels, catalog, formats, steiner_operator
+
+
+class Checked(Exception):
+    """Raised by the patched loop check."""
+
+
+def _refuse(table):
+    raise Checked
+
+
+def _quotient_data():
+    """A loop and a normal subloop of it."""
+    loop = catalog.pg(3).loop()
+    n = sl.subloop(loop, {0, 1, 2, 3})
+    return loop, n
+
+
+class TestDerivedTablesSkipTheCheck:
+    def test_routed_builders_build_without_the_check(self, monkeypatch, fano, sts9):
+        """Each builder gives the same table with the check patched to raise."""
+        q, q9 = fano.loop(), sl.SteinerLoop(sts9.loop().table)
+        f = sl.FactorSystem(q, 2, [0, 1, 2, 3, 1, 2, 3])
+        g = f + sl.coboundary(sl.Cochain1(q, 2, (1, 0, 3, 2, 0, 1, 1)))
+        n_loop, square = catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11")
+        loop, n = _quotient_data()
+        op = sl.operator_from_extension(loop, n)
+        builders = {
+            "loop_from_system": lambda: sl.loop_from_system(sts9).table,
+            "build_schreier": lambda: sl.build_schreier(sl.ElemAbelian2(2), q, f).table,
+            "are_equivalent": lambda: sl.are_equivalent(f, g).values,
+            "build_extension": lambda: sl.build_extension(op).table,
+            "double": lambda: sl.double(n_loop, square).third_table,
+            "double_operator": lambda: sl.double_operator(n_loop, square).blocks,
+            "from_factor_system": lambda: steiner_operator.from_factor_system(f).n_loop.table,
+            "pg": lambda: catalog.pg(4).third_table,
+            "system_from_loop": lambda: sl.system_from_loop(q9).third_table,
+        }
+        want = {name: build() for name, build in builders.items()}
+        monkeypatch.setattr(_kernels, "steiner_violation", _refuse)
+        for name, build in builders.items():
+            assert np.array_equal(build(), want[name]), name
+
+    def test_entering_tables_reach_the_check(self, monkeypatch, sts9):
+        table = sts9.loop().table
+        text = formats.render_loop_csv(sts9.loop())
+        loop, n = _quotient_data()
+        monkeypatch.setattr(_kernels, "steiner_violation", _refuse)
+        entries = {
+            "SteinerLoop": lambda: sl.SteinerLoop(table),
+            "parse_loop_csv": lambda: formats.parse_loop_csv(text),
+            "quotient": lambda: sl.quotient(loop, n),
+            "as_loop": lambda: n.as_loop(),
+            "operator_from_extension": lambda: sl.operator_from_extension(loop, n),
+        }
+        for name, enter in entries.items():
+            try:
+                enter()
+            except Checked:
+                continue
+            pytest.fail(f"{name} skipped the loop check")
+
+
+def _violation(loop) -> int:
+    return _kernels.steiner_violation(np.ascontiguousarray(loop.table))
+
+
+@given(
+    name=st.sampled_from(["fano_labeled", "sts9_labeled", "sts13_a"]),
+    t=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_schreier_tables_are_steiner_loops(name, t, data):
+    q = catalog.fixture(name).loop()
+    b = q.system().b
+    values = data.draw(st.lists(st.integers(0, (1 << t) - 1), min_size=b, max_size=b))
+    loop = sl.build_schreier(sl.ElemAbelian2(t), q, sl.FactorSystem(q, t, values))
+    assert _violation(loop) == 0
+
+
+@lru_cache(maxsize=None)
+def _extension_sources():
+    """(loop, normal subloop) pairs with quotient orders 4, 2 and 2."""
+    sts15_2 = catalog.fixture("sts15_2")
+    sts19 = sl.double(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11"))
+    out = []
+    for s, members in (
+        (catalog.pg(3), {0, 1, 2, 3}),
+        (sts15_2, {0} | {p + 1 for p in sl.hyperplanes(sts15_2)[0]}),
+        (sts19, range(10)),
+    ):
+        loop = s.loop()
+        out.append((loop, sl.subloop(loop, members)))
+    return out
+
+
+@given(which=st.integers(0, 2), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_operator_extensions_are_steiner_loops(which, data):
+    loop, n = _extension_sources()[which]
+    cosets = sl.quotient(loop, n).cosets
+    section = [0] + [data.draw(st.sampled_from(sorted(c))) for c in cosets[1:]]
+    op = sl.operator_from_extension(loop, n, section)
+    assert _violation(sl.build_extension(op)) == 0
+
+
+@lru_cache(maxsize=None)
+def _squares(k: int) -> tuple:
+    return tuple(itertools.islice(sl.enumerate_symmetric_squares(k), 40))
+
+
+@given(source=st.sampled_from(["pg1", "fano_labeled", "sts9_loop_table"]), i=st.integers(0, 39))
+@settings(max_examples=30, deadline=None)
+def test_doublings_are_steiner_loops(source, i):
+    obj = catalog.pg(1) if source == "pg1" else catalog.fixture(source)
+    n_loop = obj if isinstance(obj, sl.SteinerLoop) else obj.loop()
+    squares = _squares(n_loop.n)
+    square = squares[i % len(squares)]
+    loop = sl.build_extension(sl.double_operator(n_loop, square))
+    assert _violation(loop) == 0
+    assert sl.double(n_loop, square) == loop.system()
+
+
+def test_system_and_loop_hold_no_cycle(sts9):
+    """Dropped system-loop pairs are freed by reference counting alone."""
+    table = sts9.loop().table
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            s = sl.TripleSystem(sts9.v, sts9.triples)
+            s.loop().center()
+            loop = sl.SteinerLoop(table)
+            loop.system().others
+            del s, loop
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
