@@ -11,11 +11,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cached_property
 
 import numpy as np
 
-from . import _kernels, gf2
+from . import _chain, _kernels, gf2
 from .errors import (
     BadTriple,
     BoundExceeded,
@@ -607,26 +607,27 @@ def _assignment_order(third, inv):
 
 
 # nodes a search may visit: the budget of are_isomorphic and automorphisms and
-# the default node_bound of steiner_operator.find_equivalence
+# the default node_bound of steiner_operator.find_equivalence; also the most
+# elements PermGroup.elements lists
 _NODE_BUDGET = 1_000_000
 
 
-def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, find_all: bool, reject=None):
-    """Point maps carrying s1's triples to s2's: all of them, or the first.
+def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, reject=None):
+    """The first point map carrying s1's triples to s2's, or None.
 
     Past _NODE_BUDGET nodes the search raises BoundExceeded. reject is called
     once, at the first dead end; when it returns True the search stops with
     no map.
     """
     if s1.v != s2.v:
-        return []
+        return None
     v = s1.v
     if v == 1:
-        return [(0,)]
+        return (0,)
     inv1 = _invariants(s1)
     inv2 = _invariants(s2)
     if sorted(inv1) != sorted(inv2):
-        return []
+        return None
     third1 = s1.third_table.tolist()
     third2 = third1 if s2 is s1 else s2.third_table.tolist()
     steps = _assignment_order(third1, inv1)
@@ -660,7 +661,7 @@ def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, find_all: bool, rej
             raise BoundExceeded(f"isomorphism search exceeded its budget of {budget} nodes")
         if k == len(steps):
             found.append(tuple(img))
-            return not find_all
+            return True
         kind, p, a, b = steps[k]
         if kind == "forced":
             q = third2[img[a]][img[b]]
@@ -689,7 +690,7 @@ def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, find_all: bool, rej
         extend(0)
     finally:
         del extend  # extend refers to itself: free the search now, not at the next gc
-    return found
+    return found[0] if found else None
 
 
 def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
@@ -713,10 +714,10 @@ def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
             for loop in (s1.loop(), s2.loop())
         )
         q1, q2 = f1.q_system, f2.q_system
-        found = _search_isomorphisms(q1, q2, find_all=False)
-        if not found:
+        gamma = _search_isomorphisms(q1, q2)
+        if gamma is None:
             return True
-        gamma, pair = found[0], q2.pair_triple
+        pair = q2.pair_triple
         carried = [f2.values[pair[gamma[a], gamma[b]]] for a, b, _ in q1.triples]
         report = schreier.classify(schreier.ElemAbelian2(f1.t), f1.q)
     except BoundExceeded:
@@ -735,48 +736,56 @@ def are_isomorphic(s1: TripleSystem, s2: TripleSystem, bound: int = 31):
     """
     if max(s1.v, s2.v) > bound:
         raise BoundExceeded(f"order {max(s1.v, s2.v)} above isomorphism bound {bound}")
-    found = _search_isomorphisms(s1, s2, find_all=False, reject=lambda: _centre_rejects(s1, s2))
-    return found[0] if found else None
+    return _search_isomorphisms(s1, s2, reject=lambda: _centre_rejects(s1, s2))
 
 
 @dataclass(frozen=True)
 class PermGroup:
+    """A group of point permutations held as a stabiliser chain.
+
+    transversals[i] holds, for each point of the orbit of base[i] under the
+    stabiliser of base[:i], one element sending base[i] there, in ascending
+    order of that point. Every element is one product
+    transversals[0][j0] o transversals[1][j1] o ..., so order is the product
+    of the orbit lengths.
+    """
+
     order: int
     generators: tuple
-    elements: tuple
+    base: tuple
+    transversals: tuple
+
+    @cached_property
+    def elements(self) -> tuple:
+        """Every element, sorted, listed off the chain on first access;
+        BoundExceeded above _NODE_BUDGET elements."""
+        if self.order > _NODE_BUDGET:
+            raise BoundExceeded(
+                f"group of order {self.order} exceeds the listing budget of {_NODE_BUDGET} elements"
+            )
+        v = len(self.transversals[0][0])
+        rows = np.arange(v)[None]
+        for level in reversed(self.transversals):  # u o rows for each u of the level
+            rows = np.array(level, dtype=np.int32)[:, rows].reshape(-1, v)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        return tuple(map(tuple, rows.tolist()))
 
 
 def automorphisms(s: TripleSystem, bound: int = 31) -> PermGroup:
-    """Full automorphism group of s by exhaustive backtracking, refused with
+    """Full automorphism group of s as a stabiliser chain, refused with
     BoundExceeded above order bound or past _NODE_BUDGET search nodes.
 
     The generators are chosen greedily: the sorted elements, each time the
-    first one outside the subgroup generated so far. Elements are numbered in
-    sorted order; each generator's right multiplication x -> x o g is built
-    once as an index map, and membership grows by a search from the current
-    subgroup over all maps built so far.
+    first one outside the subgroup generated so far. They are the strong
+    generators of the chain (_chain.automorphism_chain); no element is listed.
     """
     if s.v > bound:
         raise BoundExceeded(f"order {s.v} above automorphism bound {bound}")
-    elements = sorted(_search_isomorphisms(s, s, find_all=True))
-    index = {g: i for i, g in enumerate(elements)}
-    member = bytearray(len(elements))
-    member[index[tuple(range(s.v))]] = 1
-    gens, maps = [], []
-    for i, g in enumerate(elements):
-        if member[i]:
-            continue
-        gens.append(g)
-        times_g = itemgetter(*g)  # x -> x o g as a tuple, for v >= 3
-        maps.append([index[times_g(x)] for x in elements])
-        frontier = [j for j in range(len(elements)) if member[j]]
-        while frontier:
-            nxt = []
-            for j in frontier:
-                for right in maps:
-                    k = right[j]
-                    if not member[k]:
-                        member[k] = 1
-                        nxt.append(k)
-            frontier = nxt
-    return PermGroup(len(elements), tuple(gens), tuple(elements))
+    # _NODE_BUDGET is read per call, so a patched module value takes effect
+    base, transversals, generators = _chain.automorphism_chain(
+        s.third_table.tolist(), _invariants(s), _NODE_BUDGET
+    )
+    order = 1
+    for level in transversals:
+        order *= len(level)
+    return PermGroup(order, generators, base, transversals)

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -736,15 +737,35 @@ class TestAutomorphisms:
         g = sl.automorphisms(catalog.pg(2))
         assert len(reference_closure(g.generators, 7)) == g.order
 
-    @pytest.mark.parametrize("name", ["fano", "sts9", "sts13_a", "sts13_b", "sts15_2", "ag2"])
+    @pytest.mark.parametrize(
+        "name", ["fano", "sts9", "sts13_a", "sts13_b", "sts15_2", "ag2", "pg3"]
+    )
     def test_generators_are_the_greedy_choice(self, name):
-        """The one-pass closure keeps the greedy choice: the sorted elements,
-        each time the first one outside the subgroup generated so far."""
+        """The generators read off the chain are the greedy choice: the
+        sorted elements, each time the first one outside the subgroup
+        generated so far. Checked on the system and three relabellings."""
         s = _named_system(name)
+        for system in (s, _relabelled(s, 1), _relabelled(s, 2), _relabelled(s, 3)):
+            g = sl.automorphisms(system)
+            listed = tuple(sorted(reference_search_isomorphisms(system, system, find_all=True)))
+            assert g.elements == listed
+            assert g.generators == reference_generators(listed, system.v)
+            assert len(reference_closure(g.generators, system.v)) == g.order == len(listed)
+
+    @pytest.mark.parametrize("name", ["fano", "sts13_a", "sts15_2", "pg3"])
+    def test_chain_shape(self, name):
+        """base[i] lies outside the subsystem generated by base[:i], and
+        transversals[i] sends base[i] to each point of its basic orbit in
+        ascending order while fixing base[:i]."""
+        s = _relabelled(_named_system(name), 4)
         g = sl.automorphisms(s)
-        assert g.elements == tuple(sorted(reference_search_isomorphisms(s, s, find_all=True)))
-        assert g.generators == reference_generators(g.elements, s.v)
-        assert len(reference_closure(g.generators, s.v)) == g.order == len(g.elements)
+        for i, (b, level) in enumerate(zip(g.base, g.transversals)):
+            assert P(b) not in sl.generated_subloop(s.loop(), [P(x) for x in g.base[:i]]).members
+            images = [u[b] for u in level]
+            assert images == sorted(images) and b in images
+            assert all(u[x] == x for u in level for x in g.base[:i])
+        assert sl.generated_subloop(s.loop(), [P(x) for x in g.base]).order == s.v + 1
+        assert g.order == np.prod([len(level) for level in g.transversals])
 
     def test_every_generator_preserves_triples(self, sts15_2):
         g = sl.automorphisms(sts15_2)
@@ -755,6 +776,48 @@ class TestAutomorphisms:
     def test_bound(self, pg3):
         with pytest.raises(BoundExceeded):
             sl.automorphisms(pg3, bound=10)
+
+
+class TestLargeGroups:
+    """Groups far past the node budget in size come back from the chain
+    without listing their elements."""
+
+    @pytest.mark.parametrize(
+        "name, order",
+        [("ag3", 303_264), ("pg4", np.prod([2**5 - 2**i for i in range(5)]))],
+    )
+    def test_order_and_generators(self, name, order):
+        s = _named_system(name)
+        tset = set(s.triples)
+        start = time.perf_counter()
+        g = sl.automorphisms(s)
+        assert time.perf_counter() - start < 1.0
+        assert g.order == order
+        for perm in g.generators:
+            assert sorted(perm) == list(range(s.v))
+            assert {tuple(sorted(perm[p] for p in t)) for t in tset} == tset
+
+    def test_generators_generate(self):
+        """Each greedy generator lies outside the group of the ones before
+        it, and all of them generate a group of the chain's order, by an
+        independent Schreier-Sims."""
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        g = sl.automorphisms(catalog.pg(4))
+        perms = [combinatorics.Permutation(list(p)) for p in g.generators]
+        for j in range(1, len(perms)):
+            assert not combinatorics.PermutationGroup(perms[:j]).contains(perms[j])
+        assert combinatorics.PermutationGroup(perms).order() == g.order == 9_999_360
+
+    def test_elements_refused_without_listing(self):
+        g = sl.automorphisms(catalog.pg(4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceeded, match="order 9999360 exceeds the listing budget"):
+                g.elements
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestAreIsomorphic:
@@ -875,14 +938,10 @@ class TestNodeBudget:
         assert sl.are_isomorphic(fano, fano) == tuple(range(7))
 
     def test_automorphisms_refuse_past_the_budget(self, monkeypatch, fano):
-        """The listing search runs under the same budget: PG(4,2) would list
-        |GL(5,2)| = 9,999,360 elements."""
+        """The chain searches count their nodes against the same budget."""
         monkeypatch.setattr(dc, "_NODE_BUDGET", 5)
         with pytest.raises(BoundExceeded, match="budget of 5 nodes"):
             sl.automorphisms(fano)
-        monkeypatch.setattr(dc, "_NODE_BUDGET", 20_000)
-        with pytest.raises(BoundExceeded, match="budget of 20000 nodes"):
-            sl.automorphisms(catalog.pg(4))
 
 
 class TestScanBound:

@@ -438,6 +438,35 @@ class TestClassify:
             assert rep.class_reps == rep.orbit_reps == ((0,) * qs.b,)
             assert rep.witnesses == ((tuple(range(1 << t)), tuple(range(q.n))),)
 
+    def test_never_lists_the_group(self, fano, sts9, monkeypatch):
+        """classify, and with it the centre route of are_isomorphic, reads
+        only the generators of Aut(q): listing the elements of any group
+        fails the test."""
+        reps = {}
+        for qs, t in ((fano, 1), (fano, 2), (sts9, 1), (sts9, 2)):
+            reps[qs.v, t] = sl.classify(sl.ElemAbelian2(t), qs.loop())
+
+        def forbidden(group):
+            raise AssertionError("group elements listed")
+
+        groups = []
+        automorphisms = schreier.automorphisms
+        monkeypatch.setattr(sl.PermGroup, "elements", property(forbidden))
+        monkeypatch.setattr(
+            schreier, "automorphisms", lambda s: groups.append(s) or automorphisms(s)
+        )
+        for qs, t in ((fano, 1), (fano, 2), (sts9, 1), (sts9, 2)):
+            assert sl.classify(sl.ElemAbelian2(t), qs.loop()) == reps[qs.v, t]
+        counts = [(r.equivalence_class_count, r.isomorphism_class_count) for r in reps.values()]
+        assert counts == [(8, 2), (64, 3), (8, 3), (64, 5)]
+        q = sts9.loop()
+        a, b = (
+            sl.build_schreier(n1, q, sl.FactorSystem(q, 1, vals)).system()
+            for vals in reps[9, 1].orbit_reps[:2]
+        )
+        assert sl.are_isomorphic(a, b) is None
+        assert len(groups) == 5  # four classify calls, then the rejection's quotient
+
     @pytest.mark.parametrize(
         "key, t", [("fano", 1), ("sts9", 1), ("sts3", 1), ("sts3", 2), ("sts3", 3)]
     )
