@@ -210,6 +210,66 @@ def reference_pasch_census(s):
     return counts, closed
 
 
+def reference_fano_rows(third, others):
+    """Test-local oracle for _kernels.fano_planes: the point-by-point scan,
+    the same rows in the same order."""
+    v, r, _ = others.shape
+    found = [np.empty((0, 7), dtype=np.int32)]
+    # pairs i < j ordered by j, so the pairs among the first k lines are a prefix
+    jj, ii = np.tril_indices(r, k=-1)
+    line_of = np.zeros(v, dtype=np.intp)
+    for p in range(v):
+        # p is the least point, so only lines through p above p take part
+        lines = others[p][np.minimum(others[p, :, 0], others[p, :, 1]) > p]
+        k = len(lines)
+        if k < 3:
+            continue
+        a, b = lines[:, 0], lines[:, 1]
+        line_of[a] = line_of[b] = np.arange(k)
+        i, j = ii[: k * (k - 1) // 2], jj[: k * (k - 1) // 2]
+        e = third[a[i], a[j]]
+        f = third[a[i], b[j]]
+        keep = (e == third[b[i], b[j]]) & (f == third[b[i], a[j]]) & (e > p) & (f > p)
+        i, j, e, f = i[keep], j[keep], e[keep], f[keep]
+        # the seventh line {p,e,f} closes and comes after both chosen lines
+        keep = (third[e, f] == p) & (line_of[e] > j)
+        i, j, e, f = i[keep], j[keep], e[keep], f[keep]
+        if len(i):
+            p_col = np.full(len(i), p, dtype=np.int32)
+            found.append(np.stack([p_col, a[i], b[i], a[j], b[j], e, f], axis=1))
+    return np.concatenate(found)
+
+
+def reference_center_mask(table):
+    """Test-local oracle for _kernels.center_mask: one candidate z at a time."""
+    n = table.shape[0]
+    mask = np.empty(n, dtype=np.bool_)
+    for z in range(n):
+        mask[z] = np.array_equal(table[table, z], table[:, table[:, z]])
+    return mask
+
+
+def reference_echelonize(rows, n_cols):
+    """Test-local oracle for gf2.echelonize: each incoming row is tested
+    against every pivot in turn."""
+    basis = []
+    pivots = []
+    for row in rows:
+        for b, p in zip(basis, pivots):
+            if (row >> p) & 1:
+                row ^= b
+        if row == 0:
+            continue
+        p = (row & -row).bit_length() - 1
+        for i, b in enumerate(basis):
+            if (b >> p) & 1:
+                basis[i] ^= row
+        basis.append(row)
+        pivots.append(p)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
 def reference_census(s):
     """Test-local oracle for census: Pasch counts from reference_pasch_census,
     Fano counts per point and per triple tallied plane by plane over

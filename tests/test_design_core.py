@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -11,8 +12,10 @@ from conftest import (
     reference_as_loop,
     reference_assignment_order,
     reference_census,
+    reference_center_mask,
     reference_check_subloop,
     reference_closure,
+    reference_fano_rows,
     reference_generators,
     reference_normality_witness,
     reference_pasch_census,
@@ -21,7 +24,7 @@ from conftest import (
     reference_system_from_loop,
     reference_triple_system,
 )
-from steinerloops import _kernels, catalog, schreier
+from steinerloops import _kernels, catalog, gf2, schreier
 from steinerloops import design_core as dc
 from steinerloops.design_core import _VIOLATION_TEXT
 from steinerloops.errors import (
@@ -559,6 +562,31 @@ class TestHyperplanes:
         assert all(len(h) == 7 for h in hs)
         assert sl.hyperplanes(catalog.ag(2)) == ()
 
+    @pytest.mark.parametrize(
+        "name",
+        ["pg4", "pg5", "ag3", "ag4", "sts13_a", "sts13_b", "sts15_2", "double19", "sts19", "sts31"],
+    )
+    def test_checked_a_second_way(self, name):
+        """Every set is a hyperplane by the subsystem test, and there are
+        2^(v - rank) - 1 of them, the nonzero vectors of the kernel of the
+        triple-point incidence rows."""
+        if name == "sts31":  # a seeded Schreier extension of sts15_2
+            q, rng = catalog.fixture("sts15_2").loop(), random.Random(31)
+            values = [rng.randrange(2) for _ in range(q.system().b)]
+            s = sl.build_schreier(sl.ElemAbelian2(1), q, sl.FactorSystem(q, 1, values)).system()
+        else:
+            s = _kernel_system(name)
+        hs = sl.hyperplanes(s)
+        rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.triples]
+        assert len(hs) == 2 ** (s.v - gf2.rank(rows, s.v)) - 1
+        assert len(set(hs)) == len(hs)
+        assert all(sl.is_projective_hyperplane(s, h) for h in hs)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_projective_count(self, n):
+        """PG(n,2) has as many hyperplanes as points."""
+        assert len(sl.hyperplanes(catalog.pg(n))) == 2 ** (n + 1) - 1
+
 
 class TestCensus:
     def test_pg3_formulas(self, pg3):
@@ -670,25 +698,28 @@ class TestCensus:
         assert retained < 400_000
 
 
+KERNEL_SYSTEMS = ["pg2", "pg3", "pg4", "pg5", "ag2", "ag3", "ag4", "sts13_a", "sts13_b", "sts15_2", "sts19"]
+
+
+def _kernel_system(name):
+    if name == "sts19":  # a Schreier extension of sts9 with a proper centre
+        return _orbit_representatives("sts9_labeled", 1)[1]
+    return _named_system(name)
+
+
 class TestPaschKernel:
     @pytest.mark.parametrize("block", ["default", "one entry", "four points"])
-    @pytest.mark.parametrize(
-        "name",
-        ["pg2", "pg3", "pg4", "pg5", "ag2", "ag3", "ag4", "sts13_a", "sts13_b", "sts15_2", "sts19"],
-    )
+    @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
     def test_matches_reference(self, monkeypatch, name, block):
         """The block scan gives the point-by-point counts and closed flags,
         whether a block is one point, four points (never a divisor of the
         odd v) or as many as fit in the default temporaries."""
-        if name == "sts19":  # a Schreier extension of sts9 with a proper centre
-            s = _orbit_representatives("sts9_labeled", 1)[1]
-        else:
-            s = _named_system(name)
+        s = _kernel_system(name)
         pairs = s.others.shape[1] * (s.others.shape[1] - 1) // 2
         if block == "one entry":
-            monkeypatch.setattr(_kernels, "_PASCH_BLOCK_ENTRIES", 1)
+            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 1)
         elif block == "four points":
-            monkeypatch.setattr(_kernels, "_PASCH_BLOCK_ENTRIES", 4 * pairs)
+            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 4 * pairs)
         counts, closed = _kernels.pasch_census(s.third_table, s.others)
         assert counts.dtype == np.int64 and closed.dtype == np.bool_
         assert (counts.tolist(), closed.tolist()) == reference_pasch_census(s)
@@ -706,6 +737,81 @@ class TestPaschKernel:
         finally:
             tracemalloc.stop()
         assert peak < 400_000
+
+
+class TestCenterAndFanoKernels:
+    """The block scans of center_mask and fano_planes give the arrays of the
+    one-at-a-time scans, dtype and row order included, whether a block is
+    one entry, a few candidates or points, or as large as the default."""
+
+    @pytest.mark.parametrize("block", ["default", "one entry", "three candidates"])
+    @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+    def test_center_matches_reference(self, monkeypatch, name, block):
+        table = _kernel_system(name).loop().table
+        if block == "one entry":
+            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 1)
+        elif block == "three candidates":
+            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * table.size)
+        got, want = _kernels.center_mask(table), reference_center_mask(table)
+        assert got.dtype == want.dtype == np.bool_
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [1, 1 << 12])
+    def test_center_on_tables_that_do_not_commute(self, monkeypatch, block):
+        """The identity is read as written, (a.b).z against a.(b.z), on any
+        n x n table: the multiplication table of the non-abelian group S3 and
+        seeded random tables."""
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", block)
+        perms = sorted(itertools.permutations(range(3)))
+        index = {p: i for i, p in enumerate(perms)}
+        s3 = np.array([[index[tuple(p[x] for x in q)] for q in perms] for p in perms], np.int32)
+        rng = np.random.default_rng(5)
+        tables = [s3] + [rng.integers(0, n, (n, n), dtype=np.int32) for n in (1, 2, 5, 17, 70)]
+        for table in tables:
+            assert np.array_equal(_kernels.center_mask(table), reference_center_mask(table))
+        assert _kernels.center_mask(s3).all()  # a group: associative at every z
+
+    @pytest.mark.parametrize("block", ["default", "one entry", "four points"])
+    @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+    def test_fano_matches_reference(self, monkeypatch, name, block):
+        s = _kernel_system(name)
+        r = s.others.shape[1]
+        if block == "one entry":
+            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 1)
+        elif block == "four points":  # four points with every line above them
+            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 4 * r * (r - 1) // 2)
+        got = _kernels.fano_planes(s.third_table, s.others)
+        want = reference_fano_rows(s.third_table, s.others)
+        assert got.dtype == want.dtype == np.int32
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_on_relabelled_systems(self):
+        """Relabelling changes which lines lie above each point and the
+        order of others[p]; the rows and masks still match."""
+        for name in ("pg4", "sts15_2", "sts19"):
+            for seed in (1, 2):
+                s = _relabelled(_kernel_system(name), seed)
+                table = s.loop().table
+                assert np.array_equal(_kernels.center_mask(table), reference_center_mask(table))
+                got = _kernels.fano_planes(s.third_table, s.others)
+                assert np.array_equal(got, reference_fano_rows(s.third_table, s.others))
+
+    @pytest.mark.parametrize("kernel, limit", [("fano_planes", 1_250_000), ("center_mask", 400_000)])
+    def test_temporaries_stay_bounded(self, kernel, limit):
+        """On pg(6) (v = 127, loop order 128): fano_planes returns 11811 rows
+        (331 KB, held twice while the blocks are joined) and gathers fewer
+        than 2^12 + 1953 line pairs at a time; center_mask compares one
+        candidate at a time, two 128 x 128 int32 gathers. A scan of all
+        points or candidates at once would take several MB."""
+        s = catalog.pg(6)
+        args = (s.loop().table,) if kernel == "center_mask" else (s.third_table, s.others)
+        tracemalloc.start()
+        try:
+            getattr(_kernels, kernel)(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestNormalTripleFano:
