@@ -19,30 +19,35 @@ Kernel contracts (n = loop order, v = system order):
     both sides for all a, b and every z of the block, so each temporary
     holds k n^2 entries, at most 2^12 unless n > 64.
 
-``pasch_census(third, others)``
-    (counts int64[v], closed bool[v]). ``others[p]`` lists the (v-1)/2
-    point pairs completing the triples through p; ``third[a,b]`` is the
-    third point on the line a,b. counts[p] is the number of Pasch
-    configurations through p, closed[p] is True iff every pair of triples
-    through p closes both ways (the Pasch-closure reading of a Veblen
-    point). Points are scanned in blocks: for each block the i < j pairs
-    of lines through its points are gathered at once by flat ``take`` on
-    ``third.ravel()``, so each temporary holds about 2^12 entries (one
-    point's r(r-1)/2 pairs when that is more), r = (v-1)/2.
+``pasch_census(third)``
+    (counts int64[v], closed bool[v]); ``third[a,b]`` is the third point on
+    the line a,b. counts[p] is the number of Pasch configurations through
+    p, closed[p] is True iff every pair of lines through p closes both ways
+    (the Pasch-closure reading of a Veblen point). Each configuration is
+    found once, at its least point p, from two lines {p,a,b}, {p,c,d}
+    above p: it closes straight into {a,c,e}, {b,d,e} when
+    e = third[a,c] > p and third[b,d] = e, and crossed into {a,d,f},
+    {b,c,f} when f = third[a,d] > p and third[b,c] = f. Each configuration
+    found adds one to the count of each of its six points. The r = (v-1)/2
+    lines through a point make r(r-1)/2 pairs, each closing at most two
+    ways, so closed is counts == r(r-1).
 
-``fano_planes(third, others)``
+``fano_planes(third)``
     int32[k, 7], one row per Fano subplane, each plane exactly once. A row
     is (p, a, b, c, d, e, f): p is the least of the seven points, {p,a,b}
     and {p,c,d} are two lines through p, e = third[a,c] = third[b,d],
     f = third[a,d] = third[b,c], and {p,e,f} is the third line through p,
-    with a larger index in ``others[p]`` than the two chosen lines. Rows
-    come in increasing p, then by the index of {p,c,d} in ``others[p]``,
-    then by that of {p,a,b}; within a row the points are not sorted. Only
-    the k_p lines through p above p take part. Points are scanned in blocks
-    of consecutive points; the k_p(k_p-1)/2 pairs of these lines of all
-    points in a block are gathered at once by flat ``take``, fewer than
-    2^12 pairs plus those of the block's last point. A (v, v) table gives
-    each line's index among the lines through its point.
+    its lesser point above c. Rows come in increasing p, then c, then a;
+    within a row a < b, c < d and a < c, and e, f are not sorted.
+
+Both scans take the pairs of lines above each point from one enumerator. The
+lines above p are read off row p of the table, {p, q, third[p,q]} with
+p < q < third[p,q], in increasing q, and each is paired with the lines
+before it, so pairs come in increasing p, then c, then a. Lines are taken in
+consecutive blocks, and the points of a block's pairs are gathered at once
+by flat ``take`` on ``third.ravel()``: a block ends with the line whose
+pairs pass the next multiple of 2^12, so each int32 temporary holds fewer
+than 2^12 + r entries.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import numpy as np
 
 
 # entries in each temporary of the block scans: the line pairs of a block of
-# points, or centre candidates per block times n^2; at least one point or
+# lines, or centre candidates per block times n^2; at least one line or
 # candidate per block
 _BLOCK_ENTRIES = 1 << 12
 
@@ -93,56 +98,66 @@ def center_mask(table: np.ndarray) -> np.ndarray:
     return mask
 
 
-def pasch_census(third: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v, r, _ = others.shape
-    counts = np.zeros(v, dtype=np.int64)
-    closed = np.ones(v, dtype=np.bool_)
-    if r < 2:
-        return counts, closed
+def _line_pairs(third: np.ndarray):
+    """Yield blocks (p, a, b, c, d, e, f, straight, crossed), one entry per
+    pair of lines {p,a,b}, {p,c,d} above p as in the module docstring, with
+    e = third[a,c], f = third[a,d], and flags for the pairs that close
+    straight and crossed into a Pasch configuration with least point p."""
+    v = third.shape[0]
     flat = third.ravel()
-    iu, ju = np.triu_indices(r, k=1)
-    step = max(1, _BLOCK_ENTRIES // len(iu))
-    for start in range(0, v, step):
-        block = others[start : start + step].astype(np.intp)
-        a, b = block[..., 0], block[..., 1]
-        av, bv = a * v, b * v
-        # lines i < j through each point: (a_i, b_i) and (a_j, b_j)
-        straight = flat.take(av[:, iu] + a[:, ju]) == flat.take(bv[:, iu] + b[:, ju])
-        crossed = flat.take(av[:, iu] + b[:, ju]) == flat.take(bv[:, iu] + a[:, ju])
-        counts[start : start + step] = straight.sum(axis=1) + crossed.sum(axis=1)
-        closed[start : start + step] = straight.all(axis=1) & crossed.all(axis=1)
-    return counts, closed
+    idx = np.arange(v, dtype=np.int32)
+    # each line {p, q, third[p, q]}, p < q < third[p, q], once, at its least
+    # point p, grouped by p, each group in increasing q
+    point, first = (x.astype(np.int32) for x in np.nonzero((third > idx) & (idx > idx[:, None])))
+    second = third[point, first]
+    # line L pairs with the rank[L] lines head[L] .. L-1 above its point, as
+    # pairs offset[L] .. offset[L+1]-1
+    head = np.searchsorted(point, point).astype(np.int32)
+    rank = np.arange(len(point), dtype=np.int32) - head
+    offset = np.zeros(len(point) + 1, dtype=np.int32)
+    np.cumsum(rank, out=offset[1:])
+    shift = offset[:-1] - head
 
-
-def fano_planes(third: np.ndarray, others: np.ndarray) -> np.ndarray:
-    v, r, _ = others.shape
-    found = [np.empty((0, 7), dtype=np.int32)]
-    idx = np.arange(v)
-    # p is the least point, so only lines through p above p take part; they
-    # go first in lines[p], each part keeping the order of others[p]
-    above = others.min(axis=2) > idx[:, None]
-    lines = np.take_along_axis(others, np.argsort(~above, axis=1, kind="stable")[..., None], 1)
-    # position[p, q]: index in lines[p] of the line through p and q
-    position = np.zeros((v, v), dtype=np.int32)
-    rank = np.broadcast_to(np.arange(r), (v, r))
-    position[idx[:, None], lines[..., 0]] = rank
-    position[idx[:, None], lines[..., 1]] = rank
-    first, second = lines[..., 0].ravel(), lines[..., 1].ravel()
-    flat = third.ravel()
-    # pairs i < j ordered by j, so the pairs among the first k lines are a prefix
-    jj, ii = np.tril_indices(r, k=-1)
-    k = above.sum(axis=1)
-    count = k * (k - 1) // 2
-    offset = np.cumsum(count) - count
-    for block in np.split(idx, np.flatnonzero(np.diff(offset // _BLOCK_ENTRIES)) + 1):
-        p = np.repeat(block, count[block])
-        pair = np.arange(len(p)) - np.repeat(offset[block] - offset[block[0]], count[block])
-        li, lj = p * r + ii[pair], p * r + jj[pair]
-        a, b, c, d = first.take(li), second.take(li), first.take(lj), second.take(lj)
+    def block(lo: int, hi: int) -> tuple:
+        # in its own frame, so a block's arrays die when the caller drops them
+        n = rank[lo:hi]
+        lj = np.repeat(np.arange(lo, hi, dtype=np.int32), n)
+        li = np.arange(offset[lo], offset[hi], dtype=np.int32) - np.repeat(shift[lo:hi], n)
+        p, c, d = point.take(lj), first.take(lj), second.take(lj)
+        a, b = first.take(li), second.take(li)
         e, f = flat.take(a * v + c), flat.take(a * v + d)
-        keep = (e > p) & (f > p) & (e == flat.take(b * v + d)) & (f == flat.take(b * v + c))
-        p, j, a, b, c, d, e, f = (x[keep] for x in (p, jj[pair], a, b, c, d, e, f))
-        # the seventh line {p,e,f} closes and comes after both chosen lines
-        keep = (third[e, f] == p) & (position[p, e] > j)
-        found.append(np.stack([p, a, b, c, d, e, f], axis=1)[keep].astype(np.int32))
+        straight = (e > p) & (e == flat.take(b * v + d))
+        return p, a, b, c, d, e, f, straight, (f > p) & (f == flat.take(b * v + c))
+
+    ends = (np.flatnonzero(np.diff(offset[:-1] // _BLOCK_ENTRIES)) + 1).tolist()
+    for lo, hi in zip([0, *ends], [*ends, len(point)]):
+        yield block(lo, hi)
+
+
+def pasch_census(third: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    v = third.shape[0]
+    # float64 so that bincount weights add in place; every count is exact
+    counts = np.zeros(v)
+    for p, a, b, c, d, e, f, straight, crossed in _line_pairs(third):
+        # each configuration adds one to each of its six points
+        ways = straight.view(np.int8) + crossed.view(np.int8)
+        for points in (p, a, b, c, d):
+            counts += np.bincount(points, ways, v)
+        counts += np.bincount(e, straight, v) + np.bincount(f, crossed, v)
+        del p, a, b, c, d, e, f, straight, crossed  # before the next block is built
+    r = (v - 1) // 2
+    return counts.astype(np.int64), counts == r * (r - 1)
+
+
+def fano_planes(third: np.ndarray) -> np.ndarray:
+    v = third.shape[0]
+    flat = third.ravel()
+    found = [np.empty((0, 7), dtype=np.int32)]
+    for *row, straight, crossed in _line_pairs(third):
+        keep = straight & crossed
+        p, a, b, c, d, e, f = (x[keep] for x in row)
+        # the seventh line {p,e,f} closes and comes after {p,c,d}: the lines
+        # above p come in increasing order of their lesser point
+        keep = (flat.take(e * v + f) == p) & (np.minimum(e, f) > c)
+        found.append(np.stack([p, a, b, c, d, e, f], axis=1)[keep])
     return np.concatenate(found)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernels
 from .design_core import (
     SteinerLoop,
     TripleSystem,
@@ -126,17 +127,16 @@ def _sts13_cyclic() -> TripleSystem:
 
 
 def pasch_configurations(s: TripleSystem):
-    """All Pasch configurations of s as sorted 4-tuples of triple indices:
-    lines {p,a,b}, {p,c,d} through p closed by two lines through e."""
-    third, line = s.third_table, s.pair_triple
-    i, j = np.triu_indices((s.v - 1) // 2, 1)
-    quads = set()
-    for p in range(s.v):
-        (a, b), (c, d) = s.others[p, i].T, s.others[p, j].T
-        for x, y, u, w in ((a, c, b, d), (a, d, b, c)):
-            rows = np.stack([line[p, a], line[p, c], line[x, y], line[u, w]], axis=1)
-            quads.update(map(tuple, np.sort(rows[third[x, y] == third[u, w]], axis=1).tolist()))
-    return sorted(quads)
+    """All Pasch configurations of s as sorted 4-tuples of triple indices,
+    in lexicographic order, each found once, at its least point p: lines
+    {p,a,b}, {p,c,d} closed by {a,c,e}, {b,d,e} or by {a,d,f}, {b,c,f}."""
+    line = s.pair_triple
+    quads = [np.empty((0, 4), dtype=line.dtype)]
+    for p, a, b, c, d, _, _, straight, crossed in _kernels._line_pairs(s.third_table):
+        for keep, x, y in ((straight, c, d), (crossed, d, c)):
+            quads.append(np.stack([line[p, a], line[p, c], line[a, x], line[b, y]], 1)[keep])
+    quads = np.sort(np.concatenate(quads), axis=1)
+    return list(map(tuple, quads[np.lexsort(quads.T[::-1])].tolist()))
 
 
 def _pasch_switch(s: TripleSystem, quad) -> TripleSystem:

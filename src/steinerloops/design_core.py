@@ -82,9 +82,7 @@ def _triple_rows(v: int, triples) -> np.ndarray:
 class TripleSystem:
     """A Steiner triple system on points 0..v-1, validated on construction."""
 
-    __slots__ = (
-        "v", "triples", "b", "third_table", "pair_triple", "_loop", "_others", "_pasch", "_hash"
-    )
+    __slots__ = ("v", "triples", "b", "third_table", "pair_triple", "_loop", "_pasch", "_hash")
 
     def __init__(self, v: int, triples):
         if not admissible(v):
@@ -125,7 +123,7 @@ class TripleSystem:
         self.b = len(lines)
         self.third_table = third
         self.pair_triple = pair_triple
-        self._loop = self._others = self._pasch = self._hash = None
+        self._loop = self._pasch = self._hash = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -138,22 +136,6 @@ class TripleSystem:
         if z < 0:
             raise ValueError(f"no triple through ({x},{y})")
         return z
-
-    @property
-    def others(self) -> np.ndarray:
-        """(v, r, 2) array: the point pairs completing each triple through p,
-        the lines through p in triple order, each pair ascending."""
-        if self._others is None:
-            v, third = self.v, self.third_table
-            # the r pairs (q, third[p, q]) of row p with q < third[p, q]
-            p, q = np.nonzero(third > np.arange(v))
-            q = q.reshape(v, -1)
-            lines = np.argsort(self.pair_triple[p.reshape(v, -1), q], axis=1)
-            q = np.take_along_axis(q, lines, axis=1)
-            arr = np.stack([q, third[np.arange(v)[:, None], q]], axis=2).astype(np.int32)
-            arr.flags.writeable = False
-            self._others = arr
-        return self._others
 
     def loop(self) -> "SteinerLoop":
         if self._loop is None:
@@ -434,7 +416,7 @@ def veblen_points(s: TripleSystem) -> frozenset:
 def _pasch(s: TripleSystem):
     """(counts, closed) of the Pasch scan, run once per system."""
     if s._pasch is None:
-        s._pasch = _kernels.pasch_census(s.third_table, s.others)
+        s._pasch = _kernels.pasch_census(s.third_table)
     return s._pasch
 
 
@@ -512,7 +494,7 @@ class ConfigCensus:
 def census(s: TripleSystem) -> ConfigCensus:
     """Exact Pasch and Fano counts per point and per triple."""
     counts, _ = _pasch(s)
-    rows = _kernels.fano_planes(s.third_table, s.others)
+    rows = _kernels.fano_planes(s.third_table)
     # the seven lines of a row (p, a, b, c, d, e, f): pa, pc, pe, ac, bd, ad, bc
     lines = s.pair_triple[rows[:, [0, 0, 0, 1, 2, 1, 2]], rows[:, [1, 3, 5, 3, 4, 4, 3]]]
     planes = np.sort(rows, axis=1)

@@ -172,7 +172,7 @@ def reference_fano_planes(s):
     third = s.third_table.tolist()
     planes = set()
     for p in range(s.v):
-        pairs = s.others[p].tolist()
+        pairs = [(q, third[p][q]) for q in range(s.v) if q != p and q < third[p][q]]
         for i in range(len(pairs)):
             a, b = pairs[i]
             for j in range(i + 1, len(pairs)):
@@ -210,17 +210,20 @@ def reference_pasch_census(s):
     return counts, closed
 
 
-def reference_fano_rows(third, others):
+def reference_fano_rows(third):
     """Test-local oracle for _kernels.fano_planes: the point-by-point scan,
     the same rows in the same order."""
-    v, r, _ = others.shape
+    v = third.shape[0]
+    r = (v - 1) // 2
     found = [np.empty((0, 7), dtype=np.int32)]
     # pairs i < j ordered by j, so the pairs among the first k lines are a prefix
     jj, ii = np.tril_indices(r, k=-1)
     line_of = np.zeros(v, dtype=np.intp)
     for p in range(v):
-        # p is the least point, so only lines through p above p take part
-        lines = others[p][np.minimum(others[p, :, 0], others[p, :, 1]) > p]
+        # p is the least point, so only lines through p above p take part,
+        # {p,q,third[p,q]} with p < q < third[p,q], in increasing q
+        q = np.flatnonzero((third[p] > np.arange(v)) & (np.arange(v) > p))
+        lines = np.stack([q, third[p, q]], axis=1).astype(np.int32)
         k = len(lines)
         if k < 3:
             continue
@@ -313,7 +316,7 @@ def reference_normality_witness(loop, n):
 
 def reference_triple_system(v, triples):
     """Test-local oracle for the TripleSystem constructor, one triple and one
-    pair at a time: (triples, third_table, pair_triple, others) of a valid
+    pair at a time: (triples, third_table, pair_triple) of a valid
     system, or the constructor's exception at the same first failure."""
     if not sl.admissible(v):
         raise NotAdmissible(v)
@@ -337,13 +340,7 @@ def reference_triple_system(v, triples):
             for y in range(x + 1, v):
                 if third[x, y] == -1:
                     raise PairMissing(x, y)
-    others = np.empty((v, (v - 1) // 2, 2), dtype=np.int32)
-    fill = [0] * v
-    for a, b, c in norm:
-        for p, pair in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
-            others[p, fill[p]] = pair
-            fill[p] += 1
-    return tuple(norm), third, pair_triple, others
+    return tuple(norm), third, pair_triple
 
 
 def reference_system_from_loop(loop):

@@ -145,7 +145,7 @@ class TestValidateSystem:
                 s = sl.TripleSystem(v, triples)
                 assert s.triples == want[0]
                 assert all(type(x) is int for t in s.triples for x in t)
-                for got, ref in zip((s.third_table, s.pair_triple, s.others), want[1:]):
+                for got, ref in zip((s.third_table, s.pair_triple), want[1:]):
                     assert np.array_equal(got, ref)
                 outcomes.add("valid")
         assert outcomes == {
@@ -261,7 +261,7 @@ class TestSystemFromLoop:
         for loop, ref in zip(loops, want):
             s = loop.system()
             assert s.triples == ref[0] and s.v == loop.n - 1 and s.b == len(ref[0])
-            for got, exp in zip((s.third_table, s.pair_triple, s.others), ref[1:]):
+            for got, exp in zip((s.third_table, s.pair_triple), ref[1:]):
                 assert np.array_equal(got, exp)
             assert s.loop() == loop
 
@@ -673,21 +673,26 @@ class TestCensus:
         assert c.fano_planes == () and set(c.fano_through) == {0}
 
     def test_one_call_of_each_kernel(self, monkeypatch):
+        """census calls each kernel once, with the third-point table as its
+        only argument."""
         pg3 = catalog.pg(3)  # a fresh system: the session one may hold its Pasch scan
         calls = []
         for name in ("pasch_census", "fano_planes"):
             kernel = getattr(_kernels, name)
             monkeypatch.setattr(
-                _kernels, name, lambda *args, k=kernel, n=name: calls.append(n) or k(*args)
+                _kernels,
+                name,
+                lambda *args, k=kernel, n=name, **kw: calls.append((n, args, kw)) or k(*args),
             )
         sl.census(pg3)
-        assert sorted(calls) == ["fano_planes", "pasch_census"]
+        assert sorted(name for name, _, _ in calls) == ["fano_planes", "pasch_census"]
+        for _, args, kwargs in calls:
+            assert len(args) == 1 and args[0] is pg3.third_table and not kwargs
 
     def test_kept_census_stays_small(self):
         """A kept census of pg(5) holds its 1395 planes as tuples of ints:
         about 155 KB, where frozensets of the same planes take about 1 MB."""
         s = catalog.pg(5)
-        s.others  # cached on the system, not part of the census
         tracemalloc.start()
         try:
             c = sl.census(s)
@@ -696,6 +701,16 @@ class TestCensus:
             tracemalloc.stop()
         assert c.fano_total == 1395
         assert retained < 400_000
+
+
+def _set_block(monkeypatch, block, v):
+    """Blocks of one entry, of four points with every line above them
+    (r(r-1)/2 pairs each, r = (v-1)/2), or as large as the default."""
+    r = (v - 1) // 2
+    if block == "one entry":
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 1)
+    elif block == "four points":
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 4 * r * (r - 1) // 2)
 
 
 KERNEL_SYSTEMS = ["pg2", "pg3", "pg4", "pg5", "ag2", "ag3", "ag4", "sts13_a", "sts13_b", "sts15_2", "sts19"]
@@ -712,31 +727,59 @@ class TestPaschKernel:
     @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
     def test_matches_reference(self, monkeypatch, name, block):
         """The block scan gives the point-by-point counts and closed flags,
-        whether a block is one point, four points (never a divisor of the
-        odd v) or as many as fit in the default temporaries."""
+        whether a block is one line, the pairs of four points or as many as
+        fit in the default temporaries."""
         s = _kernel_system(name)
-        pairs = s.others.shape[1] * (s.others.shape[1] - 1) // 2
-        if block == "one entry":
-            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 1)
-        elif block == "four points":
-            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 4 * pairs)
-        counts, closed = _kernels.pasch_census(s.third_table, s.others)
+        _set_block(monkeypatch, block, s.v)
+        counts, closed = _kernels.pasch_census(s.third_table)
         assert counts.dtype == np.int64 and closed.dtype == np.bool_
         assert (counts.tolist(), closed.tolist()) == reference_pasch_census(s)
 
     def test_temporaries_stay_bounded(self):
-        """pg(6) has 1953 line pairs per point; a block of two points keeps
-        each temporary near 2^12 entries, far below one table of all
-        127 * 1953 pairs."""
+        """pg(6) has 59,055 pairs of lines through a point and above it. A
+        block of lines ends with the line whose pairs pass the next multiple
+        of 2^12, so each int32 temporary holds fewer than 2^12 + 62 pairs
+        (about 16 KB), far below one table of all pairs."""
         s = catalog.pg(6)
-        s.others
         tracemalloc.start()
         try:
-            _kernels.pasch_census(s.third_table, s.others)
+            _kernels.pasch_census(s.third_table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 400_000
+
+
+def _least_point_system(name):
+    """A fresh system, its Pasch scan not yet cached."""
+    if name == "schreier63":  # a seeded Schreier extension of pg4
+        q, rng = catalog.pg(4).loop(), random.Random(63)
+        values = [rng.randrange(2) for _ in range(q.system().b)]
+        return sl.build_schreier(sl.ElemAbelian2(1), q, sl.FactorSystem(q, 1, values)).system()
+    if name == "sts19":
+        return _kernel_system(name)
+    return _relabelled(_kernel_system(name), int(name[2:]))
+
+
+class TestLeastPointScan:
+    """pasch_census and fano_planes find each configuration once, at its
+    least point, from the pairs of lines above it; the oracles scan every
+    pair of lines through every point. Checked on relabelled systems, on
+    an STS(19) and an STS(63) with a proper centre, at every block size."""
+
+    @pytest.mark.parametrize("block", ["default", "one entry", "four points"])
+    @pytest.mark.parametrize("name", ["pg4", "pg5", "ag4", "sts19", "schreier63"])
+    def test_matches_reference(self, monkeypatch, name, block):
+        s = _least_point_system(name)
+        _set_block(monkeypatch, block, s.v)
+        counts, closed = _kernels.pasch_census(s.third_table)
+        assert counts.dtype == np.int64 and closed.dtype == np.bool_
+        assert (counts.tolist(), closed.tolist()) == reference_pasch_census(s)
+        got, want = _kernels.fano_planes(s.third_table), reference_fano_rows(s.third_table)
+        assert got.dtype == want.dtype == np.int32
+        assert got.shape == want.shape and np.array_equal(got, want)
+        # the Pasch-closure reading of the Veblen points against the centre
+        assert sl.veblen_points_pasch(s) == sl.veblen_points(s)
 
 
 class TestCenterAndFanoKernels:
@@ -775,36 +818,32 @@ class TestCenterAndFanoKernels:
     @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
     def test_fano_matches_reference(self, monkeypatch, name, block):
         s = _kernel_system(name)
-        r = s.others.shape[1]
-        if block == "one entry":
-            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 1)
-        elif block == "four points":  # four points with every line above them
-            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 4 * r * (r - 1) // 2)
-        got = _kernels.fano_planes(s.third_table, s.others)
-        want = reference_fano_rows(s.third_table, s.others)
+        _set_block(monkeypatch, block, s.v)
+        got = _kernels.fano_planes(s.third_table)
+        want = reference_fano_rows(s.third_table)
         assert got.dtype == want.dtype == np.int32
         assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_on_relabelled_systems(self):
-        """Relabelling changes which lines lie above each point and the
-        order of others[p]; the rows and masks still match."""
+        """Relabelling changes which lines lie above each point and their
+        order; the rows and masks still match."""
         for name in ("pg4", "sts15_2", "sts19"):
             for seed in (1, 2):
                 s = _relabelled(_kernel_system(name), seed)
                 table = s.loop().table
                 assert np.array_equal(_kernels.center_mask(table), reference_center_mask(table))
-                got = _kernels.fano_planes(s.third_table, s.others)
-                assert np.array_equal(got, reference_fano_rows(s.third_table, s.others))
+                got = _kernels.fano_planes(s.third_table)
+                assert np.array_equal(got, reference_fano_rows(s.third_table))
 
     @pytest.mark.parametrize("kernel, limit", [("fano_planes", 1_250_000), ("center_mask", 400_000)])
     def test_temporaries_stay_bounded(self, kernel, limit):
         """On pg(6) (v = 127, loop order 128): fano_planes returns 11811 rows
         (331 KB, held twice while the blocks are joined) and gathers fewer
-        than 2^12 + 1953 line pairs at a time; center_mask compares one
+        than 2^12 + 62 line pairs at a time; center_mask compares one
         candidate at a time, two 128 x 128 int32 gathers. A scan of all
         points or candidates at once would take several MB."""
         s = catalog.pg(6)
-        args = (s.loop().table,) if kernel == "center_mask" else (s.third_table, s.others)
+        args = (s.loop().table,) if kernel == "center_mask" else (s.third_table,)
         tracemalloc.start()
         try:
             getattr(_kernels, kernel)(*args)

@@ -147,7 +147,7 @@ def test_system_and_loop_hold_no_cycle(sts9):
             s = sl.TripleSystem(sts9.v, sts9.triples)
             s.loop().center()
             loop = sl.SteinerLoop(table)
-            loop.system().others
+            sl.veblen_points_pasch(loop.system())
             del s, loop
         assert gc.collect() == 0
     finally:
