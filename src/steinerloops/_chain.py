@@ -7,30 +7,8 @@ Permutations are tuples: p[x] is the image of point x, and (g o u)[x] is
 g[u[x]].
 """
 
+from . import _kernels
 from .errors import BoundExceeded
-
-
-def _base(third) -> list:
-    """The points in natural order that lie outside the subsystem generated
-    by the points taken before them. Their images fix an automorphism, so the
-    first point where two automorphisms differ is a base point."""
-    closed = [False] * len(third)
-    base, members = [], []
-    for b in range(len(third)):
-        if closed[b]:
-            continue
-        base.append(b)
-        closed[b] = True
-        new = [b]
-        while new:
-            x = new.pop()
-            row = third[x]
-            for y in members:
-                if not closed[row[y]]:
-                    closed[row[y]] = True
-                    new.append(row[y])
-            members.append(x)
-    return base
 
 
 def _transversal(point: int, gens, identity) -> dict:
@@ -71,7 +49,10 @@ def automorphism_chain(third, inv, budget: int):
     order (base images order the maps as their full tuples do).
     """
     v = len(third)
-    base = _base(third)
+    # the points outside the subsystem generated by the points before them:
+    # their images fix an automorphism, so the first point where two
+    # automorphisms differ is a base point
+    base, _ = _kernels.generator_forms(third)
     like = {}
     for q in range(v):
         like.setdefault(inv[q], []).append(q)

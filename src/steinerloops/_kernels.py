@@ -14,10 +14,15 @@ Kernel contracts (n = loop order, v = system order):
 ``center_mask(table)``
     bool[n]; entry z is True iff (a.b).z == a.(b.z) for all a, b, i.e. z is
     central (for a commutative loop the one identity implies the rest). The
-    loop is associative iff every entry is True. Candidates z are scanned in
-    blocks of k = max(1, 2^12 // n^2): one round of numpy gathers compares
-    both sides for all a, b and every z of the block, so each temporary
-    holds k n^2 entries, at most 2^12 unless n > 64.
+    loop is associative iff every entry is True. The rows a = 0, 1, ... are
+    taken in rounds, each against the surviving candidates only: a round
+    compares both sides for a block of rows, every b and every survivor,
+    and drops each z that fails. A round takes as many rows as keep its
+    temporaries near 2^14 entries (rows x n x survivors), at least one, so
+    a candidate that fails at an early row costs that row, and only a loop
+    whose candidates all survive pays every row. Row 0 is compared too: it
+    is the identity only in a loop, and the contract holds on any n x n
+    table.
 
 ``pasch_census(third)``
     (counts int64[v], closed bool[v]); ``third[a,b]`` is the third point on
@@ -48,17 +53,42 @@ consecutive blocks, and the points of a block's pairs are gathered at once
 by flat ``take`` on ``third.ravel()``: a block ends with the line whose
 pairs pass the next multiple of 2^12, so each int32 temporary holds fewer
 than 2^12 + r entries.
+
+``generator_forms(third)``
+    (base, form) for the third-point table as nested lists (diagonal -1).
+    base holds the points, in natural order, that lie outside the subsystem
+    generated by the points before them; base[i] gets form 1 << i, and each
+    other point x = third[y][w] gets form[y] ^ form[w] from the pair that
+    first reaches it when the table is closed in that order. Every map h
+    of the points to Z_2 with h(a) + h(b) + h(c) = 0 on each triple (a
+    homomorphism of the Steiner loop onto Z_2) is then fixed by its values
+    on base: h(x) is the parity of the base points in form[x] that h sends
+    to 1. A proper subsystem has at most (v-1)/2 points, so base has at
+    most log2(v+1) points.
+
+``hyperplane_points(third)``
+    int[h, (v-1)/2]: one row per projective hyperplane, the points that a
+    nonzero homomorphism h onto Z_2 sends to 0, in increasing order, the
+    rows in no set order. The homomorphisms are the nonzero vectors g over
+    base (``generator_forms``) with an even overlap with form[a] ^ form[b]
+    ^ form[c] for every triple, the GF(2) nullspace of the distinct such
+    syndromes over len(base) columns; each is read off a parity table of
+    size 2^len(base). A nonzero h is onto, so its kernel is a subloop of
+    index 2 and every row has (v-1)/2 points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import gf2
 
-# entries in each temporary of the block scans: the line pairs of a block of
-# lines, or centre candidates per block times n^2; at least one line or
-# candidate per block
+
+# entries in each temporary of the line-pair scans: at least one line per block
 _BLOCK_ENTRIES = 1 << 12
+# entries in each temporary of a centre round: rows x n x survivors, at least
+# one row per round
+_CENTRE_ENTRIES = 1 << 14
 
 
 def backend_name() -> str:
@@ -87,14 +117,17 @@ def steiner_violation(table: np.ndarray) -> int:
 
 def center_mask(table: np.ndarray) -> np.ndarray:
     n = table.shape[0]
-    mask = np.empty(n, dtype=np.bool_)
-    step = max(1, _BLOCK_ENTRIES // max(1, n * n))
-    for start in range(0, n, step):
-        # rows[k, c] = c.z for the block's k-th candidate z
-        rows = np.ascontiguousarray(table[:, start : start + step].T)
-        # (a.b).z indexed [k, a, b] against a.(b.z) indexed [a, k, b]
-        lhs, rhs = rows[:, table], table[:, rows]
-        mask[start : start + step] = (lhs == rhs.transpose(1, 0, 2)).all(axis=(1, 2))
+    alive = np.arange(n)
+    a = 0
+    while a < n and len(alive):
+        # cols[c, k] = c.z for the k-th survivor z
+        cols = table[:, alive]
+        rows = table[a : a + max(1, _CENTRE_ENTRIES // (n * len(alive)))]
+        # (a.b).z against a.(b.z), both indexed [a, b, k]
+        alive = alive[(cols[rows] == np.take(rows, cols, axis=1)).all(axis=(0, 1))]
+        a += len(rows)
+    mask = np.zeros(n, dtype=np.bool_)
+    mask[alive] = True
     return mask
 
 
@@ -161,3 +194,43 @@ def fano_planes(third: np.ndarray) -> np.ndarray:
         keep = (flat.take(e * v + f) == p) & (np.minimum(e, f) > c)
         found.append(np.stack([p, a, b, c, d, e, f], axis=1)[keep])
     return np.concatenate(found)
+
+
+def generator_forms(third: list) -> tuple[list, list]:
+    v = len(third)
+    form, closed = [0] * v, [False] * v
+    base, members = [], []
+    for g in range(v):
+        if closed[g]:
+            continue
+        form[g] = 1 << len(base)
+        base.append(g)
+        closed[g] = True
+        new = [g]
+        while new:
+            x = new.pop()
+            row, fx = third[x], form[x]
+            for y in members:
+                z = row[y]
+                if not closed[z]:
+                    closed[z] = True
+                    form[z] = fx ^ form[y]
+                    new.append(z)
+            members.append(x)
+    return base, form
+
+
+def hyperplane_points(third: np.ndarray) -> np.ndarray:
+    v = third.shape[0]
+    base, form = generator_forms(third.tolist())
+    k = len(base)
+    form = np.array(form + [0])  # the diagonal's -1 reads the trailing 0
+    # form[a] ^ form[b] ^ form[c] for every pair a, b and c = third[a, b]
+    syndromes = form[:v, None] ^ form[:v] ^ form[third]
+    parity = np.zeros(1, dtype=np.bool_)
+    for _ in range(k):
+        parity = np.concatenate([parity, ~parity])
+    present = np.flatnonzero(np.bincount(syndromes.ravel(), minlength=1 << k))
+    g = np.array(gf2.span(gf2.nullspace_basis(present.tolist(), k))[1:], dtype=np.intp)
+    inside = ~parity[form[:v] & g[:, None]]
+    return np.nonzero(inside)[1].reshape(len(g), (v - 1) // 2)

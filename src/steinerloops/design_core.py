@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _chain, _kernels, gf2
+from . import _chain, _kernels
 from .errors import (
     BadTriple,
     BoundExceeded,
@@ -97,8 +97,8 @@ class TripleSystem:
             # sorted triples are scanned, each through (a,b), (a,c), (b,c)
             rows = rows[np.lexsort(rows.T[::-1])]
             codes = (rows[:, [0, 0, 1]] * v + rows[:, [1, 2, 2]]).ravel()
-            _, first = np.unique(codes, return_index=True)
-            repeat = np.setdiff1d(np.arange(len(codes)), first)[0]
+            order = np.argsort(codes, kind="stable")  # a repeat equals the code before it
+            repeat = order[1:][np.diff(codes[order]) == 0].min()
             raise PairDuplicated(*divmod(int(codes[repeat]), v))
         if len(rows) != v * (v - 1) // 6:  # the first uncovered pair in row-major order
             raise PairMissing(*np.argwhere(np.triu(third < 0, 1))[0].tolist())
@@ -433,14 +433,18 @@ def is_projective_hyperplane(s: TripleSystem, subset) -> bool:
     outside = sorted(p for p in subset if not 0 <= p < s.v)
     if outside:
         raise NotASubsystem(f"points {outside} outside 0..{s.v - 1}")
-    third = s.third_table.tolist()
-    for x in subset:
-        for y in subset:
-            if x < y and third[x][y] not in subset:
-                raise NotASubsystem(f"pair ({x},{y}) closes outside the subset")
+    m = np.fromiter(subset, dtype=np.intp, count=len(subset))
+    inside = np.zeros(s.v + 1, dtype=np.bool_)
+    inside[m] = inside[-1] = True  # the diagonal's -1 reads as inside
+    # first pair x < y closing outside, in the subset's iteration order
+    escapes = np.argwhere(~inside[s.third_table[m[:, None], m]] & (m[:, None] < m))
+    if len(escapes):
+        x, y = m[escapes[0]].tolist()
+        raise NotASubsystem(f"pair ({x},{y}) closes outside the subset")
     if len(subset) == s.v:
         return False
-    meets_all = all(subset & set(t) for t in s.triples)
+    out = np.flatnonzero(~inside)  # a missed triple closes two points of out
+    meets_all = bool(inside[s.third_table[out[:, None], out]].all())
     # combinatorially forced: a proper subsystem meets every triple iff it
     # has exactly (v-1)/2 points
     if meets_all != (len(subset) == (s.v - 1) // 2):
@@ -448,19 +452,10 @@ def is_projective_hyperplane(s: TripleSystem, subset) -> bool:
     return meets_all
 
 
-def _triple_point_rows(s: TripleSystem) -> list:
-    """One GF(2) row per triple; bit j set iff point j lies on the triple."""
-    return [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.triples]
-
-
 def hyperplanes(s: TripleSystem) -> tuple:
-    """All projective hyperplanes, via GF(2) solutions of the triple sums."""
-    out = []
-    for vec in gf2.span(gf2.nullspace_basis(_triple_point_rows(s), s.v)):
-        if vec == 0:
-            continue
-        out.append(frozenset(p for p in range(s.v) if not (vec >> p) & 1))
-    return tuple(sorted(out, key=sorted))
+    """All projective hyperplanes, sorted: the kernels of the loop's
+    homomorphisms onto Z_2 (_kernels.hyperplane_points)."""
+    return tuple(map(frozenset, sorted(_kernels.hyperplane_points(s.third_table).tolist())))
 
 
 @dataclass(frozen=True)

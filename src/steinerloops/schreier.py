@@ -23,7 +23,6 @@ from .design_core import (
     _check_subloop,
     _derived_loop,
     _quotient,
-    _triple_point_rows,
     automorphisms,
     perm_compose,
     point_perm_to_loop_perm,
@@ -175,6 +174,11 @@ def factor_system_from_extension(loop: SteinerLoop, z: Subloop) -> FactorSystem:
     sp, sq, sr = reps[np.array(qs.triples, dtype=np.intp).reshape(-1, 3) + 1].T
     lt = loop.table
     return FactorSystem(ql.loop, t, [coord[x] for x in lt[sr, lt[sp, sq]].tolist()])
+
+
+def _triple_point_rows(s: TripleSystem) -> list:
+    """One GF(2) row per triple; bit j set iff point j lies on the triple."""
+    return [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.triples]
 
 
 def _planes(values, t: int) -> list:

@@ -252,6 +252,18 @@ def reference_center_mask(table):
     return mask
 
 
+def reference_hyperplanes(s):
+    """Test-local oracle for hyperplanes: the GF(2) nullspace of one row per
+    triple over all v points, each nonzero vector's zero set a hyperplane."""
+    rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.triples]
+    out = []
+    for vec in gf2.span(gf2.nullspace_basis(rows, s.v)):
+        if vec == 0:
+            continue
+        out.append(frozenset(p for p in range(s.v) if not (vec >> p) & 1))
+    return tuple(sorted(out, key=sorted))
+
+
 def reference_echelonize(rows, n_cols):
     """Test-local oracle for gf2.echelonize: each incoming row is tested
     against every pivot in turn."""

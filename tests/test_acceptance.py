@@ -11,7 +11,8 @@ import pytest
 
 import steinerloops as sl
 from steinerloops import catalog
-from steinerloops.design_core import _triple_point_rows, perm_inverse, point_perm_to_loop_perm
+from steinerloops.design_core import perm_inverse, point_perm_to_loop_perm
+from steinerloops.schreier import _triple_point_rows
 
 from conftest import brute_force_equivalent
 

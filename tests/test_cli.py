@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -508,3 +511,41 @@ def test_incompletable_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli_mod.steiner_operator, "double_operator", boom)
     code, _, err = run(capsys, "double", "--n", "sts9_loop_table", "--square", "phi_11")
     assert code == 4
+
+
+# a Fano plane with its last triple replaced by {0, 1, 4}, which repeats 0,1
+REPEATED_PAIR = "7 7\n0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n0 1 4\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "--seed-fixture", "pg5"], 0),
+        (["classify", "--q", "sts9", "--t", "2"], 0),
+        (["extend", "double", "--n", "sts9_loop_table", "--square", "phi_11"], 0),
+        (["analyze", "--input", "REPEATED_PAIR"], 2),
+    ],
+)
+def test_commands_leave_numpy_ma_unloaded(tmp_path, argv, code):
+    """numpy.unique and its set routines import numpy.ma on first use, about
+    16 ms and 1 MB in a fresh process; no command should pay that. Each
+    command runs in a fresh interpreter, which reports its exit code and
+    whether numpy.ma was imported."""
+    path = tmp_path / "repeated.sts"
+    path.write_text(REPEATED_PAIR)
+    argv = [str(path) if a == "REPEATED_PAIR" else a for a in argv]
+    script = (
+        "import contextlib, io, sys\n"
+        "from steinerloops.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(sl.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(code), "False"]

@@ -17,6 +17,7 @@ from conftest import (
     reference_closure,
     reference_fano_rows,
     reference_generators,
+    reference_hyperplanes,
     reference_normality_witness,
     reference_pasch_census,
     reference_quotient,
@@ -521,6 +522,9 @@ class TestVeblen:
             assert small.is_associative()
 
 
+KERNEL_SYSTEMS = ["pg2", "pg3", "pg4", "pg5", "ag2", "ag3", "ag4", "sts13_a", "sts13_b", "sts15_2", "sts19"]
+
+
 class TestHyperplanes:
     def test_sts19_embedded(self, sts19_example):
         assert sl.is_projective_hyperplane(sts19_example, range(9))
@@ -570,17 +574,38 @@ class TestHyperplanes:
         """Every set is a hyperplane by the subsystem test, and there are
         2^(v - rank) - 1 of them, the nonzero vectors of the kernel of the
         triple-point incidence rows."""
-        if name == "sts31":  # a seeded Schreier extension of sts15_2
-            q, rng = catalog.fixture("sts15_2").loop(), random.Random(31)
-            values = [rng.randrange(2) for _ in range(q.system().b)]
-            s = sl.build_schreier(sl.ElemAbelian2(1), q, sl.FactorSystem(q, 1, values)).system()
-        else:
-            s = _kernel_system(name)
+        s = _hyperplane_system(name)
         hs = sl.hyperplanes(s)
         rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.triples]
         assert len(hs) == 2 ** (s.v - gf2.rank(rows, s.v)) - 1
         assert len(set(hs)) == len(hs)
         assert all(sl.is_projective_hyperplane(s, h) for h in hs)
+
+    @pytest.mark.parametrize("name", [*KERNEL_SYSTEMS, "sts31", "schreier63"])
+    def test_matches_reference(self, name):
+        """The sets read off the loop's generators are the zero sets of the
+        GF(2) nullspace over all v points, in the same order, on the system
+        and on two seeded relabellings."""
+        s = _hyperplane_system(name)
+        for system in (s, _relabelled(s, 1), _relabelled(s, 2)):
+            assert sl.hyperplanes(system) == reference_hyperplanes(system)
+
+    def test_smallest_systems(self, sts1, sts3):
+        """v = 1: the one homomorphism onto Z_2 has the empty kernel; v = 3:
+        each point is a hyperplane."""
+        assert sl.hyperplanes(sts1) == reference_hyperplanes(sts1) == (frozenset(),)
+        points = tuple(frozenset({p}) for p in range(3))
+        assert sl.hyperplanes(sts3) == reference_hyperplanes(sts3) == points
+
+    @pytest.mark.parametrize("name", ["pg4", "ag3", "sts15_2", "sts31"])
+    def test_meets_every_triple_matches_reference(self, name):
+        """On hyperplanes, Fano subplanes and single triples, the array test
+        agrees with meeting every triple, checked one triple at a time."""
+        s = _relabelled(_hyperplane_system(name), 5)
+        planes = sl.census(s).fano_planes
+        for subset in [*sl.hyperplanes(s), *planes[:20], *s.triples[:20]]:
+            want = all(set(subset) & set(t) for t in s.triples)
+            assert sl.is_projective_hyperplane(s, subset) is want
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_projective_count(self, n):
@@ -713,9 +738,6 @@ def _set_block(monkeypatch, block, v):
         monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 4 * r * (r - 1) // 2)
 
 
-KERNEL_SYSTEMS = ["pg2", "pg3", "pg4", "pg5", "ag2", "ag3", "ag4", "sts13_a", "sts13_b", "sts15_2", "sts19"]
-
-
 def _kernel_system(name):
     if name == "sts19":  # a Schreier extension of sts9 with a proper centre
         return _orbit_representatives("sts9_labeled", 1)[1]
@@ -752,10 +774,8 @@ class TestPaschKernel:
 
 def _least_point_system(name):
     """A fresh system, its Pasch scan not yet cached."""
-    if name == "schreier63":  # a seeded Schreier extension of pg4
-        q, rng = catalog.pg(4).loop(), random.Random(63)
-        values = [rng.randrange(2) for _ in range(q.system().b)]
-        return sl.build_schreier(sl.ElemAbelian2(1), q, sl.FactorSystem(q, 1, values)).system()
+    if name == "schreier63":
+        return _schreier_system(catalog.pg(4), 63)
     if name == "sts19":
         return _kernel_system(name)
     return _relabelled(_kernel_system(name), int(name[2:]))
@@ -792,9 +812,9 @@ class TestCenterAndFanoKernels:
     def test_center_matches_reference(self, monkeypatch, name, block):
         table = _kernel_system(name).loop().table
         if block == "one entry":
-            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 1)
+            monkeypatch.setattr(_kernels, "_CENTRE_ENTRIES", 1)
         elif block == "three candidates":
-            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * table.size)
+            monkeypatch.setattr(_kernels, "_CENTRE_ENTRIES", 3 * table.size)
         got, want = _kernels.center_mask(table), reference_center_mask(table)
         assert got.dtype == want.dtype == np.bool_
         assert np.array_equal(got, want)
@@ -804,7 +824,7 @@ class TestCenterAndFanoKernels:
         """The identity is read as written, (a.b).z against a.(b.z), on any
         n x n table: the multiplication table of the non-abelian group S3 and
         seeded random tables."""
-        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(_kernels, "_CENTRE_ENTRIES", block)
         perms = sorted(itertools.permutations(range(3)))
         index = {p: i for i, p in enumerate(perms)}
         s3 = np.array([[index[tuple(p[x] for x in q)] for q in perms] for p in perms], np.int32)
@@ -813,6 +833,27 @@ class TestCenterAndFanoKernels:
         for table in tables:
             assert np.array_equal(_kernels.center_mask(table), reference_center_mask(table))
         assert _kernels.center_mask(s3).all()  # a group: associative at every z
+
+    @pytest.mark.parametrize("n", [3, 70, 130])
+    @pytest.mark.parametrize("block", ["default", "one entry", "three candidates"])
+    def test_center_fails_at_one_row(self, monkeypatch, n, block):
+        """On x.y = y with row r swapping the two least points p, q other
+        than r, p and q are central at every row but r and fail there;
+        every other z is central. Checked for r = 0, 1, n//2 and n-1, so a
+        row filter that skips row 0, stops before the last row or skips
+        rows between rounds keeps p and q."""
+        if block == "one entry":
+            monkeypatch.setattr(_kernels, "_CENTRE_ENTRIES", 1)
+        elif block == "three candidates":
+            monkeypatch.setattr(_kernels, "_CENTRE_ENTRIES", 3 * n * n)
+        for r in sorted({0, 1, n // 2, n - 1}):
+            p, q = [x for x in range(3) if x != r][:2]
+            table = np.tile(np.arange(n, dtype=np.int32), (n, 1))
+            table[r, [p, q]] = [q, p]
+            want = np.ones(n, dtype=np.bool_)
+            want[[p, q]] = False
+            assert np.array_equal(reference_center_mask(table), want)
+            assert np.array_equal(_kernels.center_mask(table), want)
 
     @pytest.mark.parametrize("block", ["default", "one entry", "four points"])
     @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
@@ -839,9 +880,10 @@ class TestCenterAndFanoKernels:
     def test_temporaries_stay_bounded(self, kernel, limit):
         """On pg(6) (v = 127, loop order 128): fano_planes returns 11811 rows
         (331 KB, held twice while the blocks are joined) and gathers fewer
-        than 2^12 + 62 line pairs at a time; center_mask compares one
-        candidate at a time, two 128 x 128 int32 gathers. A scan of all
-        points or candidates at once would take several MB."""
+        than 2^12 + 62 line pairs at a time; center_mask compares one row
+        at a time while all 128 candidates survive, two 128 x 128 int32
+        gathers. A scan of all points, or of all rows and candidates, at
+        once would take several MB."""
         s = catalog.pg(6)
         args = (s.loop().table,) if kernel == "center_mask" else (s.third_table,)
         tracemalloc.start()
@@ -995,6 +1037,22 @@ def _named_system(name):
     if name == "double19":
         return sl.double(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11"))
     return catalog.fixture({"fano": "fano_labeled", "sts9": "sts9_labeled"}.get(name, name))
+
+
+def _schreier_system(q, seed):
+    """The Schreier extension of the system q by Z_2 with seeded factor
+    values: an STS(2v+1) whose loop centre holds the kernel."""
+    loop, rng = q.loop(), random.Random(seed)
+    values = [rng.randrange(2) for _ in range(q.b)]
+    return sl.build_schreier(sl.ElemAbelian2(1), loop, sl.FactorSystem(loop, 1, values)).system()
+
+
+def _hyperplane_system(name):
+    if name == "sts31":
+        return _schreier_system(catalog.fixture("sts15_2"), 31)
+    if name == "schreier63":
+        return _schreier_system(catalog.pg(4), 63)
+    return _kernel_system(name)
 
 
 def _relabelled(s, seed):

@@ -125,3 +125,20 @@ def test_veblen_structure_on_family(constructed_family):
         assert sl.is_normal(loop, sub), label
         small, _ = sub.as_loop()
         assert small.is_associative(), label
+
+
+@given(
+    key=st.sampled_from(["fano_labeled", "sts9_labeled", "sts13_a", "sts15_2"]),
+    t=st.integers(min_value=1, max_value=2),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_centre_equals_pasch_closure(key, t, data):
+    """The two routes to the Veblen points, the loop centre and Pasch
+    closure, agree on drawn Schreier extensions by Z_2^t, relabelled."""
+    q = catalog.fixture(key).loop()
+    b = q.system().b
+    values = data.draw(st.lists(st.integers(0, (1 << t) - 1), min_size=b, max_size=b))
+    s = sl.build_schreier(sl.ElemAbelian2(t), q, sl.FactorSystem(q, t, values)).system()
+    s = s.relabel(data.draw(st.permutations(list(range(s.v)))))
+    assert sl.veblen_points(s) == sl.veblen_points_pasch(s)
