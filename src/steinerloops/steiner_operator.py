@@ -11,6 +11,12 @@ Latin square over the subloop carrier; the extension multiplies pairs by
 
 A whole operator is determined by its diagonal blocks plus one block per
 quotient triple, which is what complete_from_blocks reconstructs.
+
+Operator data is checked against (i)-(iv) where it enters (SteinerOperator,
+complete_from_blocks, formats.parse_operator). Derived blocks skip the check:
+  double_operator: loop table, symmetric square with zero diagonal, row inverse;
+  operator_from_extension: products in a checked loop, block (0,0) tested;
+  from_factor_system: x + y + f(P,Q), f zero off the triples, one value each.
 """
 
 from __future__ import annotations
@@ -93,7 +99,9 @@ class LatinSquare:
 class SteinerOperator:
     """Block family indexed by ordered quotient pairs; blocks is an
     (m, m, k, k) array with m the quotient order and k the subloop order.
-    Construction checks conditions (i)-(iv), so every instance is valid."""
+    Construction checks conditions (i)-(iv), so every instance is valid;
+    double_operator, operator_from_extension and from_factor_system skip the
+    check, since their blocks meet them by construction (module docstring)."""
 
     __slots__ = ("q", "n_loop", "blocks")
 
@@ -104,10 +112,11 @@ class SteinerOperator:
                 f"blocks must have shape {(q.n, q.n, n_loop.n, n_loop.n)}, got {blocks.shape}"
             )
         _check_blocks(q.table, n_loop.table, blocks)
+        self._build(q, n_loop, blocks)
+
+    def _build(self, q: SteinerLoop, n_loop: SteinerLoop, blocks: np.ndarray) -> None:
         blocks.flags.writeable = False
-        self.q = q
-        self.n_loop = n_loop
-        self.blocks = blocks
+        self.q, self.n_loop, self.blocks = q, n_loop, blocks
 
     def __eq__(self, other):
         return (
@@ -149,6 +158,13 @@ def _check_blocks(qt: np.ndarray, nt: np.ndarray, blocks: np.ndarray) -> None:
     hit = _first((blocks[:, 0, :, 0] != idx).any(axis=1))
     if hit is not None:
         raise AssertionError(f"block ({hit[0]},0) does not fix x under the subloop identity")
+
+
+def _derived_operator(q: SteinerLoop, n_loop: SteinerLoop, blocks) -> SteinerOperator:
+    """The operator of blocks that meet (i)-(iv) by construction, unchecked."""
+    op = SteinerOperator.__new__(SteinerOperator)
+    op._build(q, n_loop, np.ascontiguousarray(blocks, dtype=np.int32))
+    return op
 
 
 def _extension_table(qt: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -205,17 +221,27 @@ def operator_from_extension(loop: SteinerLoop, n: Subloop, section=None) -> Stei
     lx = lt[reps[:, None], np.array(order_map)]
     prod = lt[lx[:, None, :, None], lx[None, :, None, :]]
     blocks = pos[lt[reps[ql.loop.table][:, :, None, None], prod]]
-    return SteinerOperator(ql.loop, n_loop, blocks)
+    # n_loop comes from n.parent, the blocks from loop: only (i) can break
+    if not np.array_equal(blocks[0, 0], n_loop.table):
+        raise BadIdentityBlock("block (0,0) is not the subloop table")
+    return _derived_operator(ql.loop, n_loop, blocks)
 
 
-def _row_inverse(block: np.ndarray, p, r) -> np.ndarray:
-    """Per-row inverse permutation; Incompletable if columns break."""
+def _row_inverse(block: np.ndarray) -> np.ndarray:
+    """Per-row inverse permutation of a Latin block, itself Latin."""
     k = block.shape[0]
     out = np.empty_like(block)
-    out[np.arange(k)[:, None], block] = np.broadcast_to(np.arange(k), (k, k))
-    if not _latin_mask(out):
-        raise Incompletable(p, r)
+    out[np.arange(k)[:, None], block] = np.arange(k)
     return out
+
+
+def _latin_block(square, k: int, p: int, r: int) -> np.ndarray:
+    """A LatinSquare or array as a k x k int32 block; NotLatin(p, r) if it
+    is not one."""
+    block = np.asarray(getattr(square, "entries", square), dtype=np.int32)
+    if block.shape != (k, k) or not _latin_mask(block):
+        raise NotLatin(p, r)
+    return block
 
 
 def complete_from_blocks(q: SteinerLoop, n_loop: SteinerLoop, diagonal, off) -> SteinerOperator:
@@ -232,18 +258,13 @@ def complete_from_blocks(q: SteinerLoop, n_loop: SteinerLoop, diagonal, off) -> 
     for p in range(1, m):
         if p not in diagonal:
             raise Incompletable(p, p, "missing diagonal block")
-        d = np.asarray(
-            diagonal[p].entries if isinstance(diagonal[p], LatinSquare) else diagonal[p],
-            dtype=np.int32,
-        )
-        if d.shape != (k, k) or not _latin_mask(d):
-            raise NotLatin(p, p)
+        d = _latin_block(diagonal[p], k, p, p)
         if not np.array_equal(d, d.T):
             raise NotSymmetric(f"diagonal block ({p},{p}) must be symmetric")
         if (np.diagonal(d) != 0).any():
             raise BadDiagonal(f"diagonal block ({p},{p}) must have identity diagonal")
         blocks[p, p] = d
-        blocks[p, 0] = _row_inverse(d, p, 0)
+        blocks[p, 0] = _row_inverse(d)
         blocks[0, p] = blocks[p, 0].T
     qs = q.system()
     off = {tuple(key): val for key, val in off.items()}
@@ -255,18 +276,13 @@ def complete_from_blocks(q: SteinerLoop, n_loop: SteinerLoop, diagonal, off) -> 
                 tri[0], tri[1], f"need exactly one supplied block for triple {tri}"
             )
         p, r = supplied[0]
-        block = np.asarray(
-            off[(p, r)].entries if isinstance(off[(p, r)], LatinSquare) else off[(p, r)],
-            dtype=np.int32,
-        )
-        if block.shape != (k, k) or not _latin_mask(block):
-            raise NotLatin(p, r)
+        block = _latin_block(off[(p, r)], k, p, r)
         s = int(qt[p, r])
         blocks[p, r] = block
         blocks[r, p] = block.T
-        blocks[p, s] = _row_inverse(block, p, s)
+        blocks[p, s] = _row_inverse(block)
         blocks[s, p] = blocks[p, s].T
-        blocks[r, s] = _row_inverse(blocks[r, p], r, s)
+        blocks[r, s] = _row_inverse(blocks[r, p])
         blocks[s, r] = blocks[r, s].T
     if (blocks < 0).any():
         raise Incompletable(0, 0, "blocks left undetermined by the supplied data")
@@ -288,8 +304,9 @@ def double_operator(n_loop: SteinerLoop, square) -> SteinerOperator:
         raise NotSymmetric("doubling square must be symmetric")
     if (np.diagonal(square.entries) != 0).any():
         raise BadDiagonal("doubling square must carry the identity on its diagonal")
+    inv = _row_inverse(square.entries)
     q2 = _derived_loop(np.array([[0, 1], [1, 0]], dtype=np.int32))
-    return complete_from_blocks(q2, n_loop, {1: square}, {})
+    return _derived_operator(q2, n_loop, np.array([[n_loop.table, inv.T], [inv, square.entries]]))
 
 
 def double(n_loop: SteinerLoop, square) -> TripleSystem:
@@ -439,4 +456,4 @@ def from_factor_system(f) -> SteinerOperator:
     """The operator of a Schreier extension: block (P,Q) sends (x, y) to
     x + y + f(P,Q) over the elementary abelian carrier."""
     blocks = _schreier_blocks(f)
-    return SteinerOperator(f.q, _derived_loop(blocks[0, 0]), blocks)
+    return _derived_operator(f.q, _derived_loop(blocks[0, 0]), blocks)

@@ -13,6 +13,7 @@ from steinerloops.design_core import (
     point_perm_to_loop_perm,
 )
 from steinerloops.errors import (
+    BadDiagonal,
     BadIdentityBlock,
     BadTriple,
     DiagonalViolation,
@@ -20,8 +21,10 @@ from steinerloops.errors import (
     NotASubloop,
     NotLatin,
     NotNormal,
+    NotSymmetric,
     PairDuplicated,
     PairMissing,
+    ShapeMismatch,
     TotalSymmetryViolation,
     TransposeViolation,
 )
@@ -163,6 +166,21 @@ def reference_operator_check(q, n_loop, blocks):
     for p in range(m):
         if not np.array_equal(blocks[p, 0][:, 0], idx):
             raise AssertionError(f"block ({p},0) does not fix x under the subloop identity")
+
+
+def reference_double_operator(n_loop, square):
+    """Test-local oracle for steiner_operator.double_operator: the same
+    square checks, then complete_from_blocks over the order-2 loop, which
+    derives the off-diagonal blocks and checks (i)-(iv) on construction."""
+    if not isinstance(square, sl.LatinSquare):
+        square = sl.LatinSquare(square)
+    if square.n != n_loop.n:
+        raise ShapeMismatch("square side must match the subloop order")
+    if not square.is_symmetric():
+        raise NotSymmetric("doubling square must be symmetric")
+    if (np.diagonal(square.entries) != 0).any():
+        raise BadDiagonal("doubling square must carry the identity on its diagonal")
+    return sl.complete_from_blocks(sl.SteinerLoop([[0, 1], [1, 0]]), n_loop, {1: square}, {})
 
 
 def reference_fano_planes(s):

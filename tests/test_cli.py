@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import steinerloops as sl
@@ -222,6 +223,38 @@ class TestExtend:
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", [["extend", "double"], ["double"]], ids=["extend", "alias"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("not-latin", "rows and columns must be permutations"),
+            ("not-symmetric", "doubling square must be symmetric"),
+            ("bad-diagonal", "doubling square must carry the identity on its diagonal"),
+            ("wrong-side", "square side must match the subloop order"),
+        ],
+    )
+    def test_double_error_golden(self, capsys, tmp_path, command, case, message):
+        """Square files that cannot double the order-10 loop: stdout,
+        stderr and exit code stay as they are."""
+        x = np.arange(10)
+        phi = catalog.fixture("phi_11").entries.copy()
+        phi[0, 1] = phi[0, 2]
+        squares = {
+            "not-latin": phi,
+            "not-symmetric": catalog.fixture("phi_om1").entries,
+            "bad-diagonal": (x[:, None] + x) % 10,
+            "wrong-side": x[:4, None] ^ x[:4],
+        }
+        path = tmp_path / "square.txt"
+        path.write_text(
+            "".join(
+                " ".join("W" if e == 0 else str(e - 1) for e in row) + "\n"
+                for row in squares[case]
+            )
+        )
+        got = run(capsys, *command, "--n", "sts9_loop_table", "--square", str(path))
+        assert got == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",

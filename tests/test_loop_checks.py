@@ -17,10 +17,10 @@ from steinerloops import _kernels, catalog, formats, steiner_operator
 
 
 class Checked(Exception):
-    """Raised by the patched loop check."""
+    """Raised by a patched check."""
 
 
-def _refuse(table):
+def _refuse(*args):
     raise Checked
 
 

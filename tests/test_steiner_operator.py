@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from conftest import (
     reference_candidate_maps,
+    reference_double_operator,
     reference_find_equivalence,
     reference_operator_check,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_loop_checks import Checked, _extension_sources, _refuse
 
 import steinerloops as sl
-from steinerloops import catalog
+from steinerloops import catalog, formats
 from steinerloops import steiner_operator as so
 from steinerloops.errors import (
     BadDiagonal,
@@ -135,17 +139,17 @@ class TestValidateOperator:
         }
 
     def test_checked_once_per_operator(self, sts9_loop, monkeypatch):
-        """double() checks its operator once, on construction; building the
-        extension does not check again."""
+        """double() builds its operator from the checked square without the
+        block check, and building the extension does not check either; an
+        operator from outside is checked once, on construction."""
         calls = []
         check = so._check_blocks
         monkeypatch.setattr(so, "_check_blocks", lambda *args: calls.append(1) or check(*args))
         sl.double(sts9_loop, catalog.fixture("phi_11"))
-        assert len(calls) == 1
-        op = sl.double_operator(sts9_loop, catalog.fixture("phi_11"))
-        calls.clear()
-        sl.build_extension(op)
         assert calls == []
+        op = sl.double_operator(sts9_loop, catalog.fixture("phi_11"))
+        sl.build_extension(so.SteinerOperator(op.q, op.n_loop, op.blocks))
+        assert len(calls) == 1
 
 
 class TestBuildExtension:
@@ -340,6 +344,129 @@ class TestDouble:
 
     def test_enumeration_count_order4(self):
         assert sum(1 for _ in sl.enumerate_symmetric_squares(4)) == 6
+
+
+def assert_derived(op, blocks):
+    """op holds exactly these blocks, read-only, and they pass the block
+    check and its loop-based oracle."""
+    assert np.array_equal(op.blocks, blocks) and not op.blocks.flags.writeable
+    so._check_blocks(op.q.table, op.n_loop.table, op.blocks)
+    reference_operator_check(op.q, op.n_loop, op.blocks)
+
+
+class TestDerivedOperators:
+    """double_operator, operator_from_extension and from_factor_system
+    build their blocks from checked data without the block check; the blocks
+    equal those of a route that checks them."""
+
+    @pytest.mark.parametrize("key, k", [("pg1", 4), ("fano_labeled", 8), ("sts9_labeled", 10)])
+    def test_double_matches_completion(self, key, k):
+        obj = catalog.pg(1) if key == "pg1" else catalog.fixture(key)
+        n_loop = obj.loop()
+        assert n_loop.n == k
+        for square in itertools.islice(sl.enumerate_symmetric_squares(k), 12):
+            op = sl.double_operator(n_loop, square)
+            assert_derived(op, reference_double_operator(n_loop, square).blocks)
+            assert sl.double(n_loop, square) == sl.build_extension(op).system()
+
+    def test_double_phi_blocks(self, sts9_loop):
+        op = sl.double_operator(sts9_loop, catalog.fixture("phi_11").entries)
+        assert np.array_equal(op.blocks[0, 1], catalog.fixture("phi_om1").entries)
+        assert np.array_equal(op.blocks[1, 0], catalog.fixture("phi_om1").entries.T)
+        assert_derived(op, reference_double_operator(sts9_loop, catalog.fixture("phi_11")).blocks)
+        for double_operator in (sl.double_operator, reference_double_operator):
+            with pytest.raises(NotSymmetric):
+                double_operator(sts9_loop, catalog.fixture("phi_om1"))
+
+    @given(which=st.integers(0, 2), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_extension_matches_products(self, which, data):
+        """Block (P, Q) sends (x, y) to s(PQ) . ((s(P) . x) . (s(Q) . y)),
+        read back in the subloop's labels, product by product."""
+        loop, n = _extension_sources()[which]
+        cosets = sl.quotient(loop, n).cosets
+        section = [0] + [data.draw(st.sampled_from(sorted(c))) for c in cosets[1:]]
+        op = sl.operator_from_extension(loop, n, section)
+        _, order = n.as_loop()
+        label = {e: i for i, e in enumerate(order)}
+        epi = {e: i for i, c in enumerate(cosets) for e in c}
+        m, k = len(cosets), len(order)
+        blocks = np.empty((m, m, k, k), dtype=np.int32)
+        for p, r, x, y in itertools.product(range(m), range(m), range(k), range(k)):
+            prod = loop.mul(loop.mul(section[p], order[x]), loop.mul(section[r], order[y]))
+            s = section[epi[prod]]
+            blocks[p, r, x, y] = label[loop.mul(s, prod)]
+        assert_derived(op, blocks)
+        assert so.SteinerOperator(op.q, op.n_loop, op.blocks) == op
+
+    def test_extension_refuses_foreign_parent(self, pg3):
+        """A subloop whose parent is a relabelled copy of the loop yields a
+        subloop table that block (0,0) does not match."""
+        loop = pg3.loop()
+        perm = np.arange(loop.n)
+        perm[[1, 2]] = [2, 1]
+        table = np.empty_like(loop.table)
+        table[perm[:, None], perm] = perm[loop.table]
+        copy = sl.SteinerLoop(table)
+        with pytest.raises(BadIdentityBlock, match=r"block \(0,0\) is not the subloop table"):
+            sl.operator_from_extension(loop, sl.Subloop(copy, frozenset(range(8))))
+        sl.operator_from_extension(loop, sl.Subloop(loop, frozenset(range(8))))
+
+    @given(
+        name=st.sampled_from(["fano_labeled", "sts9_labeled", "sts13_a"]),
+        t=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_factor_system_matches_values(self, name, t, data):
+        q = catalog.fixture(name).loop()
+        qs = q.system()
+        values = data.draw(st.lists(st.integers(0, (1 << t) - 1), min_size=qs.b, max_size=qs.b))
+        f = sl.FactorSystem(q, t, values)
+        op = so.from_factor_system(f)
+        on_triple = {frozenset(tri): v for tri, v in zip(qs.triples, values)}
+        x = np.arange(1 << t)
+        blocks = np.empty((q.n, q.n, 1 << t, 1 << t), dtype=np.int32)
+        for p, r in itertools.product(range(q.n), repeat=2):
+            fpr = on_triple.get(frozenset((p - 1, r - 1, int(q.table[p, r]) - 1)), 0)
+            blocks[p, r] = x[:, None] ^ x ^ fpr
+        assert_derived(op, blocks)
+        assert np.array_equal(op.n_loop.table, x[:, None] ^ x)
+
+
+class TestWhereTheBlockCheckRuns:
+    def test_derived_operators_skip_the_check(self, monkeypatch, sts9_loop, fano_q):
+        square = catalog.fixture("phi_11")
+        f = sl.FactorSystem(fano_q, 2, [0, 1, 2, 3, 1, 2, 3])
+        loop, n = _extension_sources()[0]
+        builders = {
+            "double": lambda: sl.double(sts9_loop, square).third_table,
+            "double_operator": lambda: sl.double_operator(sts9_loop, square).blocks,
+            "operator_from_extension": lambda: sl.operator_from_extension(loop, n).blocks,
+            "from_factor_system": lambda: so.from_factor_system(f).blocks,
+        }
+        want = {name: build() for name, build in builders.items()}
+        monkeypatch.setattr(so, "_check_blocks", _refuse)
+        for name, build in builders.items():
+            assert np.array_equal(build(), want[name]), name
+
+    def test_entering_operators_reach_the_check(self, monkeypatch, example_op):
+        q, n_loop = example_op.q, example_op.n_loop
+        text = formats.render_operator(example_op)
+        monkeypatch.setattr(so, "_check_blocks", _refuse)
+        entries = {
+            "SteinerOperator": lambda: so.SteinerOperator(q, n_loop, example_op.blocks),
+            "complete_from_blocks": lambda: sl.complete_from_blocks(
+                q, n_loop, {1: catalog.fixture("phi_11")}, {}
+            ),
+            "parse_operator": lambda: formats.parse_operator(text, q, n_loop),
+        }
+        for name, enter in entries.items():
+            try:
+                enter()
+            except Checked:
+                continue
+            pytest.fail(f"{name} skipped the block check")
 
 
 class TestIsotopy:
