@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _chain, _kernels
+from . import _kernels, _search
 from .errors import (
     BadTriple,
     BoundExceeded,
@@ -538,136 +538,31 @@ def _invariants(s: TripleSystem):
     return [(int(c), bool(f)) for c, f in zip(counts, closed)]
 
 
-def _assignment_order(third, inv):
-    """Static point order: rare invariants first, forced extensions greedily.
-
-    The next point is the least unplaced one on which two placed points
-    close, read through the earliest such pair (i, j) of placement positions;
-    without one, the next point of the rarest invariant class. third is the
-    third-point table as nested lists.
-    """
-    v = len(third)
-    freq = {}
-    for i in inv:
-        freq[i] = freq.get(i, 0) + 1
-    free_rank = sorted(range(v), key=lambda p: (freq[inv[p]], p))
-    placed = []
-    in_place = [False] * v
-    # closer[p]: the earliest pair (i, j), i < j, with third(placed[i], placed[j]) = p,
-    # kept for the unplaced points in forced
-    closer = [None] * v
-    forced = set()
-    steps = []
-    for k in range(v):
-        if forced:
-            p = min(forced)
-            forced.remove(p)
-            i, j = closer[p]
-            steps.append(("forced", p, placed[i], placed[j]))
-        else:
-            p = next(q for q in free_rank if not in_place[q])
-            steps.append(("free", p, -1, -1))
-        in_place[p] = True
-        # the new pairs (i, k) come after every pair (i, j < k) already kept
-        row = third[p]
-        for i, a in enumerate(placed):
-            c = row[a]
-            if in_place[c]:
-                continue
-            if c not in forced:
-                forced.add(c)
-                closer[c] = (i, k)
-            elif i < closer[c][0]:
-                closer[c] = (i, k)
-        placed.append(p)
-    return steps
-
-
-# nodes a search may visit: the budget of are_isomorphic and automorphisms and
-# the default node_bound of steiner_operator.find_equivalence; also the most
-# elements PermGroup.elements lists
+# nodes a search may visit: the budget of are_isomorphic and automorphisms, a
+# node being one candidate placement, and the default node_bound of
+# steiner_operator.find_equivalence, a node being one placed map; also the
+# most elements PermGroup.elements lists
 _NODE_BUDGET = 1_000_000
 
 
 def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, reject=None):
-    """The first point map carrying s1's triples to s2's, or None.
+    """The first point map carrying s1's triples to s2's, or None
+    (_search.first_isomorphism).
 
     Past _NODE_BUDGET nodes the search raises BoundExceeded. reject is called
-    once, at the first dead end; when it returns True the search stops with
-    no map.
+    once, at the first failed candidate placement; when it returns True the
+    search stops with no map.
     """
     if s1.v != s2.v:
         return None
-    v = s1.v
-    if v == 1:
-        return (0,)
     inv1 = _invariants(s1)
     inv2 = _invariants(s2)
     if sorted(inv1) != sorted(inv2):
         return None
     third1 = s1.third_table.tolist()
     third2 = third1 if s2 is s1 else s2.third_table.tolist()
-    steps = _assignment_order(third1, inv1)
-    by_inv = {}
-    for q in range(v):
-        by_inv.setdefault(inv2[q], []).append(q)
-    img = [-1] * v
-    pre = [-1] * v
-    placed = []
-    found = []
-    nodes = 0
-    budget = _NODE_BUDGET  # read per call, so a patched module value takes effect
-
-    def consistent(p, q):
-        row1 = third1[p]
-        row2 = third2[q]
-        for r in placed:
-            t = row1[r]
-            u = row2[img[r]]
-            if img[t] != -1:
-                if img[t] != u:
-                    return False
-            elif pre[u] != -1:
-                return False
-        return True
-
-    def extend(k):
-        nonlocal nodes, reject
-        nodes += 1
-        if nodes > budget:
-            raise BoundExceeded(f"isomorphism search exceeded its budget of {budget} nodes")
-        if k == len(steps):
-            found.append(tuple(img))
-            return True
-        kind, p, a, b = steps[k]
-        if kind == "forced":
-            q = third2[img[a]][img[b]]
-            candidates = (q,) if inv2[q] == inv1[p] else ()
-        else:
-            candidates = by_inv.get(inv1[p], ())  # every one shares p's invariant
-        for q in candidates:
-            if pre[q] != -1 or not consistent(p, q):
-                continue
-            img[p] = q
-            pre[q] = p
-            placed.append(p)
-            done = extend(k + 1)
-            placed.pop()
-            img[p] = -1
-            pre[q] = -1
-            if done:
-                return True
-            if reject is not None:
-                consult, reject = reject, None
-                if consult():
-                    return True  # nothing found: the search stops empty
-        return False
-
-    try:
-        extend(0)
-    finally:
-        del extend  # extend refers to itself: free the search now, not at the next gc
-    return found[0] if found else None
+    # _NODE_BUDGET is read per call, so a patched module value takes effect
+    return _search.first_isomorphism(third1, inv1, third2, inv2, _NODE_BUDGET, reject)
 
 
 def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
@@ -707,9 +602,10 @@ def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
 def are_isomorphic(s1: TripleSystem, s2: TripleSystem, bound: int = 31):
     """A point bijection carrying triples to triples, or None.
 
-    BoundExceeded above order bound or past _NODE_BUDGET search nodes. A
-    search that dead-ends once asks the centre route (_centre_rejects)
-    whether to stop; maps and verdicts are those of the plain search.
+    BoundExceeded above order bound or past _NODE_BUDGET candidate
+    placements. At its first failed placement the search asks the centre
+    route (_centre_rejects) whether to stop; maps and verdicts are those of
+    the plain search.
     """
     if max(s1.v, s2.v) > bound:
         raise BoundExceeded(f"order {max(s1.v, s2.v)} above isomorphism bound {bound}")
@@ -754,12 +650,12 @@ def automorphisms(s: TripleSystem, bound: int = 31) -> PermGroup:
 
     The generators are chosen greedily: the sorted elements, each time the
     first one outside the subgroup generated so far. They are the strong
-    generators of the chain (_chain.automorphism_chain); no element is listed.
+    generators of the chain (_search.automorphism_chain); no element is listed.
     """
     if s.v > bound:
         raise BoundExceeded(f"order {s.v} above automorphism bound {bound}")
     # _NODE_BUDGET is read per call, so a patched module value takes effect
-    base, transversals, generators = _chain.automorphism_chain(
+    base, transversals, generators = _search.automorphism_chain(
         s.third_table.tolist(), _invariants(s), _NODE_BUDGET
     )
     order = 1

@@ -466,8 +466,11 @@ def reference_class_images(n, q):
 
 
 def reference_assignment_order(s, inv):
-    """Test-local oracle for design_core._assignment_order: the O(v^3) scan
-    over every pair of placed points for each unplaced point, step by step."""
+    """The static point order of reference_search_isomorphisms: the least
+    unplaced point that two placed points close on, found by an O(v^3) scan
+    over every pair of placed points, else the next point of the rarest
+    invariant class. Its free points are the order in which
+    _search.first_isomorphism places points, so both find the same first map."""
     v = s.v
     freq = {}
     for i in inv:

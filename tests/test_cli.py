@@ -505,11 +505,14 @@ class TestIsomorphic:
     def test_node_budget(self, capsys, monkeypatch):
         import steinerloops.design_core as dc
 
-        monkeypatch.setattr(dc, "_NODE_BUDGET", 5)
-        # a found map takes v + 1 = 8 nodes
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 2)
+        # a found map takes three candidate placements
         code, out, err = run(capsys, "isomorphic", "pg2", "fano")
         assert (code, out) == (3, "")
-        assert err == "error: isomorphism search exceeded its budget of 5 nodes\n"
+        assert err == "error: isomorphism search exceeded its budget of 2 nodes\n"
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 3)
+        code, _, err = run(capsys, "isomorphic", "pg2", "fano")
+        assert (code, err) == (0, "")
 
 
 class TestCatalog:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -10,7 +11,6 @@ import pytest
 import steinerloops as sl
 from conftest import (
     reference_as_loop,
-    reference_assignment_order,
     reference_census,
     reference_center_mask,
     reference_check_subloop,
@@ -1070,18 +1070,6 @@ def _orbit_representatives(key, t):
     return [sl.build_schreier(n, q, sl.FactorSystem(q, t, vals)).system() for vals in reps]
 
 
-class TestSearchOrder:
-    @pytest.mark.parametrize(
-        "name", ["fano", "sts9", "sts13_a", "sts15_2", "ag3", "ag4", "pg4", "pg5", "double19"]
-    )
-    def test_steps_match_reference(self, name):
-        s = _named_system(name)
-        for system in (s, _relabelled(s, 1), _relabelled(s, 2)):
-            inv = dc._invariants(system)
-            steps = dc._assignment_order(system.third_table.tolist(), inv)
-            assert steps == reference_assignment_order(system, inv)
-
-
 class TestCentreRoute:
     @pytest.mark.parametrize(
         "key, t", [("fano_labeled", 1), ("fano_labeled", 2), ("sts9_labeled", 1)]
@@ -1107,6 +1095,24 @@ class TestCentreRoute:
                     b = _relabelled(b, 10 * i + j)
                 assert (sl.are_isomorphic(a, b, bound=39) is not None) == (i == j), (i, j)
 
+    # sha256 of repr(map) for sts9 t = 2 representative rep against its
+    # random.Random(seed) relabel, from the unbudgeted reference_search_isomorphisms
+    STS39_MAPS = {
+        (1, 1): "b118a12d4532f69fbafb2f106197c1987b24a19a0dfe866e48f174caeddf3483",
+        (1, 4): "49d7bf16664615aeb3f69fab37e10842ddb910a99c8b8d6bc744c4a9e19099f5",
+        (2, 1): "9d3d69c74b4b25cb3fa96b3ab50f0df76b59920e80c8718a3248d29923741ed4",
+        (2, 4): "cd4e174ac6bdfb61a3cc807e6ba552dfdafe0232e24949d391f71c3f89858bc0",
+    }
+
+    @pytest.mark.parametrize("rep, seed", STS39_MAPS)
+    def test_hard_sts39_positives_answer(self, rep, seed):
+        """Relabelled STS(39) pairs whose search fails some 115,000
+        candidate placements before its first map: each answers within the
+        node budget, with the oracle's map."""
+        a = _orbit_representatives("sts9_labeled", 2)[rep]
+        found = sl.are_isomorphic(a, _relabelled(a, seed), bound=63)
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == self.STS39_MAPS[rep, seed]
+
     def test_rejection_consults_the_route_once(self, monkeypatch):
         calls = []
         route = dc._centre_rejects
@@ -1116,9 +1122,22 @@ class TestCentreRoute:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "name, bound", [("ag3", 31), ("ag4", 81), ("pg4", 31), ("pg5", 63), ("sts15_2", 31)]
+        "name, bound",
+        [
+            ("ag3", 31),
+            ("ag4", 81),
+            ("pg3", 31),
+            ("pg4", 31),
+            ("pg5", 63),
+            ("sts13_a", 31),
+            ("sts15_2", 31),
+        ],
     )
     def test_positives_never_consult_the_route(self, monkeypatch, name, bound):
+        """Each map is the first map of the unbudgeted oracle search. sts13_a
+        is also refused against sts13_b, by the plain search alone: its
+        centre is trivial, so the route does not decide."""
+
         def boom(*args, **kwargs):
             raise AssertionError("centre route consulted")
 
@@ -1130,15 +1149,39 @@ class TestCentreRoute:
             other = _relabelled(s, seed)
             found = sl.are_isomorphic(s, other, bound=bound)
             assert found is not None and s.relabel(found) == other
+            assert found == reference_search_isomorphisms(s, other, find_all=False)[0]
+        if name == "sts13_a":
+            other = _named_system("sts13_b")
+            assert reference_search_isomorphisms(s, other, find_all=False) == []
+            assert sl.are_isomorphic(s, other) is None
 
 
 class TestNodeBudget:
     def test_are_isomorphic_refuses_past_the_budget(self, monkeypatch, fano):
-        monkeypatch.setattr(dc, "_NODE_BUDGET", 5)
-        with pytest.raises(BoundExceeded, match="budget of 5 nodes"):
+        # a node is one candidate placement: a map is found in three, one per
+        # point outside the subsystem the earlier ones generate
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 2)
+        with pytest.raises(BoundExceeded, match="budget of 2 nodes"):
             sl.are_isomorphic(fano, _relabelled(fano, 1))
-        monkeypatch.setattr(dc, "_NODE_BUDGET", 8)  # a found map takes v + 1 nodes
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 3)
         assert sl.are_isomorphic(fano, fano) == tuple(range(7))
+
+    def test_a_node_is_one_candidate_placement(self, monkeypatch):
+        """Pinned placement counts: a relabelled STS(31) pair whose search
+        backtracks, and the chain of a relabelled STS(19), in which the
+        invariant test on forced images prunes. Each runs at its count and
+        is refused one below it."""
+        s31 = _orbit_representatives("fano_labeled", 2)[1]
+        s19 = _relabelled(_orbit_representatives("sts9_labeled", 1)[2], 5)
+        for kind, count, search in (
+            ("isomorphism", 6587, lambda: sl.are_isomorphic(s31, _relabelled(s31, 1))),
+            ("automorphism", 266, lambda: sl.automorphisms(s19)),
+        ):
+            monkeypatch.setattr(dc, "_NODE_BUDGET", count - 1)
+            with pytest.raises(BoundExceeded, match=f"{kind} search exceeded its budget"):
+                search()
+            monkeypatch.setattr(dc, "_NODE_BUDGET", count)
+            search()
 
     def test_automorphisms_refuse_past_the_budget(self, monkeypatch, fano):
         """The chain searches count their nodes against the same budget."""

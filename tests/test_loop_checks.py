@@ -152,3 +152,25 @@ def test_system_and_loop_hold_no_cycle(sts9):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_searches_hold_no_cycle(sts9, sts15_2):
+    """A finished isomorphism search, one that answers and one that the
+    centre route stops, and an automorphism chain are freed by reference
+    counting alone."""
+    q, n = sts9.loop(), sl.ElemAbelian2(1)
+    a, b = (
+        sl.build_schreier(n, q, sl.FactorSystem(q, 1, values)).system()
+        for values in sl.classify(n, q).orbit_reps[:2]
+    )
+    other = sts15_2.relabel(list(reversed(range(sts15_2.v))))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert sl.are_isomorphic(sts15_2, other) is not None
+            assert sl.are_isomorphic(a, b) is None
+            sl.automorphisms(sts15_2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
