@@ -268,74 +268,76 @@ def system_from_loop(loop: SteinerLoop) -> TripleSystem:
 
 @dataclass(frozen=True)
 class Subloop:
+    """A subloop of parent, checked on construction: members hold the
+    identity, lie in the carrier and are closed under the product, else
+    NotASubloop at the first escape x.y, x and y ascending."""
+
     parent: SteinerLoop
     members: frozenset
+
+    def __post_init__(self):
+        members = frozenset(int(m) for m in self.members)
+        if 0 not in members:
+            raise NotASubloop("identity missing")
+        n = self.parent.n
+        outside = sorted(m for m in members if not 0 <= m < n)
+        if outside:
+            raise NotASubloop(f"elements {outside} outside 0..{n - 1}")
+        m = np.array(sorted(members), dtype=np.intp)
+        inside = np.zeros(n, dtype=np.bool_)
+        inside[m] = True
+        escapes = np.argwhere(~inside[self.parent.table[m[:, None], m]])
+        if len(escapes):
+            i, j = escapes[0]
+            raise NotASubloop(f"not closed: {m[i]}.{m[j]} escapes")
+        object.__setattr__(self, "members", members)
 
     @property
     def order(self) -> int:
         return len(self.members)
 
     def as_loop(self):
-        """Relabeled SteinerLoop on 0..|members|-1 plus the relabeling list."""
+        """Relabeled SteinerLoop on 0..|members|-1 plus the relabeling list;
+        a subloop of a Steiner loop is one, so its table is not checked."""
         order = [0] + sorted(m for m in self.members if m != 0)
         pos = np.full(self.parent.n, -1, dtype=np.int32)
         pos[order] = np.arange(len(order))
-        return SteinerLoop(pos[self.parent.table[np.ix_(order, order)]]), order
+        return _derived_loop(pos[self.parent.table[np.ix_(order, order)]]), order
 
 
-def _require_elements(loop: SteinerLoop, members) -> None:
-    outside = sorted(m for m in members if not 0 <= m < loop.n)
-    if outside:
-        raise NotASubloop(f"elements {outside} outside 0..{loop.n - 1}")
-
-
-def _check_subloop(loop: SteinerLoop, members) -> frozenset:
-    """The members as a frozenset; NotASubloop at the first product x.y
-    that escapes, x and y in the set's iteration order."""
-    members = frozenset(int(m) for m in members)
-    if 0 not in members:
-        raise NotASubloop("identity missing")
-    _require_elements(loop, members)
-    m = np.fromiter(members, dtype=np.intp, count=len(members))
-    inside = np.zeros(loop.n, dtype=np.bool_)
-    inside[m] = True
-    escapes = np.argwhere(~inside[loop.table[m[:, None], m]])
-    if len(escapes):
-        i, j = escapes[0]
-        raise NotASubloop(f"not closed: {m[i]}.{m[j]} escapes")
-    return members
+def _derived_subloop(parent: SteinerLoop, members) -> Subloop:
+    """The Subloop of members computed closed (a closure, a centre), unchecked."""
+    sub = object.__new__(Subloop)
+    object.__setattr__(sub, "parent", parent)
+    object.__setattr__(sub, "members", frozenset(members))
+    return sub
 
 
 def subloop(loop: SteinerLoop, members) -> Subloop:
-    return Subloop(loop, _check_subloop(loop, members))
+    return Subloop(loop, members)
 
 
 def generated_subloop(loop: SteinerLoop, seed) -> Subloop:
-    """Smallest subloop containing the seed elements.
-
-    Each element is processed once against everything known at that moment;
-    commutativity makes this cover every pair.
-    """
-    current = set(int(x) for x in seed) | {0}
-    _require_elements(loop, current)
-    queue = list(current)
-    while queue:
-        x = queue.pop()
-        row = loop.table[x].tolist()
-        for y in list(current):
-            z = row[y]
-            if z not in current:
-                current.add(z)
-                queue.append(z)
-    return Subloop(loop, frozenset(current))
+    """Smallest subloop containing the seed elements: the products of every
+    two members are added until nothing new appears."""
+    seed = sorted({int(x) for x in seed} | {0})
+    outside = [x for x in seed if not 0 <= x < loop.n]
+    if outside:
+        raise NotASubloop(f"elements {outside} outside 0..{loop.n - 1}")
+    inside = np.zeros(loop.n, dtype=np.bool_)
+    m = np.array(seed, dtype=np.intp)
+    while True:  # 0 is a member, so the products hold every member
+        inside[loop.table[m[:, None], m]] = True
+        grown = np.flatnonzero(inside)
+        if len(grown) == len(m):
+            return _derived_subloop(loop, grown.tolist())
+        m = grown
 
 
 def normality_witness(loop: SteinerLoop, n: Subloop):
-    """First (x, y, m) with x.(y.m) outside (x.y).N, or None if normal."""
-    members = n.members
-    if n.parent is not loop:
-        members = _check_subloop(loop, members)
-    members = list(members)
+    """First (x, y, m), m ascending, with x.(y.m) outside (x.y).N, or None if
+    normal; a subloop of another loop object is checked against this one."""
+    members = sorted((n if n.parent is loop else Subloop(loop, n.members)).members)
     t = loop.table
     in_n = np.zeros(loop.n, dtype=np.bool_)
     in_n[members] = True
@@ -375,7 +377,8 @@ def quotient(loop: SteinerLoop, n: Subloop) -> QuotientLoop:
 
 
 def _quotient(loop: SteinerLoop, members) -> QuotientLoop:
-    """quotient for members already known to form a normal subloop."""
+    """quotient for members already known to form a normal subloop; the
+    quotient table is then a Steiner loop and is not checked again."""
     coset_of = loop.table[:, sorted(members)]  # row x is the coset xN
     # a coset is listed at its least element, so cosets come in that order
     reps = np.flatnonzero(coset_of.min(axis=1) == np.arange(loop.n))
@@ -385,7 +388,7 @@ def _quotient(loop: SteinerLoop, members) -> QuotientLoop:
     epi = np.empty(loop.n, dtype=np.int32)
     epi[cosets] = np.arange(len(reps))[:, None]
     return QuotientLoop(
-        SteinerLoop(epi[loop.table[np.ix_(reps, reps)]]),
+        _derived_loop(epi[loop.table[np.ix_(reps, reps)]]),
         tuple(map(frozenset, cosets.tolist())),
         tuple(epi.tolist()),
     )
@@ -506,12 +509,7 @@ def check_normal_triple_fano(loop: SteinerLoop, t: Subloop, a: int) -> bool:
     """A normal order-4 subloop plus any outer element generates a Fano plane."""
     if len(t.members) != 4:
         raise NotASubloop("expected the subloop of a single triple")
-    if not is_normal(loop, t):
-        raise NotNormal("triple subloop is not normal")
-    if a in t.members:
-        raise ElementInsideN(f"element {a} lies in the subloop")
-    sub = generated_subloop(loop, set(t.members) | {a})
-    return len(sub.members) == 8
+    return coset_generated_subsystem(loop, t, a).order == 8
 
 
 # -- isomorphisms -------------------------------------------------------------
@@ -582,7 +580,7 @@ def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
         return False
     try:
         f1, f2 = (
-            schreier.factor_system_from_extension(loop, Subloop(loop, loop.center()))
+            schreier.factor_system_from_extension(loop, _derived_subloop(loop, loop.center()))
             for loop in (s1.loop(), s2.loop())
         )
         q1, q2 = f1.q_system, f2.q_system

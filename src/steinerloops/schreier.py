@@ -20,7 +20,6 @@ from .design_core import (
     Subloop,
     TripleSystem,
     admissible,
-    _check_subloop,
     _derived_loop,
     _quotient,
     automorphisms,
@@ -119,6 +118,8 @@ class Cochain1:
     def __post_init__(self):
         if len(self.values) != self.q.n - 1:
             raise ValueError("cochain must cover every non-identity element")
+        if any(x < 0 or x >> self.t for x in self.values):
+            raise ValueError("cochain value out of range for the 2-group")
 
     def at(self, p: int) -> int:
         return 0 if p == 0 else self.values[p - 1]
@@ -158,7 +159,7 @@ def factor_system_from_extension(loop: SteinerLoop, z: Subloop) -> FactorSystem:
     lies in Z. On build_schreier output this returns the input values. Z
     must be proper: the order-1 quotient has no system (NotAdmissible).
     """
-    members = z.members if z.parent is loop else _check_subloop(loop, z.members)
+    members = (z if z.parent is loop else Subloop(loop, z.members)).members
     outside = sorted(members - loop.center())
     if outside:
         raise NotCentral(f"elements {outside} are not central")

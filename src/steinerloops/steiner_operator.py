@@ -318,28 +318,29 @@ def enumerate_symmetric_squares(k: int):
     """All symmetric k x k Latin squares with identity diagonal, streamed in
     lexicographic order of the upper triangle."""
     cells = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    grid = np.zeros((k, k), dtype=np.int32)
-    used = [1] * k  # bit 0: the diagonal identity
+    yield from _place_squares(cells, 0, np.zeros((k, k), dtype=np.int32), [1] * k)
 
-    def place(idx):
-        if idx == len(cells):
-            yield LatinSquare(grid.copy())
-            return
-        i, j = cells[idx]
-        free = ~(used[i] | used[j])
-        for s in range(1, k):
-            bit = 1 << s
-            if not free & bit:
-                continue
-            grid[i, j] = grid[j, i] = s
-            used[i] |= bit
-            used[j] |= bit
-            yield from place(idx + 1)
-            used[i] ^= bit
-            used[j] ^= bit
-        grid[i, j] = grid[j, i] = 0
 
-    yield from place(0)
+def _place_squares(cells, idx, grid, used):
+    """Every completion of grid from cells[idx] on, free symbols ascending;
+    bit s of used[i] is set once row i holds s (bit 0: the diagonal). Not a
+    closure, so an enumeration leaves no reference cycle."""
+    if idx == len(cells):
+        yield LatinSquare(grid.copy())
+        return
+    i, j = cells[idx]
+    free = ~(used[i] | used[j])
+    for s in range(1, grid.shape[0]):
+        bit = 1 << s
+        if not free & bit:
+            continue
+        grid[i, j] = grid[j, i] = s
+        used[i] |= bit
+        used[j] |= bit
+        yield from _place_squares(cells, idx + 1, grid, used)
+        used[i] ^= bit
+        used[j] ^= bit
+    grid[i, j] = grid[j, i] = 0
 
 
 @dataclass(frozen=True)

@@ -327,9 +327,9 @@ def reference_census(s):
 
 def reference_normality_witness(loop, n):
     """Test-local oracle for normality_witness, one loop.mul at a time: the
-    first (x, y, m) with x.(y.m) outside (x.y).N, m taken in the iteration
-    order of n.members."""
-    members = n.members
+    first (x, y, m) with x.(y.m) outside (x.y).N, m taken in ascending
+    order."""
+    members = sorted(n.members)
     cosets = {}
     for x in range(loop.n):
         for y in range(loop.n):
@@ -387,12 +387,12 @@ def reference_system_from_loop(loop):
 
 def reference_check_subloop(loop, members):
     """Test-local oracle for the subloop check, one product at a time; the
-    first escape in the iteration order of the frozenset."""
+    first escape x.y with x and y taken in ascending order."""
     members = frozenset(int(m) for m in members)
     if 0 not in members:
         raise NotASubloop("identity missing")
-    for x in members:
-        for y in members:
+    for x in sorted(members):
+        for y in sorted(members):
             if loop.mul(x, y) not in members:
                 raise NotASubloop(f"not closed: {x}.{y} escapes")
     return members

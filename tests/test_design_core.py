@@ -305,8 +305,14 @@ class TestGeneratedSubloop:
         with pytest.raises(NotASubloop, match="outside 0..7"):
             sl.generated_subloop(loop, members - {0})
         with pytest.raises(NotASubloop, match="outside 0..7"):
-            # a subloop of another loop object is checked against this one
-            sl.normality_witness(sl.loop_from_system(fano), sl.Subloop(loop, members))
+            sl.Subloop(loop, members)
+
+    def test_foreign_parent_checked_against_the_loop(self, fano, pg3):
+        """A subloop of another loop object is checked against this one."""
+        sub = sl.generated_subloop(pg3.loop(), {8})
+        for call in (sl.normality_witness, sl.factor_system_from_extension):
+            with pytest.raises(NotASubloop, match=r"elements \[8\] outside 0..7$"):
+                call(fano.loop(), sub)
 
 
 class TestNormality:
@@ -353,6 +359,25 @@ class TestNormality:
                     kinds.add(want is None)
         assert kinds == {True, False}
 
+    @pytest.mark.parametrize(
+        "name, members, want",
+        [("sts13_a", [0, 1, 3, 8], (1, 2, 3)), ("sts9_labeled", [0, 1, 5, 9], (2, 1, 5))],
+    )
+    def test_witness_ignores_insertion_order(self, name, members, want):
+        """Two insertion orders of one member set give one witness, though
+        the frozensets iterate differently (8 and 0, 9 and 1 share a slot)."""
+        loop = catalog.fixture(name).loop()
+        subs = [sl.Subloop(loop, frozenset(order)) for order in (members, members[::-1])]
+        assert list(subs[0].members) != list(subs[1].members)
+        assert [sl.normality_witness(loop, sub) for sub in subs] == [want, want]
+
+    def test_escape_ignores_insertion_order(self, sts9):
+        loop = sts9.loop()
+        members = [0, 1, 2, 9]  # 1.2 = 3 escapes; 9 shares a slot with 1
+        for order in (members, members[::-1]):
+            with pytest.raises(NotASubloop, match=r"not closed: 1\.2 escapes$"):
+                sl.Subloop(loop, frozenset(order))
+
 
 class TestSubloopArrays:
     def test_match_reference(self, sts19_example):
@@ -376,12 +401,13 @@ class TestSubloopArrays:
                     try:
                         want = reference_check_subloop(loop, raw)
                     except NotASubloop as exc:
-                        with pytest.raises(NotASubloop, match=re.escape(str(exc)) + "$"):
-                            sl.subloop(loop, raw)
+                        for build in (sl.subloop, sl.Subloop):
+                            with pytest.raises(NotASubloop, match=re.escape(str(exc)) + "$"):
+                                build(loop, raw)
                         seen.add("escape")
                         continue
                     got = sl.subloop(loop, raw)
-                    assert got.members == want
+                    assert got.members == want == sl.Subloop(loop, raw).members
                     table, order = got.as_loop()
                     ref_table, ref_order = reference_as_loop(got)
                     assert np.array_equal(table.table, ref_table) and order == ref_order
@@ -1241,7 +1267,7 @@ def test_quotient_by_every_normal_subloop(name):
     for members in _all_subloops(loop):
         sub = sl.Subloop(loop, members)
         if len(members) < loop.n and sl.is_normal(loop, sub):
-            q = sl.quotient(loop, sub)  # quotient table revalidates the axioms
+            q = sl.quotient(loop, sub)
             assert q.order * len(members) == loop.n
 
 

@@ -1,7 +1,7 @@
-"""Where a Steiner loop table is checked: once where it enters, never on a
-table derived from checked data. Derived tables stay checked a second way
-here, against the kernel, and a system and its loop hold no reference
-cycle."""
+"""Where a Steiner loop table or a subloop's member set is checked: once
+where it enters, never on one derived from checked data. Derived tables stay
+checked a second way here, against the kernel, and a system and its loop,
+the searches and the square enumeration hold no reference cycle."""
 
 import gc
 import itertools
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinerloops as sl
-from steinerloops import _kernels, catalog, formats, steiner_operator
+from steinerloops import _kernels, catalog, design_core, formats, steiner_operator
 
 
 class Checked(Exception):
@@ -40,7 +40,13 @@ class TestDerivedTablesSkipTheCheck:
         n_loop, square = catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11")
         loop, n = _quotient_data()
         op = sl.operator_from_extension(loop, n)
+        ext = sl.build_schreier(sl.ElemAbelian2(2), q, f)
+        z = sl.subloop(ext, range(4))
         builders = {
+            "quotient": lambda: sl.quotient(loop, n).loop.table,
+            "as_loop": lambda: n.as_loop()[0].table,
+            "operator_from_extension": lambda: sl.operator_from_extension(loop, n).blocks,
+            "factor_system_from_extension": lambda: sl.factor_system_from_extension(ext, z).values,
             "loop_from_system": lambda: sl.loop_from_system(sts9).table,
             "build_schreier": lambda: sl.build_schreier(sl.ElemAbelian2(2), q, f).table,
             "are_equivalent": lambda: sl.are_equivalent(f, g).values,
@@ -59,14 +65,10 @@ class TestDerivedTablesSkipTheCheck:
     def test_entering_tables_reach_the_check(self, monkeypatch, sts9):
         table = sts9.loop().table
         text = formats.render_loop_csv(sts9.loop())
-        loop, n = _quotient_data()
         monkeypatch.setattr(_kernels, "steiner_violation", _refuse)
         entries = {
             "SteinerLoop": lambda: sl.SteinerLoop(table),
             "parse_loop_csv": lambda: formats.parse_loop_csv(text),
-            "quotient": lambda: sl.quotient(loop, n),
-            "as_loop": lambda: n.as_loop(),
-            "operator_from_extension": lambda: sl.operator_from_extension(loop, n),
         }
         for name, enter in entries.items():
             try:
@@ -74,6 +76,52 @@ class TestDerivedTablesSkipTheCheck:
             except Checked:
                 continue
             pytest.fail(f"{name} skipped the loop check")
+
+
+class TestDerivedSubloopsSkipTheCheck:
+    def test_computed_member_sets_build_without_the_check(self, monkeypatch, pg3, sts9):
+        """generated_subloop, coset_generated_subsystem and the centre route
+        of are_isomorphic give the same answers with the Subloop check
+        patched to raise."""
+        loop = pg3.loop()
+        n = sl.generated_subloop(loop, {1, 2, 4, 5})
+        q, t1 = sts9.loop(), sl.ElemAbelian2(1)
+        a, b = (
+            sl.build_schreier(t1, q, sl.FactorSystem(q, 1, values)).system()
+            for values in sl.classify(t1, q).orbit_reps[:2]
+        )
+        calls = {
+            "generated_subloop": lambda: sl.generated_subloop(loop, {1, 2}).members,
+            "coset_generated_subsystem": lambda: sl.coset_generated_subsystem(loop, n, 9).members,
+            "check_normal_triple_fano": lambda: sl.check_normal_triple_fano(
+                loop, sl.generated_subloop(loop, {1, 2}), 9
+            ),
+            "centre route": lambda: design_core._centre_rejects(a, b),
+            "are_isomorphic": lambda: sl.are_isomorphic(a, b),
+        }
+        want = {name: call() for name, call in calls.items()}
+        assert want["centre route"] is True and want["are_isomorphic"] is None
+        monkeypatch.setattr(design_core.Subloop, "__post_init__", _refuse)
+        with pytest.raises(Checked):
+            sl.Subloop(loop, {0, 1})
+        for name, call in calls.items():
+            assert call() == want[name], name
+
+    def test_entering_member_sets_reach_the_check(self, monkeypatch, fano, pg3):
+        """A Subloop built by hand, through subloop, or carried to another
+        loop object meets the check."""
+        sub = sl.generated_subloop(fano.loop(), {1, 2})
+        other = sl.loop_from_system(fano)
+        monkeypatch.setattr(design_core.Subloop, "__post_init__", _refuse)
+        entries = {
+            "Subloop": lambda: sl.Subloop(pg3.loop(), {0, 1}),
+            "subloop": lambda: sl.subloop(pg3.loop(), {0, 1}),
+            "normality_witness": lambda: sl.normality_witness(other, sub),
+            "factor_system_from_extension": lambda: sl.factor_system_from_extension(other, sub),
+        }
+        for name, enter in entries.items():
+            with pytest.raises(Checked):
+                enter()
 
 
 def _violation(loop) -> int:
@@ -149,6 +197,20 @@ def test_system_and_loop_hold_no_cycle(sts9):
             loop = sl.SteinerLoop(table)
             sl.veblen_points_pasch(loop.system())
             del s, loop
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_square_enumeration_holds_no_cycle():
+    """A finished and an abandoned enumeration of symmetric squares are
+    freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert len(list(sl.enumerate_symmetric_squares(4))) == 6
+            assert len(list(itertools.islice(sl.enumerate_symmetric_squares(10), 5))) == 5
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -172,6 +172,14 @@ class TestCoboundary:
         rhs = sl.coboundary(phi) + sl.coboundary(psi)
         assert lhs.values == rhs.values
 
+    @pytest.mark.parametrize("values", [(5, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, -1)])
+    def test_value_outside_the_group_rejected(self, fano_q, values):
+        """5 would make equivalence_map send (P, x) outside its coset."""
+        with pytest.raises(ValueError, match="cochain value out of range for the 2-group"):
+            sl.Cochain1(fano_q, 1, values)
+        phi = sl.Cochain1(fano_q, 3, (5, 0, 0, 0, 0, 0, 7))
+        assert sorted(schreier.equivalence_map(phi, 8)) == list(range(64))
+
     def test_kernel_is_hom_set(self, fano_q):
         homs = {h[1:] for h in sl.hom_set(fano_q, n1)}
         kernel = set()
