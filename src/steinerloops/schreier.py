@@ -62,10 +62,12 @@ class FactorSystem:
             raise ValueError(f"expected {qs.b} triple values, got {len(values)}")
         if any(x < 0 or x >> t for x in values):
             raise ValueError("triple value out of range for the 2-group")
-        self.q = q
-        self.t = t
-        self.values = values
-        self._qs = qs
+        self._build(q, t, values)
+
+    def _build(self, q: SteinerLoop, t: int, values: tuple) -> None:
+        """Fill every field from one t-bit int per quotient triple; nothing
+        is checked here."""
+        self.q, self.t, self.values, self._qs = q, t, values, q.system()
 
     @property
     def q_system(self) -> TripleSystem:
@@ -78,14 +80,10 @@ class FactorSystem:
         return self.values[int(self._qs.pair_triple[p - 1, r - 1])]
 
     def __add__(self, other: "FactorSystem") -> "FactorSystem":
-        self._require_frame(other)
-        return FactorSystem(self.q, self.t, [a ^ b for a, b in zip(self.values, other.values)])
-
-    def _require_frame(self, other: "FactorSystem"):
-        if self.t != other.t or self.q.n != other.q.n or not np.array_equal(
-            self.q.table, other.q.table
-        ):
-            raise ValueError("factor systems live over different frames")
+        _require_frame(self, other, "factor systems")
+        return _derived_factor_system(
+            self.q, self.t, tuple(a ^ b for a, b in zip(self.values, other.values))
+        )
 
     def __eq__(self, other):
         return (
@@ -100,6 +98,21 @@ class FactorSystem:
 
     def __repr__(self):
         return f"FactorSystem(t={self.t}, values={self.values})"
+
+
+def _derived_factor_system(q: SteinerLoop, t: int, values: tuple) -> FactorSystem:
+    """The factor system of t-bit values computed from checked data (a sum,
+    a coboundary, an image under a checked automorphism), unchecked."""
+    f = FactorSystem.__new__(FactorSystem)
+    f._build(q, t, values)
+    return f
+
+
+def _require_frame(a, b, kind: str) -> None:
+    """Refuse to add two cochains or factor systems of different dimensions
+    or over different quotient tables."""
+    if a.t != b.t or a.q is not b.q and not np.array_equal(a.q.table, b.q.table):
+        raise ValueError(f"{kind} live over different frames")
 
 
 def zero_factor_system(n: ElemAbelian2, q: SteinerLoop) -> FactorSystem:
@@ -125,14 +138,15 @@ class Cochain1:
         return 0 if p == 0 else self.values[p - 1]
 
     def __add__(self, other: "Cochain1") -> "Cochain1":
+        _require_frame(self, other, "cochains")
         return Cochain1(self.q, self.t, tuple(a ^ b for a, b in zip(self.values, other.values)))
 
 
 def coboundary(phi: Cochain1) -> FactorSystem:
     """delta phi: the factor system with triple value phi(x)+phi(y)+phi(z)."""
     qs = phi.q.system()
-    vals = [phi.values[a] ^ phi.values[b] ^ phi.values[c] for a, b, c in qs.triples]
-    return FactorSystem(phi.q, phi.t, vals)
+    vals = tuple(phi.values[a] ^ phi.values[b] ^ phi.values[c] for a, b, c in qs.triples)
+    return _derived_factor_system(phi.q, phi.t, vals)
 
 
 def build_schreier(n: ElemAbelian2, q: SteinerLoop, f: FactorSystem) -> SteinerLoop:
@@ -209,31 +223,20 @@ def is_coboundary(f: FactorSystem):
     return Cochain1(f.q, f.t, _unplanes(per_bit, qs.v))
 
 
-def equivalence_map(phi: Cochain1, size: int):
-    """The carrier permutation (P, x) -> (P, x + phi(P)) of the flattened
-    extension of a 2-group of the given size."""
-    out = []
-    for p in range(phi.q.n):
-        shift = phi.at(p)
-        out.extend(p * size + (x ^ shift) for x in range(size))
-    return tuple(out)
-
-
 def are_equivalent(f1: FactorSystem, f2: FactorSystem):
     """A cochain realizing the equivalence of the two extensions, or None.
 
-    A returned witness is verified: the induced map (P,x) -> (P, x+phi(P))
-    must be an isomorphism between the two built loops.
+    A returned witness is verified on the quotient, without building either
+    extension: (P,x) -> (P, x+phi(P)) is an isomorphism of the two built
+    loops iff f1(P,Q) + f2(P,Q) = phi(P) + phi(Q) + phi(PQ) for every pair
+    of quotient elements, the x and y parts cancelling.
     """
-    f1._require_frame(f2)
-    phi = is_coboundary(f1 + f2)
+    diff = f1 + f2
+    phi = is_coboundary(diff)
     if phi is None:
         return None
-    n = ElemAbelian2(f1.t)
-    t1 = build_schreier(n, f1.q, f1).table
-    t2 = build_schreier(n, f2.q, f2).table
-    sigma = np.array(equivalence_map(phi, n.size), dtype=np.int32)
-    if not np.array_equal(sigma[t1], t2[sigma[:, None], sigma[None, :]]):
+    ph = np.array((0,) + phi.values, dtype=np.int32)
+    if not np.array_equal(_factor_table(diff), ph[:, None] ^ ph ^ ph[diff.q.table]):
         raise AssertionError("coboundary witness failed to induce an isomorphism")
     return phi
 
@@ -347,8 +350,8 @@ def apply_aut(f: FactorSystem, alpha, beta) -> FactorSystem:
     _check_beta(beta, f.q)
     out = [0] * len(f.values)
     for j, d in enumerate(_triple_dest(f.q_system, beta)):
-        out[d] = alpha[f.values[j]]
-    return FactorSystem(f.q, f.t, out)
+        out[d] = int(alpha[f.values[j]])
+    return _derived_factor_system(f.q, f.t, tuple(out))
 
 
 def _cocycle_at(values: np.ndarray, qt: np.ndarray, p: int) -> bool:

@@ -131,6 +131,17 @@ def brute_force_equivalent(f1, f2):
     return None
 
 
+def equivalence_map(phi, size: int):
+    """Test-local oracle for the witness of are_equivalent: the carrier
+    permutation (P, x) -> (P, x + phi(P)) of the flattened extension of a
+    2-group of the given size."""
+    out = []
+    for p in range(phi.q.n):
+        shift = phi.at(p)
+        out.extend(p * size + (x ^ shift) for x in range(size))
+    return tuple(out)
+
+
 def reference_operator_check(q, n_loop, blocks):
     """Test-local oracle for the operator conditions (i)-(iv): the loop-based
     check, one block pair at a time, that SteinerOperator construction must

@@ -2,7 +2,9 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 
+import numpy as np
 import pytest
 
 import steinerloops as sl
@@ -17,7 +19,7 @@ from steinerloops.errors import (
     OrderTooSmall,
 )
 
-from conftest import brute_force_equivalent, reference_class_images
+from conftest import brute_force_equivalent, equivalence_map, reference_class_images
 
 P = lambda p: p + 1
 
@@ -178,7 +180,7 @@ class TestCoboundary:
         with pytest.raises(ValueError, match="cochain value out of range for the 2-group"):
             sl.Cochain1(fano_q, 1, values)
         phi = sl.Cochain1(fano_q, 3, (5, 0, 0, 0, 0, 0, 7))
-        assert sorted(schreier.equivalence_map(phi, 8)) == list(range(64))
+        assert sorted(equivalence_map(phi, 8)) == list(range(64))
 
     def test_kernel_is_hom_set(self, fano_q):
         homs = {h[1:] for h in sl.hom_set(fano_q, n1)}
@@ -218,6 +220,145 @@ class TestAreEquivalent:
 
     def test_sts9_pair_not_equivalent(self):
         assert sl.are_equivalent(catalog.fixture("f1_sts9"), catalog.fixture("f2_sts9")) is None
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("key", ["fano_labeled", "sts9_labeled", "sts13_a"])
+    def test_witness_induces_an_isomorphism(self, key, t):
+        """Each returned phi carries the built extension of f1 onto that of
+        f2 by (P, x) -> (P, x + phi(P)); a None verdict comes only for pairs
+        in different classes."""
+        q = catalog.fixture(key).loop()
+        n = sl.ElemAbelian2(t)
+        verdicts = set()
+        for f1, f2, related in _drawn_pairs(q, t, random.Random(f"{key}-{t}")):
+            phi = sl.are_equivalent(f1, f2)
+            same_class = schreier._class_index(f1) == schreier._class_index(f2)
+            assert (phi is not None) == same_class and (same_class or not related)
+            verdicts.add(phi is None)
+            if phi is None:
+                continue
+            sigma = np.array(equivalence_map(phi, n.size))
+            t1 = sl.build_schreier(n, q, f1).table
+            t2 = sl.build_schreier(n, q, f2).table
+            assert np.array_equal(sigma[t1], t2[sigma[:, None], sigma[None, :]])
+        assert verdicts == {False, True}
+
+    def test_builds_no_extension(self, monkeypatch, sts9_q):
+        pairs = [(f1, f2) for f1, f2, _ in _drawn_pairs(sts9_q, 2, random.Random(5))]
+        want = [sl.are_equivalent(f1, f2) for f1, f2 in pairs]
+        monkeypatch.setattr(schreier, "build_schreier", _refuse)
+        monkeypatch.setattr(schreier, "_extension_table", _refuse)
+        assert [sl.are_equivalent(f1, f2) for f1, f2 in pairs] == want
+
+    @pytest.mark.parametrize("key", ["fano_labeled", "sts9_labeled"])
+    def test_wrong_witness_raises(self, monkeypatch, key):
+        """Flipping any one bit of any one value of the solved phi is caught."""
+        q = catalog.fixture(key).loop()
+        f1 = sl.FactorSystem(q, 2, [j % 4 for j in range(q.system().b)])
+        f2 = f1 + sl.coboundary(sl.Cochain1(q, 2, tuple(j % 3 for j in range(q.n - 1))))
+        solve = schreier.is_coboundary
+        for j, bit in product(range(q.n - 1), (1, 2)):
+
+            def flipped(diff, j=j, bit=bit):
+                phi = solve(diff)
+                values = phi.values[:j] + (phi.values[j] ^ bit,) + phi.values[j + 1 :]
+                return sl.Cochain1(phi.q, phi.t, values)
+
+            monkeypatch.setattr(schreier, "is_coboundary", flipped)
+            with pytest.raises(AssertionError, match="coboundary witness failed to induce"):
+                sl.are_equivalent(f1, f2)
+
+
+def _refuse(*args):
+    raise AssertionError("an extension was built")
+
+
+def _drawn_pairs(q, t, rng, count=6):
+    """(f1, f2, related): count pairs f, f + delta phi (related) and count
+    pairs of independently drawn values (mostly in different classes)."""
+    b, size = q.system().b, 1 << t
+    draw = lambda: sl.FactorSystem(q, t, [rng.randrange(size) for _ in range(b)])
+    for _ in range(count):
+        f = draw()
+        phi = sl.Cochain1(q, t, tuple(rng.randrange(size) for _ in range(q.n - 1)))
+        yield f, f + sl.coboundary(phi), True
+        yield f, draw(), False
+
+
+class TestFrames:
+    """Sums of factor systems and of cochains need one quotient table and one t."""
+
+    @pytest.fixture(scope="class")
+    def relabelled_q(self, fano):
+        q = fano.relabel((1, 0, 2, 3, 4, 5, 6)).loop()
+        assert not np.array_equal(q.table, fano.loop().table)
+        return q
+
+    def test_equal_but_distinct_quotient(self, fano_q):
+        twin = sl.SteinerLoop(fano_q.table.copy())
+        f = sl.FactorSystem(fano_q, 2, (1, 2, 3, 0, 1, 2, 3))
+        g = sl.FactorSystem(twin, 2, (3, 3, 1, 1, 0, 0, 2))
+        assert (f + g).values == (2, 1, 2, 1, 1, 2, 1)
+        phi = sl.Cochain1(fano_q, 2, (1, 2, 3, 0, 1, 2, 3))
+        psi = sl.Cochain1(twin, 2, (3, 3, 1, 1, 0, 0, 2))
+        assert (phi + psi).values == (2, 1, 2, 1, 1, 2, 1)
+
+    def test_different_table_refused(self, fano_q, relabelled_q):
+        f, g = (sl.FactorSystem(q, 1, (1, 0, 0, 1, 0, 0, 1)) for q in (fano_q, relabelled_q))
+        with pytest.raises(ValueError, match="factor systems live over different frames"):
+            f + g
+        phi, psi = (sl.Cochain1(q, 1, (1, 0, 0, 1, 0, 0, 1)) for q in (fano_q, relabelled_q))
+        with pytest.raises(ValueError, match="cochains live over different frames"):
+            phi + psi
+
+    @pytest.mark.parametrize("t1, t2", [(2, 1), (1, 2)])
+    def test_different_dimension_refused(self, fano_q, t1, t2):
+        f, g = (sl.FactorSystem(fano_q, t, (1,) * 7) for t in (t1, t2))
+        with pytest.raises(ValueError, match="factor systems live over different frames"):
+            f + g
+        phi, psi = (sl.Cochain1(fano_q, t, (1,) * 7) for t in (t1, t2))
+        with pytest.raises(ValueError, match="cochains live over different frames"):
+            phi + psi
+
+
+class TestDerivedFactorSystems:
+    """Sums, coboundaries and automorphism images skip the entry checks and
+    equal what the checked constructor makes of their values."""
+
+    @staticmethod
+    def _same_as_checked(f):
+        checked = sl.FactorSystem(f.q, f.t, f.values)
+        assert f == checked and hash(f) == hash(checked) and repr(f) == repr(checked)
+        assert type(f.values) is tuple and all(type(x) is int for x in f.values)
+        assert f.q_system is checked.q_system
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_match_the_checked_constructor(self, fano_q, t):
+        rng = random.Random(t)
+        phi = sl.Cochain1(fano_q, t, tuple(rng.randrange(1 << t) for _ in range(7)))
+        f = sl.FactorSystem(fano_q, t, [rng.randrange(1 << t) for _ in range(7)])
+        auts = sl.automorphisms(fano_q.system())
+        beta = point_perm_to_loop_perm(auts.generators[0])
+        alpha = schreier.gl2_elements(t)[-1]
+        for g in (
+            sl.coboundary(phi),
+            f + sl.coboundary(phi),
+            sl.apply_aut(f, alpha, beta),
+            sl.apply_aut(f, np.array(alpha), beta),
+        ):
+            self._same_as_checked(g)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((0,) * 6, "expected 7 triple values, got 6"),
+            ((0, 0, 0, 4, 0, 0, 0), "triple value out of range for the 2-group"),
+            ((0, 0, 0, 0, 0, 0, -1), "triple value out of range for the 2-group"),
+        ],
+    )
+    def test_constructor_keeps_its_checks(self, fano_q, values, message):
+        with pytest.raises(ValueError, match=message):
+            sl.FactorSystem(fano_q, 2, values)
 
 
 class TestEnumerate:
