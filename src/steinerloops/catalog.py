@@ -16,7 +16,6 @@ from .design_core import (
     TripleSystem,
     _derived_loop,
     are_isomorphic,
-    validate_system,
 )
 from .errors import UnknownKey
 from .schreier import FactorSystem
@@ -141,24 +140,17 @@ def pasch_configurations(s: TripleSystem):
 
 def _pasch_switch(s: TripleSystem, quad) -> TripleSystem:
     """Replace the four triples of a Pasch configuration by its complement:
-    swapping the two points of any diagonal (a pair not covered inside the
-    configuration) yields the unique other cover of the same pairs."""
-    config = [s.triples[i] for i in quad]
-    pts = sorted({p for t in config for p in t})
-    covered = {
-        frozenset((t[i], t[j])) for t in config for i in range(3) for j in range(i + 1, 3)
-    }
-    swap = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if frozenset((pts[i], pts[j])) not in covered:
-                swap = {pts[i]: pts[j], pts[j]: pts[i]}
-                break
-        if swap:
-            break
-    fresh = [tuple(sorted(swap.get(p, p) for p in t)) for t in config]
-    rest = [t for i, t in enumerate(s.triples) if i not in set(quad)]
-    return TripleSystem(s.v, rest + fresh)
+    swapping the two points of a diagonal (a pair on no line of the
+    configuration) yields the unique other cover of the same pairs. The
+    diagonal taken is the least point p and the one point on no line with p."""
+    config = s.lines[list(quad)]
+    p = config.min()
+    near = np.zeros(s.v, dtype=np.bool_)
+    near[config[(config == p).any(axis=1)]] = True
+    q = config[~near[config]][0]
+    swap = np.arange(s.v)
+    swap[[p, q]] = q, p
+    return TripleSystem(s.v, np.concatenate([np.delete(s.lines, quad, axis=0), swap[config]]))
 
 
 def _sts13_pair():
@@ -173,17 +165,13 @@ def _sts13_pair():
     raise RuntimeError("no Pasch switch changed the isomorphism type")
 
 
-def _f_sts15_example() -> FactorSystem:
-    q = fixture("fano_labeled").loop()
-    tri = q.system().triples
-    support = {(2, 4, 5), (2, 3, 6)}
-    return FactorSystem(q, 1, [1 if t in support else 0 for t in tri])
-
-
-def _f_sts9(support) -> FactorSystem:
-    q = fixture("sts9_labeled").loop()
-    tri = q.system().triples
-    return FactorSystem(q, 1, [1 if t == support else 0 for t in tri])
+def _f_support(key: str, *support) -> FactorSystem:
+    """The t = 1 factor system over the loop of a fixture system that is 1
+    exactly on the given triples."""
+    s = fixture(key)
+    values = np.zeros(s.b, dtype=np.int64)
+    values[[s.pair_triple[a, b] for a, b, _ in support]] = 1
+    return FactorSystem(s.loop(), 1, values)
 
 
 _PROVENANCE = {
@@ -208,11 +196,11 @@ _cache: dict = {}
 
 def _build(key: str):
     if key == "sts15_2":
-        return validate_system(15, _STS15_2_TRIPLES)
+        return TripleSystem(15, _STS15_2_TRIPLES)
     if key == "fano_labeled":
-        return validate_system(7, _FANO_LABELED_TRIPLES)
+        return TripleSystem(7, _FANO_LABELED_TRIPLES)
     if key == "sts9_labeled":
-        return validate_system(9, _STS9_LABELED_TRIPLES)
+        return TripleSystem(9, _STS9_LABELED_TRIPLES)
     if key == "sts9_loop_table":
         return SteinerLoop(np.array(_STS9_LOOP_TABLE, dtype=np.int32))
     if key == "phi_11":
@@ -220,11 +208,11 @@ def _build(key: str):
     if key == "phi_om1":
         return LatinSquare(_PHI_OM1)
     if key == "f_sts15_example":
-        return _f_sts15_example()
+        return _f_support("fano_labeled", (2, 4, 5), (2, 3, 6))
     if key == "f1_sts9":
-        return _f_sts9((2, 5, 8))
+        return _f_support("sts9_labeled", (2, 5, 8))
     if key == "f2_sts9":
-        return _f_sts9((2, 3, 7))
+        return _f_support("sts9_labeled", (2, 3, 7))
     if key == "beta_465_789":
         return _BETA_465_789
     if key in ("sts13_a", "sts13_b"):

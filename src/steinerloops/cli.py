@@ -23,7 +23,6 @@ from .design_core import (
     are_isomorphic,
     census,
     hyperplanes,
-    validate_system,
     veblen_points,
 )
 from .errors import (
@@ -49,9 +48,9 @@ def _resolve_system(spec: str, refuse=lambda v: None) -> TripleSystem:
     if path.exists():
         return formats.read_system(path)
     if spec == "sts1":
-        return validate_system(1, [])
+        return TripleSystem(1, [])
     if spec == "sts3":
-        return validate_system(3, [(0, 1, 2)])
+        return TripleSystem(3, [(0, 1, 2)])
     if spec[:2] in ("pg", "ag") and spec[2:].isdigit():
         dim = int(spec[2:])
         refuse((1 << (dim + 1)) - 1 if spec[:2] == "pg" else 3**dim)

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,9 +81,13 @@ def _triple_rows(v: int, triples) -> np.ndarray:
 
 
 class TripleSystem:
-    """A Steiner triple system on points 0..v-1, validated on construction."""
+    """A Steiner triple system on points 0..v-1, validated on construction;
+    its triples are the rows of the read-only int32 (b, 3) array lines."""
 
-    __slots__ = ("v", "triples", "b", "third_table", "pair_triple", "_loop", "_pasch", "_hash")
+    __slots__ = (
+        "v", "lines", "b", "third_table", "pair_triple", "_triples", "_loop", "_pasch", "_hash",
+        "__weakref__",
+    )
 
     def __init__(self, v: int, triples):
         if not admissible(v):
@@ -113,25 +118,32 @@ class TripleSystem:
         x, y = np.nonzero((third > idx) & (idx > idx[:, None]))
         z = third[x, y]
         pair_triple = np.full((v, v), -1, dtype=np.int32)
-        lines = np.arange(len(x), dtype=np.int32)
+        index = np.arange(len(x), dtype=np.int32)
         for p, q in ((x, y), (x, z), (y, z)):
-            pair_triple[p, q] = pair_triple[q, p] = lines
-        third.flags.writeable = False
-        pair_triple.flags.writeable = False
+            pair_triple[p, q] = pair_triple[q, p] = index
+        lines = np.empty((len(x), 3), dtype=np.int32)
+        lines[:, 0], lines[:, 1], lines[:, 2] = x, y, z
+        for a in (third, pair_triple, lines):
+            a.flags.writeable = False
         self.v = v
-        self.triples = tuple(zip(x.tolist(), y.tolist(), z.tolist()))
+        self.lines = lines
         self.b = len(lines)
         self.third_table = third
         self.pair_triple = pair_triple
-        self._loop = self._pasch = self._hash = None
+        self._triples = self._loop = self._pasch = self._hash = None
+
+    @property
+    def triples(self) -> tuple:
+        """The lines as tuples of ints, built on first access."""
+        if self._triples is None:
+            self._triples = tuple(map(tuple, self.lines.tolist()))
+        return self._triples
 
     # -- basic queries -----------------------------------------------------
 
     def third(self, x: int, y: int) -> int:
         """Third point of the triple through the distinct points x, y."""
-        for p in (x, y):
-            if not 0 <= p < self.v:
-                raise ValueError(f"point {p} outside 0..{self.v - 1}")
+        _check_range(self.v, "point", x, y)
         z = int(self.third_table[x, y])
         if z < 0:
             raise ValueError(f"no triple through ({x},{y})")
@@ -144,16 +156,16 @@ class TripleSystem:
 
     def relabel(self, perm) -> "TripleSystem":
         """Apply a point permutation (point p goes to perm[p])."""
-        return TripleSystem(self.v, [(perm[a], perm[b], perm[c]) for a, b, c in self.triples])
+        return TripleSystem(self.v, np.array([perm[p] for p in range(self.v)])[self.lines])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TripleSystem) and self.v == other.v and self.triples == other.triples
+    def __eq__(self, other):  # the third-point table fixes the lines, in order
+        return isinstance(other, TripleSystem) and np.array_equal(
+            self.third_table, other.third_table
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.v, self.triples))
+            self._hash = hash(self.third_table.tobytes())
         return self._hash
 
     def __repr__(self):
@@ -173,7 +185,7 @@ class SteinerLoop:
     SCAN_ORDER_LIMIT with BoundExceeded.
     """
 
-    __slots__ = ("n", "table", "_system", "_center", "_hash")
+    __slots__ = ("n", "table", "_system", "_source", "_center", "_hash")
 
     def __init__(self, table):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
@@ -188,16 +200,14 @@ class SteinerLoop:
         table.flags.writeable = False
         self.n = int(table.shape[0])
         self.table = table
-        self._system = self._center = self._hash = None
+        self._system = self._source = self._center = self._hash = None
 
     @property
     def order(self) -> int:
         return self.n
 
     def mul(self, x: int, y: int) -> int:
-        for e in (x, y):
-            if not 0 <= e < self.n:
-                raise ValueError(f"element {e} outside 0..{self.n - 1}")
+        _check_range(self.n, "element", x, y)
         return int(self.table[x, y])
 
     def is_associative(self) -> bool:
@@ -215,9 +225,12 @@ class SteinerLoop:
         return self._center
 
     def system(self) -> TripleSystem:
-        if self._system is None:
-            self._system = system_from_loop(self)
-        return self._system
+        # the system this loop was read off, while it lives: weakly held, it
+        # shares its Pasch scan and makes no cycle
+        s = self._system or self._source and self._source()
+        if s is None:
+            s = self._system = system_from_loop(self)
+        return s
 
     def __eq__(self, other):
         return (
@@ -235,6 +248,12 @@ class SteinerLoop:
         return f"SteinerLoop(order={self.n})"
 
 
+def _check_range(n: int, kind: str, *items) -> None:
+    for e in items:
+        if not 0 <= e < n:
+            raise ValueError(f"{kind} {e} outside 0..{n - 1}")
+
+
 def _derived_loop(table) -> SteinerLoop:
     """The loop of a table that follows from checked data (a system, a
     Schreier extension, an operator extension, an elementary abelian
@@ -249,7 +268,9 @@ def loop_from_system(s: TripleSystem) -> SteinerLoop:
     # the diagonal -1 of the third-point table becomes the identity 0
     table = np.pad(s.third_table + 1, (1, 0))
     table[0] = table[:, 0] = np.arange(s.v + 1)
-    return _derived_loop(table)
+    loop = _derived_loop(table)
+    loop._source = weakref.ref(s)
+    return loop
 
 
 def system_from_loop(loop: SteinerLoop) -> TripleSystem:
@@ -467,8 +488,8 @@ class ConfigCensus:
 
     * ``pasch_through[p]``: Pasch configurations through point p;
     * ``fano_through[p]``: Fano subplanes through point p;
-    * ``fano_containing_triple[i]``: Fano subplanes containing triple i of
-      ``s.triples``;
+    * ``fano_containing_triple[i]``: Fano subplanes containing the triple in
+      row i of ``s.lines``;
     * ``fano_planes``: every Fano subplane as the sorted 7-tuple of its
       points, the tuples in lexicographic order (tuples, not frozensets, so
       a kept census stays small).
@@ -518,13 +539,6 @@ def check_normal_triple_fano(loop: SteinerLoop, t: Subloop, a: int) -> bool:
 def perm_compose(f, g):
     """(f o g)[i] = f[g[i]]."""
     return tuple(f[x] for x in g)
-
-
-def perm_inverse(p):
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
 
 
 def point_perm_to_loop_perm(pp):
@@ -587,8 +601,8 @@ def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
         gamma = _search_isomorphisms(q1, q2)
         if gamma is None:
             return True
-        pair = q2.pair_triple
-        carried = [f2.values[pair[gamma[a], gamma[b]]] for a, b, _ in q1.triples]
+        g = np.asarray(gamma)[q1.lines[:, :2]]
+        carried = np.array(f2.values)[q2.pair_triple[g[:, 0], g[:, 1]]]
         report = schreier.classify(schreier.ElemAbelian2(f1.t), f1.q)
     except BoundExceeded:
         return False

@@ -20,6 +20,7 @@ from .design_core import (
     Subloop,
     TripleSystem,
     admissible,
+    _check_range,
     _derived_loop,
     _quotient,
     automorphisms,
@@ -75,6 +76,7 @@ class FactorSystem:
 
     def value(self, p: int, r: int) -> int:
         """f(p, r) for loop elements of the quotient."""
+        _check_range(self.q.n, "element", p, r)
         if p == r or p == 0 or r == 0:
             return 0
         return self.values[int(self._qs.pair_triple[p - 1, r - 1])]
@@ -135,6 +137,7 @@ class Cochain1:
             raise ValueError("cochain value out of range for the 2-group")
 
     def at(self, p: int) -> int:
+        _check_range(self.q.n, "element", p)
         return 0 if p == 0 else self.values[p - 1]
 
     def __add__(self, other: "Cochain1") -> "Cochain1":
@@ -144,9 +147,8 @@ class Cochain1:
 
 def coboundary(phi: Cochain1) -> FactorSystem:
     """delta phi: the factor system with triple value phi(x)+phi(y)+phi(z)."""
-    qs = phi.q.system()
-    vals = tuple(phi.values[a] ^ phi.values[b] ^ phi.values[c] for a, b, c in qs.triples)
-    return _derived_factor_system(phi.q, phi.t, vals)
+    a, b, c = np.array(phi.values)[phi.q.system().lines].T
+    return _derived_factor_system(phi.q, phi.t, tuple((a ^ b ^ c).tolist()))
 
 
 def build_schreier(n: ElemAbelian2, q: SteinerLoop, f: FactorSystem) -> SteinerLoop:
@@ -186,14 +188,14 @@ def factor_system_from_extension(loop: SteinerLoop, z: Subloop) -> FactorSystem:
     ql = _quotient(loop, members)
     reps = np.array([min(c) for c in ql.cosets])
     qs = ql.loop.system()
-    sp, sq, sr = reps[np.array(qs.triples, dtype=np.intp).reshape(-1, 3) + 1].T
+    sp, sq, sr = reps[qs.lines + 1].T
     lt = loop.table
     return FactorSystem(ql.loop, t, [coord[x] for x in lt[sr, lt[sp, sq]].tolist()])
 
 
 def _triple_point_rows(s: TripleSystem) -> list:
     """One GF(2) row per triple; bit j set iff point j lies on the triple."""
-    return [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.triples]
+    return [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.lines.tolist()]
 
 
 def _planes(values, t: int) -> list:
@@ -340,7 +342,8 @@ def _check_beta(beta, q: SteinerLoop):
 
 def _triple_dest(qs: TripleSystem, beta) -> list:
     """dest[j]: the triple onto which the loop automorphism beta maps triple j."""
-    return [int(qs.pair_triple[beta[a + 1] - 1, beta[b + 1] - 1]) for a, b, _ in qs.triples]
+    point = np.asarray(beta[1:]) - 1  # beta on the points
+    return qs.pair_triple[point[qs.lines[:, 0]], point[qs.lines[:, 1]]].tolist()
 
 
 def apply_aut(f: FactorSystem, alpha, beta) -> FactorSystem:

@@ -266,10 +266,8 @@ def complete_from_blocks(q: SteinerLoop, n_loop: SteinerLoop, diagonal, off) -> 
         blocks[p, p] = d
         blocks[p, 0] = _row_inverse(d)
         blocks[0, p] = blocks[p, 0].T
-    qs = q.system()
     off = {tuple(key): val for key, val in off.items()}
-    for a, b, c in qs.triples:
-        tri = (a + 1, b + 1, c + 1)
+    for tri in map(tuple, (q.system().lines + 1).tolist()):
         supplied = [key for key in off if set(key) <= set(tri)]
         if len(supplied) != 1:
             raise Incompletable(
@@ -376,6 +374,8 @@ def verify_isotopy_family(op1: SteinerOperator, op2: SteinerOperator, gamma) -> 
         gamma = IsotopyFamily(tuple(tuple(g) for g in gamma))
     m, k = op1.q.n, op1.n_loop.n
     g = np.array(gamma.maps, dtype=np.int32)
+    if g.shape != (m, k):
+        raise ShapeMismatch(f"isotopy family must hold {m} maps of {k} points")
     p = np.arange(m)[:, None, None, None]
     r = np.arange(m)[None, :, None, None]
     x = np.arange(k)[:, None]

@@ -9,7 +9,6 @@ from steinerloops import catalog, gf2, schreier
 from steinerloops.design_core import (
     _invariants,
     perm_compose,
-    perm_inverse,
     point_perm_to_loop_perm,
 )
 from steinerloops.errors import (
@@ -129,6 +128,14 @@ def brute_force_equivalent(f1, f2):
         if delta == target:
             return phi
     return None
+
+
+def perm_inverse(p):
+    """Test helper: the inverse of a permutation given as a sequence."""
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
 
 
 def equivalence_map(phi, size: int):

@@ -11,10 +11,10 @@ import pytest
 
 import steinerloops as sl
 from steinerloops import catalog
-from steinerloops.design_core import perm_inverse, point_perm_to_loop_perm
+from steinerloops.design_core import point_perm_to_loop_perm
 from steinerloops.schreier import _triple_point_rows
 
-from conftest import brute_force_equivalent
+from conftest import brute_force_equivalent, perm_inverse
 
 P = lambda p: p + 1
 n1 = sl.ElemAbelian2(1)

@@ -170,9 +170,11 @@ class TestRelabel:
             fano.relabel([0, 1, 2, 3, 4, 5, 7])
         with pytest.raises(IndexError):
             fano.relabel(range(6))
-        # entries past v are never read, floats are read as ints
+        # entries past v are never read, floats are read as ints, any
+        # mapping of the points is read
         assert fano.relabel(range(8)) == fano
         assert fano.relabel([float(p) for p in range(7)]) == fano
+        assert fano.relabel({p: p for p in range(7)}) == fano
 
 
 class TestLoopFromSystem:

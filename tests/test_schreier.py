@@ -9,7 +9,7 @@ import pytest
 
 import steinerloops as sl
 from steinerloops import catalog, schreier
-from steinerloops.design_core import perm_inverse, point_perm_to_loop_perm
+from steinerloops.design_core import point_perm_to_loop_perm
 from steinerloops.errors import (
     BoundExceeded,
     NotAdmissible,
@@ -19,7 +19,7 @@ from steinerloops.errors import (
     OrderTooSmall,
 )
 
-from conftest import brute_force_equivalent, equivalence_map, reference_class_images
+from conftest import brute_force_equivalent, equivalence_map, perm_inverse, reference_class_images
 
 P = lambda p: p + 1
 
@@ -55,6 +55,15 @@ class TestEvalFactor:
 
     def test_elsewhere_zero(self, f_example):
         assert f_example.value(1, 2) == 0
+
+    @pytest.mark.parametrize("p, r", [(-1, 3), (3, -1), (-1, 8), (10, 3), (3, 10), (0, 10)])
+    def test_element_outside_the_quotient_rejected(self, p, r):
+        """Over the sts9 quotient (m = 10), -1 no longer reads element 8
+        through a negative index, nor (-1, 8) the diagonal's -1."""
+        f = catalog.fixture("f1_sts9")
+        bad = p if not 0 <= p < 10 else r
+        with pytest.raises(ValueError, match=rf"^element {bad} outside 0\.\.9$"):
+            f.value(p, r)
 
     def test_symmetry_and_triple_constancy(self, f_example):
         q = f_example.q
@@ -181,6 +190,14 @@ class TestCoboundary:
             sl.Cochain1(fano_q, 1, values)
         phi = sl.Cochain1(fano_q, 3, (5, 0, 0, 0, 0, 0, 7))
         assert sorted(equivalence_map(phi, 8)) == list(range(64))
+
+    @pytest.mark.parametrize("p", [-1, 10])
+    def test_at_outside_the_quotient_rejected(self, p):
+        q = catalog.fixture("f1_sts9").q
+        phi = sl.Cochain1(q, 2, tuple(range(3)) * 3)
+        assert [phi.at(x) for x in range(10)] == [0] + list(range(3)) * 3
+        with pytest.raises(ValueError, match=rf"^element {p} outside 0\.\.9$"):
+            phi.at(p)
 
     def test_kernel_is_hom_set(self, fano_q):
         homs = {h[1:] for h in sl.hom_set(fano_q, n1)}

@@ -525,6 +525,20 @@ class TestIsotopy:
         with pytest.raises(ShapeMismatch):
             sl.find_equivalence(example_op, other)
 
+    @pytest.mark.parametrize("maps", [11, 9])
+    def test_family_of_the_wrong_length_refused(self, maps):
+        """Over the sts9 quotient (m = 10, k = 2) a family needs ten maps:
+        eleven were accepted, nine raised IndexError."""
+        op = so.from_factor_system(catalog.fixture("f1_sts9"))
+        assert sl.verify_isotopy_family(op, op, [(0, 1)] * 10)
+        with pytest.raises(ShapeMismatch, match="10 maps of 2 points"):
+            sl.verify_isotopy_family(op, op, [(0, 1)] * maps)
+
+    def test_maps_of_the_wrong_size_refused(self):
+        op = so.from_factor_system(catalog.fixture("f1_sts9"))
+        with pytest.raises(ShapeMismatch, match="10 maps of 2 points"):
+            sl.verify_isotopy_family(op, op, [(0, 1, 2)] * 10)
+
     def test_equivalence_matches_factor_system_theory(self, fano_q):
         import random
 
