@@ -86,7 +86,7 @@ class TripleSystem:
 
     __slots__ = (
         "v", "lines", "b", "third_table", "pair_triple", "_triples", "_loop", "_pasch", "_hash",
-        "__weakref__",
+        "_elimination", "__weakref__",
     )
 
     def __init__(self, v: int, triples):
@@ -130,7 +130,7 @@ class TripleSystem:
         self.b = len(lines)
         self.third_table = third
         self.pair_triple = pair_triple
-        self._triples = self._loop = self._pasch = self._hash = None
+        self._triples = self._loop = self._pasch = self._hash = self._elimination = None
 
     @property
     def triples(self) -> tuple:

@@ -5,6 +5,15 @@ system; by construction it is symmetric, vanishes on the identity and the
 diagonal, and is constant on quotient triples. Two factor systems describe
 equivalent extensions iff their sum is a coboundary, which per bit component
 is a GF(2) linear system with one equation per quotient triple.
+
+That system's matrix depends on the quotient alone, so its linear algebra is
+done once per quotient system and stored on it (_Elimination, made on first
+use by _elimination). It gives a consistency set of triples per free triple
+of the coboundary basis and a triple set per point: f is a coboundary iff
+the XOR of its values over every consistency set is 0, and then phi(p) is
+the XOR of its values over p's triple set, all t bits at once. The same
+XORs are the digits of f's class index. is_coboundary, are_equivalent,
+count_nonequivalent, hom_set and classify all read the stored elimination.
 """
 
 from __future__ import annotations
@@ -198,31 +207,112 @@ def _triple_point_rows(s: TripleSystem) -> list:
     return [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.lines.tolist()]
 
 
-def _planes(values, t: int) -> list:
-    """The t bit planes of a sequence of t-bit values: bit i of plane k is
-    bit k of values[i]."""
-    return [sum(((x >> k) & 1) << i for i, x in enumerate(values)) for k in range(t)]
+def _point_planes(s: TripleSystem) -> list:
+    """One GF(2) row per point; bit j set iff the point lies on triple j."""
+    j = np.arange(s.b)
+    packed = np.zeros((s.v, (s.b + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(packed, (s.lines, j[:, None] >> 3), (1 << (j[:, None] & 7)).astype(np.uint8))
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _unplanes(planes, width: int) -> tuple:
-    """The width values whose bit k is read from planes[k]; inverts _planes."""
+    """The width values whose bit k is read from planes[k]: bit i of plane k
+    is bit k of value i."""
     return tuple(
         sum(((plane >> i) & 1) << k for k, plane in enumerate(planes)) for i in range(width)
     )
 
 
+def _bits(x: int):
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class _Elimination:
+    """The GF(2) linear algebra of one quotient system of v points and b
+    triples, made once by _elimination; it holds no reference to the system.
+
+    The coboundary of the indicator of point p is the b-bit row of the
+    triples through p. The v such rows are echelonized once, row p tagged
+    with bit b + v - 1 - p, so each basis row's tag names a cochain whose
+    coboundary is the row's low b bits. Basis rows whose pivot is a tag are
+    the cochains with coboundary 0; the rest give
+    * basis, pivots: the reduced coboundary basis (tags dropped) and its
+      pivot triples, and free, the other triples in ascending order;
+    * class_sets[s]: the consistency set of the free triple free[s], that
+      triple and the pivot of every basis row holding it. f's value there
+      after reduction modulo the basis is the XOR of f over the set, so f
+      is a coboundary iff every such XOR is 0, and they are the digits of
+      f's class index;
+    * point_sets[p]: the pivot of every basis row whose tag holds p. For a
+      coboundary f, the XORs of f over these sets are a phi with
+      delta phi = f. The tag-pivot rows span the cochains with coboundary 0,
+      and the reversed tag order puts their pivots at the points that are
+      free in the echelon form of the triple rows, so this phi is 0 there:
+      it is the solution gf2.solve gives per bit.
+
+    kernel is the nullspace basis of the triple rows, one homomorphism to
+    GF(2) each, from a second elimination; _class_space checks its rank
+    against the first.
+    """
+
+    __slots__ = ("basis", "pivots", "free", "class_sets", "point_sets", "kernel")
+
+    def __init__(self, qs: TripleSystem):
+        v, b = qs.v, qs.b
+        tagged, pivots = gf2.echelonize(
+            [plane | 1 << (b + v - 1 - p) for p, plane in enumerate(_point_planes(qs))], b + v
+        )
+        r = sum(p < b for p in pivots)
+        low = (1 << b) - 1
+        self.basis = [row & low for row in tagged[:r]]
+        self.pivots = pivots[:r]
+        pivot_set = set(self.pivots)
+        self.free = [j for j in range(b) if j not in pivot_set]
+        sets = {j: [j] for j in self.free}
+        point_sets = [[] for _ in range(v)]
+        for row, p in zip(tagged[:r], self.pivots):
+            for j in _bits((row & low) ^ (1 << p)):
+                sets[j].append(p)
+            for i in _bits(row >> b):
+                point_sets[v - 1 - i].append(p)
+        self.class_sets = [tuple(sets[j]) for j in self.free]
+        self.point_sets = [tuple(s) for s in point_sets]
+        self.kernel = gf2.nullspace_basis(_triple_point_rows(qs), v)
+
+
+def _elimination(qs: TripleSystem) -> _Elimination:
+    """The elimination of a quotient system, made on first use and stored."""
+    if qs._elimination is None:
+        qs._elimination = _Elimination(qs)
+    return qs._elimination
+
+
+def _xor_over(values, cells) -> int:
+    """The XOR of values[i] over the indices i in cells."""
+    x = 0
+    for i in cells:
+        x ^= values[i]
+    return x
+
+
 def is_coboundary(f: FactorSystem):
-    """A cochain phi with delta phi = f, or None. Solved per bit component
-    as a linear system with one equation per quotient triple."""
-    qs = f.q_system
-    rows = _triple_point_rows(qs)
-    per_bit = []
-    for plane in _planes(f.values, f.t):
-        x = gf2.solve(rows, plane, qs.v)
-        if x is None:
-            return None
-        per_bit.append(x)
-    return Cochain1(f.q, f.t, _unplanes(per_bit, qs.v))
+    """A cochain phi with delta phi = f, or None.
+
+    Read off the quotient's stored elimination (_Elimination) for all t bits
+    at once: f is a coboundary iff the XOR of its values over every
+    consistency set is 0, and then phi(p) is the XOR of its values over
+    p's triple set. phi is 0 at the points free in the echelon form of the
+    triple rows, the solution gf2.solve gives per bit.
+    """
+    e = _elimination(f.q_system)
+    values = f.values
+    if any(_xor_over(values, cells) for cells in e.class_sets):
+        return None
+    return Cochain1(f.q, f.t, tuple(_xor_over(values, cells) for cells in e.point_sets))
 
 
 def are_equivalent(f1: FactorSystem, f2: FactorSystem):
@@ -257,49 +347,41 @@ def hom_set(q: SteinerLoop, n: ElemAbelian2, bound: int = DEFAULT_TB_BOUND):
     """All loop homomorphisms from q into the 2-group, as tuples indexed by
     loop element (identity included at index 0)."""
     qs = q.system()
-    w = qs.v
-    kernel = gf2.nullspace_basis(_triple_point_rows(qs), w)
+    kernel = _elimination(qs).kernel
     k = len(kernel)
     if k * n.t > bound:
         raise BoundExceeded(f"hom space dimension {k * n.t} exceeds bound {bound}")
     component_vectors = gf2.span(kernel)
-    homs = [(0,) + _unplanes(combo, w) for combo in product(component_vectors, repeat=n.t)]
+    homs = [(0,) + _unplanes(combo, qs.v) for combo in product(component_vectors, repeat=n.t)]
     return sorted(homs)
-
-
-def _coboundary_basis(qs: TripleSystem):
-    """(basis, pivots): the reduced echelon basis of the single-component
-    coboundary space over the b triple coordinates, where generator j is the
-    coboundary of the indicator of point j, and its pivot columns."""
-    return gf2.echelonize(_planes(_triple_point_rows(qs), qs.v), qs.b)
 
 
 def _class_space(n: ElemAbelian2, q: SteinerLoop):
     """(basis, pivots, |Hom(q, n)|): the coboundary basis and pivots, and the
     homomorphism count 2^(tk), k the dimension of the kernel of the triple
-    rows. The class count 2^(t(b-r)) is checked against the closed form
-    2^(tb) / (2^(tw) / |Hom|), the two ranks coming from two eliminations."""
+    rows, all read off the stored elimination. Checked two ways, the two
+    ranks coming from its two eliminations: the class count 2^(t(b-r))
+    against the closed form 2^(tb) / (2^(tw) / |Hom|), and the rank r of the
+    coboundary basis against the rank w - k of the triple rows."""
     qs = q.system()
+    e = _elimination(qs)
     t, b, w = n.t, qs.b, qs.v
-    basis, pivots = _coboundary_basis(qs)
-    r = len(basis)
-    hom_count = 1 << (t * len(gf2.nullspace_basis(_triple_point_rows(qs), w)))
+    r, k = len(e.basis), len(e.kernel)
+    hom_count = 1 << (t * k)
     if 1 << (t * (b - r + w)) != (1 << (t * b)) * hom_count:
         raise AssertionError("class count disagrees with the homomorphism count")
-    return basis, pivots, hom_count
+    if r != w - k:
+        raise AssertionError("coboundary rank disagrees with the rank of the triple rows")
+    return e.basis, e.pivots, hom_count
 
 
 def _class_index(f: FactorSystem) -> int:
-    """The index of f's equivalence class in classify's class list: each bit
-    plane reduced to its least representative, whose values on the free
-    (non-pivot) triples, the first the most significant, are its digits."""
-    basis, pivots = _coboundary_basis(f.q_system)
-    planes = [gf2.reduce_vector(plane, basis, pivots) for plane in _planes(f.values, f.t)]
-    pivots = set(pivots)
+    """The index of f's equivalence class in classify's class list: f's
+    XORs over the consistency sets are its values, reduced modulo the
+    coboundaries, on the free triples, the first the most significant."""
     index = 0
-    for j, x in enumerate(_unplanes(planes, len(f.values))):
-        if j not in pivots:
-            index = (index << f.t) | x
+    for cells in _elimination(f.q_system).class_sets:
+        index = (index << f.t) | _xor_over(f.values, cells)
     return index
 
 
@@ -415,37 +497,38 @@ class ClassificationReport:
     witnesses: tuple
 
 
-def _class_action(q: SteinerLoop, t: int, basis, pivots):
+def _class_action(q: SteinerLoop, t: int):
     """(gens, images): the generators (alpha, 1), alpha != 1 in GL(t,2), and
     (1, beta), beta generating Aut(q), each checked once, and each one's
     image of every class index.
 
-    Bits shift[j] .. shift[j] + t - 1 of a class index hold the value on the
-    free (non-pivot) triple j. The action is GF(2)-linear, so the images of
+    Bits t * s .. t * s + t - 1 of a class index hold the value on free
+    triple free[-1 - s]. The action is GF(2)-linear, so the images of
     the unit indices span a generator's image. (alpha, beta) sends 1 << c on
     free triple j to alpha[1 << c] on triple dest[j], the class with index
-    alpha[1 << c] * unit_class[dest[j]]: unit_class[i] has bit shift[j] for
-    each free j that survives reducing the unit plane of triple i, and the
-    product never carries since alpha[x] < 2^t.
+    alpha[1 << c] * unit_class[dest[j]]: unit_class[i] has the lowest bit of
+    each free triple whose consistency set holds i, the free values left by
+    reducing the unit plane of triple i, and the product never carries since
+    alpha[x] < 2^t.
     """
     qs = q.system()
-    free = [i for i in range(qs.b) if i not in set(pivots)]
-    if not t * len(free):  # a single class leaves nothing to act on
+    e = _elimination(qs)
+    if not t * len(e.free):  # a single class leaves nothing to act on
         return [], []
     id_a, id_b = tuple(range(1 << t)), tuple(range(q.n))
     gens = [(a, id_b) for a in gl2_elements(t) if a != id_a]
     gens += [(id_a, point_perm_to_loop_perm(g)) for g in automorphisms(qs).generators]
-    shift = {j: t * s for s, j in enumerate(reversed(free))}
-    unit_class = []
-    for i in range(qs.b):
-        reduced = gf2.reduce_vector(1 << i, basis, pivots)
-        unit_class.append(sum(1 << shift[j] for j in free if (reduced >> j) & 1))
+    unit_class = [0] * qs.b
+    for s, cells in enumerate(reversed(e.class_sets)):
+        for i in cells:
+            unit_class[i] |= 1 << (t * s)
     images = []
     for alpha, beta in gens:
         _check_alpha(alpha, t)
         _check_beta(beta, q)
-        dest = _triple_dest(qs, beta)
-        units = [unit_class[dest[j]] * alpha[1 << c] for j in reversed(free) for c in range(t)]
+        # every GL(t,2) generator carries the identity beta, which fixes each triple
+        dest = range(qs.b) if beta is id_b else _triple_dest(qs, beta)
+        units = [unit_class[dest[j]] * alpha[1 << c] for j in reversed(e.free) for c in range(t)]
         images.append(gf2.span(units))
     return gens, images
 
@@ -462,7 +545,7 @@ def classify(
     t, b = n.t, qs.b
     if t * b > tb_bound:
         raise BoundExceeded(f"t*b = {t * b} exceeds enumeration bound {tb_bound}")
-    basis, pivots, hom_count = _class_space(n, q)
+    basis, _, hom_count = _class_space(n, q)
     r = len(basis)
     eq_count = 1 << (t * (b - r))
     if eq_count > class_bound:
@@ -471,7 +554,7 @@ def classify(
     # Pivot coordinates of a class representative are 0, so product() lists
     # the representatives in sorted order and the bits of index i are the
     # free triple values of class i.
-    free = [i for i in range(b) if i not in set(pivots)]
+    free = _elimination(qs).free
     reps = []
     for combo in product(range(n.size), repeat=len(free)):
         vals = [0] * b
@@ -483,7 +566,7 @@ def classify(
         # every witness carries an alpha with 2^t entries
         raise BoundExceeded(f"GL enumeration limited to dimension {GL_DIMENSION_BOUND}")
     id_a, id_b = tuple(range(n.size)), tuple(range(q.n))
-    gens, images = _class_action(q, t, basis, pivots)
+    gens, images = _class_action(q, t)
 
     orbit_of = [-1] * len(reps)
     witnesses = [None] * len(reps)

@@ -349,6 +349,8 @@ class IsotopyFamily:
     maps: tuple
 
     def __post_init__(self):
+        if not self.maps:
+            raise ShapeMismatch("isotopy family holds no maps")
         k = len(self.maps[0])
         if tuple(self.maps[0]) != tuple(range(k)):
             raise ValidationError("the identity block permutation must be the identity")

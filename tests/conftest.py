@@ -321,6 +321,23 @@ def reference_echelonize(rows, n_cols):
     return [basis[i] for i in order], [pivots[i] for i in order]
 
 
+def reference_is_coboundary(f):
+    """Test-local oracle for is_coboundary: gf2.solve on the triple rows
+    once per bit plane of f, the solution's bits reassembled per point, or
+    None when some plane has no solution."""
+    qs = f.q_system
+    rows = [sum(1 << p for p in tri) for tri in qs.triples]
+    phi = [0] * qs.v
+    for k in range(f.t):
+        plane = sum(((x >> k) & 1) << i for i, x in enumerate(f.values))
+        x = gf2.solve(rows, plane, qs.v)
+        if x is None:
+            return None
+        for p in range(qs.v):
+            phi[p] |= ((x >> p) & 1) << k
+    return tuple(phi)
+
+
 def reference_census(s):
     """Test-local oracle for census: Pasch counts from reference_pasch_census,
     Fano counts per point and per triple tallied plane by plane over

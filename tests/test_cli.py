@@ -430,8 +430,11 @@ class TestEnumerateClassify:
     def test_classify_internal_check_exit_code(self, capsys, monkeypatch):
         import steinerloops.cli as cli_mod
 
-        # the fano kernel has dimension 3; a wrong one must fail the cross-check
+        # the fano kernel has dimension 3; a wrong one must fail the cross-check.
+        # The fixture system may already hold its elimination from an earlier
+        # call, so it is set aside for the kernel to be found again.
         monkeypatch.setattr(cli_mod.schreier.gf2, "nullspace_basis", lambda *args: [1, 2])
+        monkeypatch.setattr(cli_mod.catalog.fixture("fano_labeled"), "_elimination", None)
         code, out, err = run(capsys, "classify", "--q", "fano", "--t", "1")
         assert code == 1 and out == ""
         assert err == (

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinerloops as sl
-from steinerloops import _kernels, catalog, design_core, formats, steiner_operator
+from steinerloops import _kernels, catalog, design_core, formats, schreier, steiner_operator
 
 
 class Checked(Exception):
@@ -197,6 +197,25 @@ def test_system_and_loop_hold_no_cycle(sts9):
             loop = sl.SteinerLoop(table)
             sl.veblen_points_pasch(loop.system())
             del s, loop
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_stored_elimination_holds_no_cycle(sts9, sts15_2):
+    """A quotient system that has answered coboundary and class questions,
+    and so holds its elimination, is freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        for s in (sts9, sts15_2) * 2:
+            q = sl.TripleSystem(s.v, s.triples).loop()
+            f = sl.FactorSystem(q, 1, [1] * s.b)
+            sl.are_equivalent(f, f)
+            sl.count_nonequivalent(sl.ElemAbelian2(1), q)
+            schreier._class_index(f)
+            sl.hom_set(q, sl.ElemAbelian2(1))
+            del q, f
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -19,7 +19,13 @@ from steinerloops.errors import (
     OrderTooSmall,
 )
 
-from conftest import brute_force_equivalent, equivalence_map, perm_inverse, reference_class_images
+from conftest import (
+    brute_force_equivalent,
+    equivalence_map,
+    perm_inverse,
+    reference_class_images,
+    reference_is_coboundary,
+)
 
 P = lambda p: p + 1
 
@@ -224,6 +230,96 @@ class TestIsCoboundary:
         f = sl.coboundary(phi)
         psi = sl.is_coboundary(f)
         assert psi is not None and sl.coboundary(psi).values == f.values
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("key", ["fano_labeled", "sts9_labeled", "sts13_a", "sts15_2"])
+    def test_matches_per_plane_solve(self, key, t):
+        """On related and unrelated drawn pairs the stored elimination gives
+        exactly the phi of gf2.solve per bit plane, and None exactly when
+        some plane has no solution. Over the plane and sts15_2 the triple
+        rows have a kernel, so phi is not unique there."""
+        q = catalog.fixture(key).loop()
+        verdicts = set()
+        for f1, f2, _ in _drawn_pairs(q, t, random.Random(f"solve-{key}-{t}"), count=20):
+            want = reference_is_coboundary(f1 + f2)
+            phi = sl.is_coboundary(f1 + f2)
+            assert (None if phi is None else phi.values) == want
+            verdicts.add(want is None)
+        assert verdicts == {False, True}
+
+    def test_class_sets_are_consistency_conditions(self):
+        """Each consistency set sums the triple rows to 0, and the points
+        whose triple set holds a pivot form a cochain whose coboundary is
+        the basis row of that pivot."""
+        for key in ("fano_labeled", "sts9_labeled", "sts13_a", "sts15_2"):
+            qs = catalog.fixture(key)
+            e = schreier._elimination(qs)
+            rows = schreier._triple_point_rows(qs)
+            for cells in e.class_sets:
+                total = 0
+                for i in cells:
+                    total ^= rows[i]
+                assert total == 0
+            assert len(e.class_sets) == qs.b - len(e.basis) == len(e.free)
+            for row, pivot in zip(e.basis, e.pivots):
+                phi = sum(1 << p for p, cells in enumerate(e.point_sets) if pivot in cells)
+                assert sum((r & phi).bit_count() % 2 << j for j, r in enumerate(rows)) == row
+
+
+class TestOneElimination:
+    """The linear algebra of a quotient system is done once and stored on
+    it; every later question reads it without a gf2.echelonize call."""
+
+    @pytest.fixture
+    def echelonize_calls(self, monkeypatch):
+        calls = []
+        echelonize = schreier.gf2.echelonize
+
+        def counted(rows, n_cols):
+            calls.append(n_cols)
+            return echelonize(rows, n_cols)
+
+        monkeypatch.setattr(schreier.gf2, "echelonize", counted)
+        return calls
+
+    @staticmethod
+    def fresh_loop(key):
+        s = catalog.fixture(key)
+        return sl.TripleSystem(s.v, s.triples).loop()
+
+    @pytest.mark.parametrize("key", ["sts9_labeled", "sts15_2"])
+    def test_second_are_equivalent_makes_no_elimination(self, echelonize_calls, key):
+        q = self.fresh_loop(key)
+        pairs = list(_drawn_pairs(q, 2, random.Random(key)))
+        sl.are_equivalent(*pairs[0][:2])
+        assert 0 < len(echelonize_calls) <= 2
+        echelonize_calls.clear()
+        for f1, f2, _ in pairs:
+            sl.are_equivalent(f1, f2)
+            sl.is_coboundary(f1)
+        assert echelonize_calls == []
+
+    def test_nothing_after_classify(self, echelonize_calls):
+        q, n = self.fresh_loop("sts9_labeled"), sl.ElemAbelian2(2)
+        rep = sl.classify(n, q)
+        echelonize_calls.clear()
+        assert sl.count_nonequivalent(n, q) == rep.equivalence_class_count
+        for i, vals in enumerate(rep.class_reps):
+            assert schreier._class_index(sl.FactorSystem(q, 2, vals)) == i
+        sl.hom_set(q, n)
+        assert echelonize_calls == []
+
+    def test_one_elimination_serves_classify_and_are_equivalent(self, echelonize_calls):
+        """classify makes the stored elimination, besides the rank tests of
+        gl2_elements on t = 1 columns; are_equivalent after it makes none."""
+        q = self.fresh_loop("fano_labeled")
+        sl.classify(sl.ElemAbelian2(1), q)
+        # the triple rows over v = 7 columns, the tagged point rows over b + v
+        assert sorted(c for c in echelonize_calls if c > 1) == [7, 7 + 7]
+        echelonize_calls.clear()
+        for f1, f2, _ in _drawn_pairs(q, 1, random.Random(3)):
+            sl.are_equivalent(f1, f2)
+        assert echelonize_calls == []
 
 
 class TestAreEquivalent:
@@ -469,6 +565,15 @@ class TestCountNonequivalent:
             for name in ("count_nonequivalent", "classify")
         ]
 
+    def test_rank_check_survives_t0(self, monkeypatch):
+        """At t = 0 the class count always agrees; the ranks of the two
+        eliminations are still compared."""
+        s = catalog.fixture("fano_labeled")
+        q = sl.TripleSystem(s.v, s.triples).loop()
+        monkeypatch.setattr(schreier.gf2, "nullspace_basis", lambda *args: [1, 2])
+        with pytest.raises(AssertionError, match="coboundary rank disagrees"):
+            sl.count_nonequivalent(sl.ElemAbelian2(0), q)
+
 
 class TestApplyAut:
     def test_identity(self, f_example):
@@ -702,8 +807,7 @@ class TestClassify:
             random.Random(f"relabel-{key}-{t}").shuffle(perm)
             qs = qs.relabel(perm)
         q, n = qs.loop(), sl.ElemAbelian2(t)
-        basis, pivots, _ = schreier._class_space(n, q)
-        assert schreier._class_action(q, t, basis, pivots) == reference_class_images(n, q)
+        assert schreier._class_action(q, t) == reference_class_images(n, q)
 
 
 class TestFurtherVeblen:

@@ -534,6 +534,15 @@ class TestIsotopy:
         with pytest.raises(ShapeMismatch, match="10 maps of 2 points"):
             sl.verify_isotopy_family(op, op, [(0, 1)] * maps)
 
+    def test_empty_family_refused(self):
+        with pytest.raises(ShapeMismatch, match="isotopy family holds no maps"):
+            sl.IsotopyFamily(())
+
+    def test_empty_family_refused_by_verify(self):
+        op = so.from_factor_system(catalog.fixture("f1_sts9"))
+        with pytest.raises(ShapeMismatch, match="isotopy family holds no maps"):
+            sl.verify_isotopy_family(op, op, [])
+
     def test_maps_of_the_wrong_size_refused(self):
         op = so.from_factor_system(catalog.fixture("f1_sts9"))
         with pytest.raises(ShapeMismatch, match="10 maps of 2 points"):
