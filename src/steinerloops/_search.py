@@ -40,7 +40,10 @@ class _Search:
 
     def place(self, p, q):
         """Send p to q and each point that two placed points close on to
-        the third point of their images; False at the first clash."""
+        the third point of their images; False at the first clash.
+
+        A third point already placed is checked where the pair meets it, so
+        a wrong candidate fails before its closure grows."""
         third1, third2, inv1, inv2 = self.third1, self.third2, self.inv1, self.inv2
         img, pre, placed = self.img, self.pre, self.placed
         todo = [(p, q)]
@@ -53,7 +56,12 @@ class _Search:
             if pre[q] != -1 or inv2[q] != inv1[p]:
                 return False
             row_p, row_q = third1[p], third2[q]
-            todo += [(row_p[r], row_q[img[r]]) for r in placed]
+            for r in placed:
+                x, y = row_p[r], row_q[img[r]]
+                if img[x] == -1:
+                    todo.append((x, y))
+                elif img[x] != y:
+                    return False
             img[p], pre[q] = q, p
             placed.append(p)
         return True

@@ -86,7 +86,7 @@ class TripleSystem:
 
     __slots__ = (
         "v", "lines", "b", "third_table", "pair_triple", "_triples", "_loop", "_pasch", "_hash",
-        "_elimination", "__weakref__",
+        "_elimination", "_centre", "__weakref__",
     )
 
     def __init__(self, v: int, triples):
@@ -131,6 +131,7 @@ class TripleSystem:
         self.third_table = third
         self.pair_triple = pair_triple
         self._triples = self._loop = self._pasch = self._hash = self._elimination = None
+        self._centre = None
 
     @property
     def triples(self) -> tuple:
@@ -577,6 +578,19 @@ def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, reject=None):
     return _search.first_isomorphism(third1, inv1, third2, inv2, _NODE_BUDGET, reject)
 
 
+def _centre(s: TripleSystem):
+    """(f, orbit): the factor system f of s's loop over its centre Z, made on
+    first use and stored, and the orbit_of_class of classify on f's
+    quotient at f.t, stored once classify has returned (None before)."""
+    from . import schreier
+
+    if s._centre is None:
+        loop = s.loop()
+        z = _derived_subloop(loop, loop.center())
+        s._centre = (schreier.factor_system_from_extension(loop, z), None)
+    return s._centre
+
+
 def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
     """True when the centres Z of the two loops prove the systems
     non-isomorphic; called only once their Pasch invariants agree.
@@ -585,7 +599,9 @@ def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
     Z are, through some gamma, and the factor system of s2, carried through
     gamma onto the quotient of s1, lies in the orbit of that of s1 under
     GL(t,2) x Aut(Q). Decided only for 1 < |Z| < v + 1 and within the
-    bounds of classify; otherwise (False) the plain search decides.
+    bounds of classify; otherwise (False) the plain search decides. Each
+    system's decomposition over Z and its classification are made once
+    (_centre).
     """
     from . import schreier
 
@@ -593,20 +609,18 @@ def _centre_rejects(s1: TripleSystem, s2: TripleSystem) -> bool:
     if not 0 < closed < s1.v:
         return False
     try:
-        f1, f2 = (
-            schreier.factor_system_from_extension(loop, _derived_subloop(loop, loop.center()))
-            for loop in (s1.loop(), s2.loop())
-        )
+        (f1, orbit), (f2, _) = _centre(s1), _centre(s2)
         q1, q2 = f1.q_system, f2.q_system
         gamma = _search_isomorphisms(q1, q2)
         if gamma is None:
             return True
         g = np.asarray(gamma)[q1.lines[:, :2]]
         carried = np.array(f2.values)[q2.pair_triple[g[:, 0], g[:, 1]]]
-        report = schreier.classify(schreier.ElemAbelian2(f1.t), f1.q)
+        if orbit is None:
+            orbit = schreier.classify(schreier.ElemAbelian2(f1.t), f1.q).orbit_of_class
+            s1._centre = (f1, orbit)
     except BoundExceeded:
         return False
-    orbit = report.orbit_of_class
     g2 = schreier.FactorSystem(f1.q, f1.t, carried)
     return orbit[schreier._class_index(f1)] != orbit[schreier._class_index(g2)]
 

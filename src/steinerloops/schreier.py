@@ -19,6 +19,7 @@ count_nonequivalent, hom_set and classify all read the stored elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -391,18 +392,24 @@ def count_nonequivalent(n: ElemAbelian2, q: SteinerLoop) -> int:
     return 1 << (n.t * (q.system().b - len(basis)))
 
 
-def gl2_elements(t: int, bound: int = GL_DIMENSION_BOUND):
-    """All automorphisms of the 2-group as element permutations."""
+def gl2_elements(t: int, bound: int = GL_DIMENSION_BOUND) -> tuple:
+    """All automorphisms of the 2-group as element permutations, sorted;
+    built once per t."""
     if t > bound:
         raise BoundExceeded(f"GL enumeration limited to dimension {bound}")
+    return _gl2(t)
+
+
+@cache
+def _gl2(t: int) -> tuple:
     if t == 0:
-        return [(0,)]
+        return ((0,),)
     # span lists the XOR of cols[i] over the bits i of x at position x
-    return sorted(
+    return tuple(sorted(
         tuple(gf2.span(list(cols)))
         for cols in product(range(1 << t), repeat=t)
         if gf2.rank(list(cols), t) == t
-    )
+    ))
 
 
 def _check_alpha(alpha, t: int):
@@ -499,8 +506,8 @@ class ClassificationReport:
 
 def _class_action(q: SteinerLoop, t: int):
     """(gens, images): the generators (alpha, 1), alpha != 1 in GL(t,2), and
-    (1, beta), beta generating Aut(q), each checked once, and each one's
-    image of every class index.
+    (1, beta), beta generating Aut(q), each alpha and each beta but the
+    identity checked once, and each one's image of every class index.
 
     Bits t * s .. t * s + t - 1 of a class index hold the value on free
     triple free[-1 - s]. The action is GF(2)-linear, so the images of
@@ -525,9 +532,13 @@ def _class_action(q: SteinerLoop, t: int):
     images = []
     for alpha, beta in gens:
         _check_alpha(alpha, t)
-        _check_beta(beta, q)
-        # every GL(t,2) generator carries the identity beta, which fixes each triple
-        dest = range(qs.b) if beta is id_b else _triple_dest(qs, beta)
+        # every GL(t,2) generator carries the identity beta, which fixes
+        # each triple and needs no check
+        if beta is id_b:
+            dest = range(qs.b)
+        else:
+            _check_beta(beta, q)
+            dest = _triple_dest(qs, beta)
         units = [unit_class[dest[j]] * alpha[1 << c] for j in reversed(e.free) for c in range(t)]
         images.append(gf2.span(units))
     return gens, images

@@ -573,6 +573,26 @@ def reference_generators(elements, v):
     return tuple(gens)
 
 
+def reference_place(third1, inv1, third2, inv2, img, p, q):
+    """Test-local oracle for _search._Search.place: the least partial map
+    that holds the placed pairs of img and p -> q and sends the third point
+    of any two of its points to the third point of their images, grown by
+    rescanning every pair until nothing is added; None as soon as the pairs
+    send a point to two points, two points to one, or a point to one of
+    another invariant. Else the map as a list, -1 where unplaced."""
+    pairs = {(x, y) for x, y in enumerate(img) if y != -1} | {(p, q)}
+    while True:
+        m = dict(pairs)
+        if len(m) < len(pairs) or len(set(m.values())) < len(m):
+            return None
+        if any(inv1[x] != inv2[y] for x, y in pairs):
+            return None
+        new = {(third1[a][b], third2[m[a]][m[b]]) for a in m for b in m if a != b} - pairs
+        if not new:
+            return [m.get(x, -1) for x in range(len(img))]
+        pairs |= new
+
+
 def reference_search_isomorphisms(s1, s2, find_all):
     """Test-local oracle for the isomorphism search: the plain backtracking
     search, no centre route and no node budget, over the same invariants and

@@ -1,12 +1,16 @@
+import gc
 import hashlib
 import itertools
 import random
 import re
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steinerloops as sl
 from conftest import (
@@ -20,12 +24,13 @@ from conftest import (
     reference_hyperplanes,
     reference_normality_witness,
     reference_pasch_census,
+    reference_place,
     reference_quotient,
     reference_search_isomorphisms,
     reference_system_from_loop,
     reference_triple_system,
 )
-from steinerloops import _kernels, catalog, gf2, schreier
+from steinerloops import _kernels, _search, catalog, gf2, schreier
 from steinerloops import design_core as dc
 from steinerloops.design_core import _VIOLATION_TEXT
 from steinerloops.errors import (
@@ -1141,6 +1146,71 @@ class TestCentreRoute:
         found = sl.are_isomorphic(a, _relabelled(a, seed), bound=63)
         assert hashlib.sha256(repr(found).encode()).hexdigest() == self.STS39_MAPS[rep, seed]
 
+    @staticmethod
+    def _fresh(s):
+        return sl.TripleSystem(s.v, s.lines)
+
+    @pytest.mark.parametrize("t, bound", [(1, 31), (2, 63)])
+    def test_route_decomposes_and_classifies_each_system_once(self, monkeypatch, t, bound):
+        """The STS(19) and the STS(39) in every ordered pair, the second
+        relabelled: the route's verdicts on systems that keep their
+        decomposition over the centre equal those on fresh systems, and
+        each system is decomposed once and each first system classified
+        once."""
+        calls = {"decompose": 0, "classify": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        firsts = [self._fresh(s) for s in _orbit_representatives("sts9_labeled", t)]
+        seconds = [_relabelled(s, 7) for s in firsts]
+        pairs = [(i, j) for i in range(len(firsts)) for j in range(len(firsts)) if i != j]
+        fresh = [dc._centre_rejects(self._fresh(firsts[i]), self._fresh(seconds[j])) for i, j in pairs]
+        monkeypatch.setattr(schreier, "classify", counted("classify", schreier.classify))
+        monkeypatch.setattr(
+            schreier, "factor_system_from_extension",
+            counted("decompose", schreier.factor_system_from_extension),
+        )
+        kept = [dc._centre_rejects(firsts[i], seconds[j]) for i, j in pairs]
+        assert kept == fresh and all(kept)
+        once = {"decompose": 2 * len(firsts), "classify": len(firsts)}
+        assert calls == once
+        for i, j in pairs:  # and through are_isomorphic, with the stored route
+            assert sl.are_isomorphic(firsts[i], seconds[j], bound=bound) is None
+        assert calls == once
+
+    def test_stored_route_leaves_no_cycle(self):
+        """A system whose decomposition and classification are stored is
+        freed by reference counting alone."""
+        a, b = (self._fresh(s) for s in _orbit_representatives("sts9_labeled", 1)[:2])
+        gc.disable()
+        try:
+            assert dc._centre_rejects(a, b)
+            assert a._centre[1] is not None and b._centre is not None
+            gone = weakref.ref(a), weakref.ref(b)
+            del a, b
+            assert [ref() for ref in gone] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_refused_classification_is_not_stored(self, monkeypatch):
+        """A classify that raises BoundExceeded leaves the route undecided
+        and stores no orbits, so a later call classifies again."""
+        a, b = (self._fresh(s) for s in _orbit_representatives("sts9_labeled", 1)[:2])
+
+        def refuse(*args, **kwargs):
+            raise BoundExceeded("refused")
+
+        monkeypatch.setattr(schreier, "classify", refuse)
+        assert not dc._centre_rejects(a, b)
+        assert a._centre is not None and a._centre[1] is None
+        monkeypatch.undo()
+        assert dc._centre_rejects(a, b)
+        assert a._centre[1] is not None
+
     def test_rejection_consults_the_route_once(self, monkeypatch):
         calls = []
         route = dc._centre_rejects
@@ -1216,6 +1286,74 @@ class TestNodeBudget:
         monkeypatch.setattr(dc, "_NODE_BUDGET", 5)
         with pytest.raises(BoundExceeded, match="budget of 5 nodes"):
             sl.automorphisms(fano)
+
+    def test_failing_placements_stop_at_the_first_clash(self, monkeypatch):
+        """Pinned: the points that failing candidate placements place before
+        they return False, over the STS(31) search above. A pair whose third
+        point is placed already is checked where the closure meets it;
+        checking it only when the queued pair of the same triple comes off
+        the queue places 98,304 points here, and queuing every pair 18,432."""
+        s31 = _orbit_representatives("fano_labeled", 2)[1]
+        place, placed = _search._Search.place, [0, 0]
+
+        def counted(search, p, q):
+            mark = len(search.placed)
+            ok = place(search, p, q)
+            if not ok:
+                placed[0] += 1
+                placed[1] += len(search.placed) - mark
+            return ok
+
+        monkeypatch.setattr(_search._Search, "place", counted)
+        assert sl.are_isomorphic(s31, _relabelled(s31, 1)) is not None
+        assert placed == [6144, 12288]
+
+
+_PLACE_SOURCES = ("fano", "sts9", "sts13_a", "sts15_2", "pg3", "fano_labeled", "sts9_labeled")
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_place_matches_the_closure_oracle(data):
+    """Candidate placements on a catalog system or a drawn Schreier
+    extension (t = 0 is the catalog system itself) against a relabelled
+    copy, from a partial map the same placements built: the verdict and the
+    map are the oracle's, pre inverts img, and undo restores the map
+    before the placement. Uniform invariants let the closure run on."""
+    key = data.draw(st.sampled_from(_PLACE_SOURCES))
+    t = data.draw(st.integers(0, 2)) if key.endswith("_labeled") else 0
+    s1 = _named_system(key)
+    if t:
+        q, n = s1.loop(), sl.ElemAbelian2(t)
+        values = data.draw(st.lists(st.integers(0, n.size - 1), min_size=s1.b, max_size=s1.b))
+        s1 = sl.build_schreier(n, q, sl.FactorSystem(q, t, values)).system()
+    v = s1.v
+    perm = data.draw(st.permutations(range(v)))
+    s2 = s1.relabel(perm)
+    if data.draw(st.booleans()):
+        inv1, inv2 = dc._invariants(s1), dc._invariants(s2)
+    else:
+        inv1 = inv2 = [0] * v
+    third1, third2 = s1.third_table.tolist(), s2.third_table.tolist()
+    search = _search._Search(third1, inv1, third2, inv2, budget=1, kind="test")
+    for _ in range(data.draw(st.integers(1, 6))):
+        unplaced = [x for x in range(v) if search.img[x] == -1]
+        if not unplaced:
+            break
+        p = data.draw(st.sampled_from(unplaced))
+        q = data.draw(st.one_of(st.just(perm[p]), st.integers(0, v - 1)))
+        before = (list(search.img), list(search.pre), list(search.placed))
+        want = reference_place(third1, inv1, third2, inv2, search.img, p, q)
+        ok = search.place(p, q)
+        assert ok == (want is not None)
+        if ok:
+            assert search.img == want
+            assert search.pre == [want.index(y) if y in want else -1 for y in range(v)]
+            assert search.placed[: len(before[2])] == before[2]
+            assert sorted(search.placed) == [x for x in range(v) if want[x] != -1]
+        if not ok or data.draw(st.booleans()):
+            search.undo(len(before[2]))
+            assert (search.img, search.pre, search.placed) == before
 
 
 class TestScanBound:

@@ -322,6 +322,23 @@ class TestOneElimination:
         assert echelonize_calls == []
 
 
+    def test_gl2_built_once_per_t(self, echelonize_calls):
+        """GL(t,2) is one sorted tuple per t, built on first use: a classify
+        over a fresh quotient after it makes no rank test, only the two
+        eliminations. The dimension bound is still refused."""
+        for t, order in ((0, 1), (1, 1), (2, 6), (3, 168)):
+            group = schreier.gl2_elements(t)
+            assert schreier.gl2_elements(t) is group and len(group) == order
+            assert list(group) == sorted(set(group)) and isinstance(group[0], tuple)
+        echelonize_calls.clear()
+        sl.classify(sl.ElemAbelian2(3), self.fresh_loop("fano_labeled"))
+        assert sorted(echelonize_calls) == [7, 7 + 7]
+        with pytest.raises(BoundExceeded, match="dimension 4"):
+            schreier.gl2_elements(5)
+        with pytest.raises(BoundExceeded, match="dimension 2"):
+            schreier.gl2_elements(3, bound=2)
+
+
 class TestAreEquivalent:
     def test_reflexive(self, f_example):
         phi = sl.are_equivalent(f_example, f_example)
@@ -763,8 +780,9 @@ class TestClassify:
 
     @pytest.mark.parametrize("key, t", [("fano", 2), ("fano", 3), ("sts9", 2)])
     def test_action_read_off_the_triple_table(self, request, monkeypatch, key, t):
-        """No FactorSystem is built and apply_aut is never called, and each
-        generator is checked exactly once."""
+        """No FactorSystem is built and apply_aut is never called, each
+        alpha is checked exactly once, and each beta but the identity, which
+        every GL(t,2) generator carries, exactly once."""
         qs = request.getfixturevalue(key)
         q = qs.loop()
         checks = {"alpha": 0, "beta": 0}
@@ -787,8 +805,8 @@ class TestClassify:
         monkeypatch.setattr(schreier, "_check_beta", counted_beta)
         rep = sl.classify(sl.ElemAbelian2(t), q)
         monkeypatch.undo()
-        n_gens = len(schreier.gl2_elements(t)) - 1 + len(sl.automorphisms(qs).generators)
-        assert checks == {"alpha": n_gens, "beta": n_gens}
+        n_aut = len(sl.automorphisms(qs).generators)
+        assert checks == {"alpha": len(schreier.gl2_elements(t)) - 1 + n_aut, "beta": n_aut}
         assert rep.equivalence_class_count > 1
 
     @pytest.mark.parametrize("relabel", [False, True], ids=["labeled", "relabeled"])
