@@ -1,6 +1,6 @@
 """Hot table-scan kernels, one vectorized numpy implementation each. Each
 object is scanned once: a SteinerLoop keeps its centre and a TripleSystem
-its Pasch scan.
+its Pasch scan, counts and Fano planes together.
 
 Kernel contracts (n = loop order, v = system order):
 
@@ -24,34 +24,42 @@ Kernel contracts (n = loop order, v = system order):
     is the identity only in a loop, and the contract holds on any n x n
     table.
 
-``pasch_census(third)``
-    (counts int64[v], closed bool[v]); ``third[a,b]`` is the third point on
-    the line a,b. counts[p] is the number of Pasch configurations through
-    p, closed[p] is True iff every pair of lines through p closes both ways
-    (the Pasch-closure reading of a Veblen point). Each configuration is
-    found once, at its least point p, from two lines {p,a,b}, {p,c,d}
-    above p: it closes straight into {a,c,e}, {b,d,e} when
-    e = third[a,c] > p and third[b,d] = e, and crossed into {a,d,f},
-    {b,c,f} when f = third[a,d] > p and third[b,c] = f. Each configuration
-    found adds one to the count of each of its six points. The r = (v-1)/2
-    lines through a point make r(r-1)/2 pairs, each closing at most two
-    ways, so closed is counts == r(r-1).
+``pasch_census(third, lines)``
+    (counts int64[v], closed bool[v], planes int32[k, 7]) from one scan of
+    the pairs of lines above each point; ``third[a,b]`` is the third point
+    on the line a,b and ``lines`` the system's (b, 3) lines, each row
+    (p, q, third[p,q]) with p < q < third[p,q], in lexicographic order.
+    Each Pasch configuration is found once, at its least point p, from two
+    lines {p,a,b}, {p,c,d} above p: it closes straight into {a,c,e},
+    {b,d,e} when e = third[a,c] > p and third[b,d] = e, and crossed into
+    {a,d,f}, {b,c,f} when f = third[a,d] > p and third[b,c] = f.
 
-``fano_planes(third)``
-    int32[k, 7], one row per Fano subplane, each plane exactly once. A row
-    is (p, a, b, c, d, e, f): p is the least of the seven points, {p,a,b}
-    and {p,c,d} are two lines through p, e = third[a,c] = third[b,d],
-    f = third[a,d] = third[b,c], and {p,e,f} is the third line through p,
-    its lesser point above c. Rows come in increasing p, then c, then a;
-    within a row a < b, c < d and a < c, and e, f are not sorted.
+    counts[p] is the number of Pasch configurations through p: each one
+    found adds one to each of its six points. p, a, b, c and d lie on the
+    pair's two lines, so the closings are summed per line and spread onto
+    the lines' points at the end (half to p from each of the pair's two
+    lines through it); only e and f are counted per pair. closed[p] is True
+    iff every pair of lines through p closes both ways (the Pasch-closure
+    reading of a Veblen point): the r = (v-1)/2 lines through p make
+    r(r-1)/2 pairs, each closing at most two ways, so closed is
+    counts == r(r-1).
 
-Both scans take the pairs of lines above each point from one enumerator. The
-lines above p are read off row p of the table, {p, q, third[p,q]} with
-p < q < third[p,q], in increasing q, and each is paired with the lines
+    planes has one row per Fano subplane, each plane exactly once. A row is
+    (p, a, b, c, d, e, f) for a pair that closes both ways and whose
+    seventh line {p,e,f} closes (third[e,f] = p) and comes after {p,c,d}
+    (its lesser point above c), so p is the least of the seven points.
+    Rows come in increasing p, then c, then a; within a row a < b, c < d
+    and a < c, and e, f are not sorted. With no subplane (as for v <= 3,
+    where no two lines meet above a point) planes has shape (0, 7).
+
+The pairs come from one enumerator, also read by
+``catalog.pasch_configurations``. The lines above p are a run of rows of
+``lines``, in increasing q, and each is paired with the rows of the run
 before it, so pairs come in increasing p, then c, then a. Lines are taken in
 consecutive blocks, and the points of a block's pairs are gathered at once
-by flat ``take`` on ``third.ravel()``: a block ends with the line whose
-pairs pass the next multiple of 2^12, so each int32 temporary holds fewer
+by flat ``take`` on ``third.ravel()`` into one int32 (7, pairs) array of
+p, a, b, c, d, e and f: a block ends with the line whose pairs pass the
+next multiple of 2^12, so each column and each other temporary holds fewer
 than 2^12 + r entries.
 
 ``generator_forms(third)``
@@ -103,14 +111,15 @@ def steiner_violation(table: np.ndarray) -> int:
         return 1
     if n == 0:
         return 2
+    # the shapes agree, so == and all() compare without array_equal's checks
     idx = np.arange(n)
-    if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
+    if not ((table[0] == idx).all() and (table[:, 0] == idx).all()):
         return 2
-    if (np.diagonal(table) != 0).any():
+    if table.diagonal().any():
         return 3
-    if not np.array_equal(table, table.T):
+    if not (table == table.T).all():
         return 4
-    if not np.array_equal(table[idx[:, None], table], np.broadcast_to(idx, (n, n))):
+    if not (table[idx[:, None], table] == idx).all():
         return 5
     return 0
 
@@ -131,21 +140,20 @@ def center_mask(table: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _line_pairs(third: np.ndarray):
-    """Yield blocks (p, a, b, c, d, e, f, straight, crossed), one entry per
-    pair of lines {p,a,b}, {p,c,d} above p as in the module docstring, with
-    e = third[a,c], f = third[a,d], and flags for the pairs that close
-    straight and crossed into a Pasch configuration with least point p."""
+def _line_pairs(third: np.ndarray, lines: np.ndarray):
+    """Yield blocks (li, lj, row, straight, crossed), one entry per pair of
+    lines {p,a,b} = lines[li], {p,c,d} = lines[lj] above p as in the module
+    docstring: row is the int32 (7, pairs) array of p, a, b, c, d,
+    e = third[a,c] and f = third[a,d], and the flags mark the pairs that
+    close straight and crossed into a Pasch configuration with least point
+    p."""
     v = third.shape[0]
     flat = third.ravel()
-    idx = np.arange(v, dtype=np.int32)
-    # each line {p, q, third[p, q]}, p < q < third[p, q], once, at its least
-    # point p, grouped by p, each group in increasing q
-    point, first = (x.astype(np.int32) for x in np.nonzero((third > idx) & (idx > idx[:, None])))
-    second = third[point, first]
+    cols = lines.T.copy()  # contiguous columns for take
+    point, ends = cols[0], cols[1:]
     # line L pairs with the rank[L] lines head[L] .. L-1 above its point, as
     # pairs offset[L] .. offset[L+1]-1
-    head = np.searchsorted(point, point).astype(np.int32)
+    head = np.searchsorted(point, np.arange(v, dtype=np.int32)).astype(np.int32).take(point)
     rank = np.arange(len(point), dtype=np.int32) - head
     offset = np.zeros(len(point) + 1, dtype=np.int32)
     np.cumsum(rank, out=offset[1:])
@@ -156,44 +164,49 @@ def _line_pairs(third: np.ndarray):
         n = rank[lo:hi]
         lj = np.repeat(np.arange(lo, hi, dtype=np.int32), n)
         li = np.arange(offset[lo], offset[hi], dtype=np.int32) - np.repeat(shift[lo:hi], n)
-        p, c, d = point.take(lj), first.take(lj), second.take(lj)
-        a, b = first.take(li), second.take(li)
-        e, f = flat.take(a * v + c), flat.take(a * v + d)
-        straight = (e > p) & (e == flat.take(b * v + d))
-        return p, a, b, c, d, e, f, straight, (f > p) & (f == flat.take(b * v + c))
+        row = np.empty((7, len(li)), dtype=np.int32)
+        p, a, b, c, d, e, f = row
+        # every index is in range: "clip" lets take write into row unbuffered
+        point.take(lj, out=p, mode="clip")
+        ends.take(li, axis=1, out=row[1:3], mode="clip")
+        ends.take(lj, axis=1, out=row[3:5], mode="clip")
+        av, bv = a * v, b * v
+        flat.take(av + c, out=e, mode="clip")
+        flat.take(av + d, out=f, mode="clip")
+        straight = (e > p) & (e == flat.take(bv + d))
+        return li, lj, row, straight, (f > p) & (f == flat.take(bv + c))
 
-    ends = (np.flatnonzero(np.diff(offset[:-1] // _BLOCK_ENTRIES)) + 1).tolist()
-    for lo, hi in zip([0, *ends], [*ends, len(point)]):
+    stops = []
+    if offset[-1] >= _BLOCK_ENTRIES:
+        stops = (np.flatnonzero(np.diff(offset[:-1] // _BLOCK_ENTRIES)) + 1).tolist()
+    for lo, hi in zip([0, *stops], [*stops, len(point)]):
         yield block(lo, hi)
 
 
-def pasch_census(third: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v = third.shape[0]
-    # float64 so that bincount weights add in place; every count is exact
-    counts = np.zeros(v)
-    for p, a, b, c, d, e, f, straight, crossed in _line_pairs(third):
-        # each configuration adds one to each of its six points
-        ways = straight.view(np.int8) + crossed.view(np.int8)
-        for points in (p, a, b, c, d):
-            counts += np.bincount(points, ways, v)
-        counts += np.bincount(e, straight, v) + np.bincount(f, crossed, v)
-        del p, a, b, c, d, e, f, straight, crossed  # before the next block is built
-    r = (v - 1) // 2
-    return counts.astype(np.int64), counts == r * (r - 1)
-
-
-def fano_planes(third: np.ndarray) -> np.ndarray:
-    v = third.shape[0]
+def pasch_census(third: np.ndarray, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    v, m = third.shape[0], len(lines)
     flat = third.ravel()
+    # float64 so that bincount weights add in place; every count is exact
+    on_line, tips = np.zeros(m), np.zeros(v)
     found = [np.empty((0, 7), dtype=np.int32)]
-    for *row, straight, crossed in _line_pairs(third):
-        keep = straight & crossed
-        p, a, b, c, d, e, f = (x[keep] for x in row)
-        # the seventh line {p,e,f} closes and comes after {p,c,d}: the lines
-        # above p come in increasing order of their lesser point
-        keep = (flat.take(e * v + f) == p) & (np.minimum(e, f) > c)
-        found.append(np.stack([p, a, b, c, d, e, f], axis=1)[keep])
-    return np.concatenate(found)
+    for li, lj, row, straight, crossed in _line_pairs(third, lines):
+        p, c, e, f = row[0], row[3], row[5], row[6]
+        ways = straight.view(np.int8) + crossed.view(np.int8)
+        on_line += np.bincount(li, ways, m) + np.bincount(lj, ways, m)
+        tips += np.bincount(e, straight, v) + np.bincount(f, crossed, v)
+        keep = np.flatnonzero(straight & crossed)
+        if len(keep):
+            # the seventh line {p,e,f} closes and comes after {p,c,d}: the
+            # lines above p come in increasing order of their lesser point
+            keep = keep[np.minimum(e[keep], f[keep]) > c[keep]]
+            keep = keep[flat.take(e[keep] * v + f[keep]) == p[keep]]
+            found.append(row[:, keep].T)
+        del li, lj, row, p, c, e, f, straight, crossed, ways, keep  # before the next block
+    # each pair's closings reach its least point through both of its lines
+    counts = tips + np.bincount(lines[:, 0], on_line / 2, v)
+    counts += np.bincount(lines[:, 1], on_line, v) + np.bincount(lines[:, 2], on_line, v)
+    r = (v - 1) // 2
+    return counts.astype(np.int64), counts == r * (r - 1), np.concatenate(found)
 
 
 def generator_forms(third: list) -> tuple[list, list]:

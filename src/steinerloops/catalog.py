@@ -131,9 +131,10 @@ def pasch_configurations(s: TripleSystem):
     {p,a,b}, {p,c,d} closed by {a,c,e}, {b,d,e} or by {a,d,f}, {b,c,f}."""
     line = s.pair_triple
     quads = [np.empty((0, 4), dtype=line.dtype)]
-    for p, a, b, c, d, _, _, straight, crossed in _kernels._line_pairs(s.third_table):
+    for li, lj, row, straight, crossed in _kernels._line_pairs(s.third_table, s.lines):
+        _, a, b, c, d, _, _ = row
         for keep, x, y in ((straight, c, d), (crossed, d, c)):
-            quads.append(np.stack([line[p, a], line[p, c], line[a, x], line[b, y]], 1)[keep])
+            quads.append(np.stack([li, lj, line[a, x], line[b, y]], 1)[keep])
     quads = np.sort(np.concatenate(quads), axis=1)
     return list(map(tuple, quads[np.lexsort(quads.T[::-1])].tolist()))
 

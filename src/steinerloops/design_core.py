@@ -439,16 +439,16 @@ def veblen_points(s: TripleSystem) -> frozenset:
 
 
 def _pasch(s: TripleSystem):
-    """(counts, closed) of the Pasch scan, run once per system."""
+    """(counts, closed, planes) of the Pasch scan, run once per system."""
     if s._pasch is None:
-        s._pasch = _kernels.pasch_census(s.third_table)
+        s._pasch = _kernels.pasch_census(s.third_table, s.lines)
     return s._pasch
 
 
 def veblen_points_pasch(s: TripleSystem) -> frozenset:
     """Independent route: points through which every pair of triples closes
     into a Pasch configuration."""
-    _, closed = _pasch(s)
+    closed = _pasch(s)[1]
     return frozenset(int(p) for p in np.flatnonzero(closed))
 
 
@@ -512,9 +512,9 @@ class ConfigCensus:
 
 
 def census(s: TripleSystem) -> ConfigCensus:
-    """Exact Pasch and Fano counts per point and per triple."""
-    counts, _ = _pasch(s)
-    rows = _kernels.fano_planes(s.third_table)
+    """Exact Pasch and Fano counts per point and per triple, read off the
+    system's one Pasch scan."""
+    counts, _, rows = _pasch(s)
     # the seven lines of a row (p, a, b, c, d, e, f): pa, pc, pe, ac, bd, ad, bc
     lines = s.pair_triple[rows[:, [0, 0, 0, 1, 2, 1, 2]], rows[:, [1, 3, 5, 3, 4, 4, 3]]]
     planes = np.sort(rows, axis=1)
@@ -547,7 +547,7 @@ def point_perm_to_loop_perm(pp):
 
 
 def _invariants(s: TripleSystem):
-    counts, closed = _pasch(s)
+    counts, closed, _ = _pasch(s)
     return [(int(c), bool(f)) for c, f in zip(counts, closed)]
 
 

@@ -506,8 +506,9 @@ class ClassificationReport:
 
 def _class_action(q: SteinerLoop, t: int):
     """(gens, images): the generators (alpha, 1), alpha != 1 in GL(t,2), and
-    (1, beta), beta generating Aut(q), each alpha and each beta but the
-    identity checked once, and each one's image of every class index.
+    (1, beta), beta generating Aut(q), and each one's image of every class
+    index. Both kinds come from the library (gl2_elements, automorphisms),
+    so neither is checked.
 
     Bits t * s .. t * s + t - 1 of a class index hold the value on free
     triple free[-1 - s]. The action is GF(2)-linear, so the images of
@@ -531,14 +532,9 @@ def _class_action(q: SteinerLoop, t: int):
             unit_class[i] |= 1 << (t * s)
     images = []
     for alpha, beta in gens:
-        _check_alpha(alpha, t)
         # every GL(t,2) generator carries the identity beta, which fixes
-        # each triple and needs no check
-        if beta is id_b:
-            dest = range(qs.b)
-        else:
-            _check_beta(beta, q)
-            dest = _triple_dest(qs, beta)
+        # each triple
+        dest = range(qs.b) if beta is id_b else _triple_dest(qs, beta)
         units = [unit_class[dest[j]] * alpha[1 << c] for j in reversed(e.free) for c in range(t)]
         images.append(gf2.span(units))
     return gens, images

@@ -19,6 +19,7 @@ from conftest import (
     reference_center_mask,
     reference_check_subloop,
     reference_closure,
+    reference_fano_planes,
     reference_fano_rows,
     reference_generators,
     reference_hyperplanes,
@@ -730,22 +731,26 @@ class TestCensus:
         c = sl.census(catalog.ag(n))
         assert c.fano_planes == () and set(c.fano_through) == {0}
 
-    def test_one_call_of_each_kernel(self, monkeypatch):
-        """census calls each kernel once, with the third-point table as its
-        only argument."""
+    def test_one_scan_per_system(self, monkeypatch):
+        """The Pasch-closure Veblen points, the census, are_isomorphic(s, s)
+        and automorphisms(s) of a fresh system read one pasch_census call,
+        made with the system's third-point table and lines; the Fano planes
+        come from that call, with no kernel of their own."""
         pg3 = catalog.pg(3)  # a fresh system: the session one may hold its Pasch scan
         calls = []
-        for name in ("pasch_census", "fano_planes"):
-            kernel = getattr(_kernels, name)
-            monkeypatch.setattr(
-                _kernels,
-                name,
-                lambda *args, k=kernel, n=name, **kw: calls.append((n, args, kw)) or k(*args),
-            )
-        sl.census(pg3)
-        assert sorted(name for name, _, _ in calls) == ["fano_planes", "pasch_census"]
-        for _, args, kwargs in calls:
-            assert len(args) == 1 and args[0] is pg3.third_table and not kwargs
+        kernel = _kernels.pasch_census
+        monkeypatch.setattr(
+            _kernels, "pasch_census", lambda *args, **kw: calls.append((args, kw)) or kernel(*args)
+        )
+        assert sl.veblen_points_pasch(pg3) == frozenset(range(15))
+        assert sl.census(pg3).fano_total == 15
+        assert sl.are_isomorphic(pg3, pg3) is not None
+        assert sl.automorphisms(pg3).order == 20160
+        assert len(calls) == 1
+        (args, kwargs), = calls
+        assert len(args) == 2 and args[0] is pg3.third_table and args[1] is pg3.lines
+        assert not kwargs
+        assert not hasattr(_kernels, "fano_planes")
 
     def test_kept_census_stays_small(self):
         """A kept census of pg(5) holds its 1395 planes as tuples of ints:
@@ -777,32 +782,58 @@ def _kernel_system(name):
     return _named_system(name)
 
 
+def _check_scan(s):
+    """The three outputs of pasch_census against the point-by-point
+    oracles: counts and closed flags, and the Fano rows with their dtype
+    and order."""
+    counts, closed, planes = _kernels.pasch_census(s.third_table, s.lines)
+    assert counts.dtype == np.int64 and closed.dtype == np.bool_
+    assert (counts.tolist(), closed.tolist()) == reference_pasch_census(s)
+    want = reference_fano_rows(s.third_table)
+    assert planes.dtype == want.dtype == np.int32
+    assert planes.shape == want.shape and np.array_equal(planes, want)
+
+
 class TestPaschKernel:
     @pytest.mark.parametrize("block", ["default", "one entry", "four points"])
     @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
     def test_matches_reference(self, monkeypatch, name, block):
-        """The block scan gives the point-by-point counts and closed flags,
-        whether a block is one line, the pairs of four points or as many as
-        fit in the default temporaries."""
+        """The block scan gives the point-by-point counts, closed flags and
+        Fano rows, whether a block is one line, the pairs of four points or
+        as many as fit in the default temporaries."""
         s = _kernel_system(name)
         _set_block(monkeypatch, block, s.v)
-        counts, closed = _kernels.pasch_census(s.third_table)
-        assert counts.dtype == np.int64 and closed.dtype == np.bool_
-        assert (counts.tolist(), closed.tolist()) == reference_pasch_census(s)
+        _check_scan(s)
+
+    @pytest.mark.parametrize("block", ["default", "one entry"])
+    def test_no_pairs(self, monkeypatch, sts1, sts3, block):
+        """STS(1) and STS(3) have no two lines through a point: every count
+        is 0, every point closed, and the planes an empty (0, 7) int32."""
+        _set_block(monkeypatch, block, 3)
+        for s in (sts1, sts3):
+            counts, closed, planes = _kernels.pasch_census(s.third_table, s.lines)
+            assert counts.tolist() == [0] * s.v and closed.all()
+            assert planes.dtype == np.int32 and planes.shape == (0, 7)
+            _check_scan(s)
 
     def test_temporaries_stay_bounded(self):
         """pg(6) has 59,055 pairs of lines through a point and above it. A
         block of lines ends with the line whose pairs pass the next multiple
         of 2^12, so each int32 temporary holds fewer than 2^12 + 62 pairs
-        (about 16 KB), far below one table of all pairs."""
+        (about 16 KB), far below one table of all pairs. Beyond the arrays
+        it returns (11,811 Fano rows, 331 KB, held twice while the blocks'
+        rows are joined) the scan stays under 400 KB, and in all under the
+        1.25 MB that a separate Fano scan was held to."""
         s = catalog.pg(6)
         tracemalloc.start()
         try:
-            _kernels.pasch_census(s.third_table)
+            out = _kernels.pasch_census(s.third_table, s.lines)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 400_000
+        assert len(out[2]) == 11811
+        assert peak - sum(x.nbytes for x in out) < 400_000
+        assert peak < 1_250_000
 
 
 def _least_point_system(name):
@@ -815,30 +846,27 @@ def _least_point_system(name):
 
 
 class TestLeastPointScan:
-    """pasch_census and fano_planes find each configuration once, at its
-    least point, from the pairs of lines above it; the oracles scan every
-    pair of lines through every point. Checked on relabelled systems, on
-    an STS(19) and an STS(63) with a proper centre, at every block size."""
+    """pasch_census finds each configuration and each Fano plane once, at
+    its least point, from the pairs of lines above it; the oracles scan
+    every pair of lines through every point. Checked on relabelled systems,
+    on an STS(19) and an STS(63) with a proper centre, at every block
+    size."""
 
     @pytest.mark.parametrize("block", ["default", "one entry", "four points"])
     @pytest.mark.parametrize("name", ["pg4", "pg5", "ag4", "sts19", "schreier63"])
     def test_matches_reference(self, monkeypatch, name, block):
         s = _least_point_system(name)
         _set_block(monkeypatch, block, s.v)
-        counts, closed = _kernels.pasch_census(s.third_table)
-        assert counts.dtype == np.int64 and closed.dtype == np.bool_
-        assert (counts.tolist(), closed.tolist()) == reference_pasch_census(s)
-        got, want = _kernels.fano_planes(s.third_table), reference_fano_rows(s.third_table)
-        assert got.dtype == want.dtype == np.int32
-        assert got.shape == want.shape and np.array_equal(got, want)
+        _check_scan(s)
         # the Pasch-closure reading of the Veblen points against the centre
         assert sl.veblen_points_pasch(s) == sl.veblen_points(s)
 
 
 class TestCenterAndFanoKernels:
-    """The block scans of center_mask and fano_planes give the arrays of the
-    one-at-a-time scans, dtype and row order included, whether a block is
-    one entry, a few candidates or points, or as large as the default."""
+    """The block scans of center_mask and of pasch_census's Fano rows give
+    the arrays of the one-at-a-time scans, dtype and row order included,
+    whether a block is one entry, a few candidates or points, or as large as
+    the default."""
 
     @pytest.mark.parametrize("block", ["default", "one entry", "three candidates"])
     @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
@@ -891,12 +919,15 @@ class TestCenterAndFanoKernels:
     @pytest.mark.parametrize("block", ["default", "one entry", "four points"])
     @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
     def test_fano_matches_reference(self, monkeypatch, name, block):
+        """The rows against the row oracle, and their point sets against the
+        pure-Python plane search."""
         s = _kernel_system(name)
         _set_block(monkeypatch, block, s.v)
-        got = _kernels.fano_planes(s.third_table)
+        got = _kernels.pasch_census(s.third_table, s.lines)[2]
         want = reference_fano_rows(s.third_table)
         assert got.dtype == want.dtype == np.int32
         assert got.shape == want.shape and np.array_equal(got, want)
+        assert sorted(map(frozenset, got.tolist()), key=sorted) == list(reference_fano_planes(s))
 
     def test_on_relabelled_systems(self):
         """Relabelling changes which lines lie above each point and their
@@ -906,25 +937,32 @@ class TestCenterAndFanoKernels:
                 s = _relabelled(_kernel_system(name), seed)
                 table = s.loop().table
                 assert np.array_equal(_kernels.center_mask(table), reference_center_mask(table))
-                got = _kernels.fano_planes(s.third_table)
-                assert np.array_equal(got, reference_fano_rows(s.third_table))
+                _check_scan(s)
 
     @pytest.mark.parametrize("kernel, limit", [("fano_planes", 1_250_000), ("center_mask", 400_000)])
     def test_temporaries_stay_bounded(self, kernel, limit):
-        """On pg(6) (v = 127, loop order 128): fano_planes returns 11811 rows
-        (331 KB, held twice while the blocks are joined) and gathers fewer
-        than 2^12 + 62 line pairs at a time; center_mask compares one row
-        at a time while all 128 candidates survive, two 128 x 128 int32
-        gathers. A scan of all points, or of all rows and candidates, at
-        once would take several MB."""
+        """On pg(6) (v = 127, loop order 128): the Fano planes come out of
+        the Pasch scan, 11811 rows (331 KB, held twice while the blocks are
+        joined) gathered fewer than 2^12 + 62 line pairs at a time;
+        center_mask compares one row at a time while all 128 candidates
+        survive, two 128 x 128 int32 gathers. A scan of all points, or of
+        all rows and candidates, at once would take several MB. The scan's
+        own temporaries are bounded in
+        TestPaschKernel::test_temporaries_stay_bounded."""
         s = catalog.pg(6)
-        args = (s.loop().table,) if kernel == "center_mask" else (s.third_table,)
+        if kernel == "center_mask":
+            table = s.loop().table
+            run = lambda: _kernels.center_mask(table)
+        else:
+            run = lambda: _kernels.pasch_census(s.third_table, s.lines)[2]
         tracemalloc.start()
         try:
-            getattr(_kernels, kernel)(*args)
+            out = run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        if kernel == "fano_planes":
+            assert len(out) == 11811
         assert peak < limit
 
 

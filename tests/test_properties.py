@@ -1,10 +1,12 @@
 """Property-based checks of the structural invariants."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinerloops as sl
-from steinerloops import catalog
+from conftest import reference_fano_rows, reference_pasch_census
+from steinerloops import _kernels, catalog
 from steinerloops.design_core import point_perm_to_loop_perm
 from steinerloops.schreier import associativity_condition
 
@@ -142,3 +144,25 @@ def test_centre_equals_pasch_closure(key, t, data):
     s = sl.build_schreier(sl.ElemAbelian2(t), q, sl.FactorSystem(q, t, values)).system()
     s = s.relabel(data.draw(st.permutations(list(range(s.v)))))
     assert sl.veblen_points(s) == sl.veblen_points_pasch(s)
+
+
+@given(
+    key=st.sampled_from(["fano_labeled", "sts9_labeled"]),
+    t=st.integers(min_value=1, max_value=2),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_pasch_scan_matches_the_oracles(key, t, data):
+    """On drawn Schreier extensions of fano and sts9 by Z_2^t, relabelled,
+    the one Pasch scan gives the oracles' counts, closed flags and Fano
+    rows, and its Veblen points are the loop centre's."""
+    q = catalog.fixture(key).loop()
+    b = q.system().b
+    values = data.draw(st.lists(st.integers(0, (1 << t) - 1), min_size=b, max_size=b))
+    s = sl.build_schreier(sl.ElemAbelian2(t), q, sl.FactorSystem(q, t, values)).system()
+    s = s.relabel(data.draw(st.permutations(list(range(s.v)))))
+    counts, closed, planes = _kernels.pasch_census(s.third_table, s.lines)
+    assert (counts.tolist(), closed.tolist()) == reference_pasch_census(s)
+    want = reference_fano_rows(s.third_table)
+    assert planes.dtype == want.dtype and np.array_equal(planes, want)
+    assert sl.veblen_points_pasch(s) == sl.veblen_points(s)
