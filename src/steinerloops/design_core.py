@@ -85,7 +85,7 @@ class TripleSystem:
     its triples are the rows of the read-only int32 (b, 3) array lines."""
 
     __slots__ = (
-        "v", "lines", "b", "third_table", "pair_triple", "_triples", "_loop", "_pasch", "_hash",
+        "v", "lines", "b", "third_table", "_pair_triple", "_triples", "_loop", "_pasch", "_hash",
         "_elimination", "_centre", "__weakref__",
     )
 
@@ -116,22 +116,27 @@ class TripleSystem:
         idx = np.arange(v)
         # each triple x < y < z read at its least pair, in lexicographic order
         x, y = np.nonzero((third > idx) & (idx > idx[:, None]))
-        z = third[x, y]
-        pair_triple = np.full((v, v), -1, dtype=np.int32)
-        index = np.arange(len(x), dtype=np.int32)
-        for p, q in ((x, y), (x, z), (y, z)):
-            pair_triple[p, q] = pair_triple[q, p] = index
         lines = np.empty((len(x), 3), dtype=np.int32)
-        lines[:, 0], lines[:, 1], lines[:, 2] = x, y, z
-        for a in (third, pair_triple, lines):
-            a.flags.writeable = False
+        lines[:, 0], lines[:, 1], lines[:, 2] = x, y, third[x, y]
+        third.flags.writeable = lines.flags.writeable = False
         self.v = v
         self.lines = lines
         self.b = len(lines)
         self.third_table = third
-        self.pair_triple = pair_triple
-        self._triples = self._loop = self._pasch = self._hash = self._elimination = None
-        self._centre = None
+        self._pair_triple = self._triples = self._loop = self._pasch = self._hash = None
+        self._elimination = self._centre = None
+
+    @property
+    def pair_triple(self) -> np.ndarray:
+        """The read-only int32 (v, v) index into lines of the line through
+        each pair, -1 on the diagonal; built on first read."""
+        if self._pair_triple is None:
+            pair_triple = np.full((self.v, self.v), -1, dtype=np.int32)
+            ends = self.lines[:, [0, 0, 1, 1, 2, 2]], self.lines[:, [1, 2, 0, 2, 0, 1]]
+            pair_triple[ends] = np.arange(self.b, dtype=np.int32)[:, None]
+            pair_triple.flags.writeable = False
+            self._pair_triple = pair_triple
+        return self._pair_triple
 
     @property
     def triples(self) -> tuple:

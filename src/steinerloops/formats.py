@@ -12,6 +12,7 @@ element i+1.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,9 @@ from .schreier import ClassificationReport, FactorSystem
 from .steiner_operator import LatinSquare, SteinerOperator
 
 
-def _data_lines(text: str):
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield line
+def _data_lines(text: str) -> list:
+    """The stripped lines of text that are neither blank nor comments."""
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
 def _label(e: int) -> str:
@@ -51,12 +50,12 @@ def _unlabel(tok: str, n: int) -> int:
 def render_system(s: TripleSystem, comments=()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(f"{s.v} {s.b}")
-    lines.extend(" ".join(str(x) for x in t) for t in s.triples)
-    return "\n".join(lines) + "\n"
+    lines.append(("%d %d %d\n" * s.b) % tuple(s.lines.ravel().tolist()))
+    return "\n".join(lines)
 
 
 def parse_system(text: str) -> TripleSystem:
-    lines = list(_data_lines(text))
+    lines = _data_lines(text)
     if not lines:
         raise FormatError("empty system file")
     head = lines[0].split()
@@ -68,15 +67,23 @@ def parse_system(text: str) -> TripleSystem:
         raise FormatError("first line must be 'v b'") from exc
     if len(lines) - 1 != b:
         raise FormatError(f"expected {b} triple lines, found {len(lines) - 1}")
-    triples = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"triple line needs three labels: {line!r}")
-        try:
-            triples.append(tuple(int(p) for p in parts))
-        except ValueError as exc:
-            raise FormatError(f"bad point label in {line!r}") from exc
+    rows = [line.split() for line in lines[1:]]
+    try:
+        values = list(map(int, chain.from_iterable(rows))) if set(map(len, rows)) <= {3} else None
+    except ValueError:
+        values = None
+    if values is None:  # name the first bad line
+        for line, parts in zip(lines[1:], rows):
+            if len(parts) != 3:
+                raise FormatError(f"triple line needs three labels: {line!r}")
+            try:
+                list(map(int, parts))
+            except ValueError as exc:
+                raise FormatError(f"bad point label in {line!r}") from exc
+    try:
+        triples = np.array(values, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:  # a label past int64: the constructor reports it as a bad triple
+        triples = [values[i : i + 3] for i in range(0, len(values), 3)]
     return TripleSystem(v, triples)
 
 
@@ -101,7 +108,7 @@ def render_loop_csv(loop: SteinerLoop) -> str:
 
 
 def parse_loop_csv(text: str) -> SteinerLoop:
-    lines = list(_data_lines(text))
+    lines = _data_lines(text)
     if not lines:
         raise FormatError("empty loop file")
     header = lines[0].split(",")
@@ -139,7 +146,7 @@ def render_factor_system(f: FactorSystem) -> str:
 
 
 def parse_factor_system(text: str, q: SteinerLoop) -> FactorSystem:
-    lines = list(_data_lines(text))
+    lines = _data_lines(text)
     if not lines:
         raise FormatError("empty factor-system file")
     head = lines[0].split()
@@ -220,7 +227,7 @@ def render_operator(op: SteinerOperator) -> str:
 
 
 def parse_operator(text: str, q: SteinerLoop, n_loop: SteinerLoop) -> SteinerOperator:
-    lines = list(_data_lines(text))
+    lines = _data_lines(text)
     if not lines:
         raise FormatError("empty operator file")
     head = lines[0].split()

@@ -386,43 +386,61 @@ def verify_isotopy_family(op1: SteinerOperator, op2: SteinerOperator, gamma) -> 
     return bool(np.array_equal(lhs, rhs))
 
 
-def _candidate_maps(op1, op2, p) -> np.ndarray:
-    """The maps g that carry blocks (p, identity) and (p, p) of op1 to those
-    of op2, as the rows of an array in lexicographic order.
+def _candidate_maps(op1, op2) -> list:
+    """Per quotient element p = 1..m-1, at index p - 1: the maps g that
+    carry blocks (p, identity) and (p, p) of op1 to those of op2, as the
+    rows of an array in lexicographic order.
 
     Block (p, identity) is Latin, so g(e1[u, y]) = e2[g(u), y] fixes g once
     g(0) = c is known: row c sends e1[0, y] to e2[c, y], and the rows come
     in the order of c. By condition (iv) block (p, identity) undoes block
     (p, p) row by row, so the rest of both conditions is one check,
-    d2[g(x), g(y)] = d1[x, y], made a row at a time."""
-    e1, e2 = op1.blocks[p, 0], op2.blocks[p, 0]
-    d1, d2 = op1.blocks[p, p], op2.blocks[p, p]
-    rows = np.empty_like(e1)
-    rows[:, e1[0]] = e2
-    return rows[[c for c, g in enumerate(rows) if (d2[g[:, None], g] == d1).all()]]
+    d2[g(x), g(y)] = d1[x, y]. Every p's rows are built with one scatter,
+    and the check is one gather over all (p, c) pairs, made in blocks of
+    about 2**14 entries (at least one pair) so temporaries stay bounded."""
+    m, k = op1.q.n, op1.n_loop.n
+    rows = np.empty((m - 1, k, k), dtype=np.int32)
+    np.put_along_axis(rows, op1.blocks[1:, 0, :1], op2.blocks[1:, 0], axis=2)
+    diag = np.arange(1, m)
+    d1, d2 = op1.blocks[diag, diag], op2.blocks[diag, diag]
+    g, p = rows.reshape(-1, k), np.repeat(np.arange(m - 1), k)
+    ok = np.empty(len(g), dtype=bool)
+    step = max(1, (1 << 14) // (k * k))
+    for lo in range(0, len(g), step):
+        gs, ps = g[lo : lo + step], p[lo : lo + step]
+        same = d2[ps[:, None, None], gs[:, :, None], gs[:, None]] == d1[ps]
+        ok[lo : lo + step] = same.all(axis=(1, 2))
+    return [r[o] for r, o in zip(rows, ok.reshape(m - 1, k))]
 
 
 def find_equivalence(
     op1: SteinerOperator, op2: SteinerOperator, node_bound: int = _NODE_BUDGET
 ):
     """Search for an isotopy family turning op1 into op2; None if there is
-    none. Depth-first over p = 1..m-1, each p's candidates in order; each
-    node places one map, and BoundExceeded is raised past node_bound
-    nodes."""
+    none. Every p's candidate maps come from one gather (_candidate_maps),
+    and every quotient triple's block from one more. Depth-first over
+    p = 1..m-1, each p's candidates in order; each node places one map, and
+    BoundExceeded is raised past node_bound nodes."""
     _require_same_frame(op1, op2)
-    m = op1.q.n
-    k = op1.n_loop.n
-    qt = op1.q.table
-    # per p: its candidate maps, and one block (a, b) per quotient triple
-    # {a, b, p} with a < b < p, checked when p is placed; conditions (ii)
-    # and (iv) carry that block's check to the other pairs of the triple
-    steps = [None]
-    for p in range(1, m):
-        cands = _candidate_maps(op1, op2, p)
-        if not len(cands):
-            return None
-        a, b = np.nonzero(np.triu(qt[:p, :p] == p, 1))
-        steps.append((cands, a, b, op1.blocks[a, b]))
+    m, k = op1.q.n, op1.n_loop.n
+    cands = _candidate_maps(op1, op2)
+    if not all(map(len, cands)):
+        return None
+    # per p: one block (a, b) per quotient triple {a, b, p} with a < b < p,
+    # checked when p is placed; conditions (ii) and (iv) carry that block's
+    # check to the other pairs of the triple. The triples are read off the
+    # quotient table, which an order-1 quotient also has (it has no
+    # system), and grouped by p in lexicographic order
+    qt, idx = op1.q.table, np.arange(m)
+    a, b = np.nonzero((qt > idx) & (idx > idx[:, None]))
+    by_p = np.argsort(qt[a, b], kind="stable")
+    a, b = a[by_p], b[by_p]
+    bounds = np.searchsorted(qt[a, b], np.arange(m + 1)).tolist()
+    block1 = op1.blocks[a, b]
+    steps = [None] + [
+        (cands[p - 1], a[lo:hi], b[lo:hi], block1[lo:hi])
+        for p, lo, hi in zip(range(1, m), bounds[1:], bounds[2:])
+    ]
     maps = np.empty((m, k), dtype=np.int32)
     maps[0] = np.arange(k)
     budget = node_bound

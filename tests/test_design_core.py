@@ -31,7 +31,7 @@ from conftest import (
     reference_system_from_loop,
     reference_triple_system,
 )
-from steinerloops import _kernels, _search, catalog, gf2, schreier
+from steinerloops import _kernels, _search, catalog, formats, gf2, schreier
 from steinerloops import design_core as dc
 from steinerloops.design_core import _VIOLATION_TEXT
 from steinerloops.errors import (
@@ -273,6 +273,45 @@ class TestSystemFromLoop:
             for got, exp in zip((s.third_table, s.pair_triple), ref[1:]):
                 assert np.array_equal(got, exp)
             assert s.loop() == loop
+
+
+class TestPairIndexOnFirstRead:
+    """pair_triple is built from the lines when first read, and only then."""
+
+    @staticmethod
+    def _systems():
+        q = catalog.fixture("fano_labeled").loop()
+        f = sl.FactorSystem(q, 2, [0, 1, 2, 3, 1, 2, 3])
+        sts13 = catalog.fixture("sts13_a")
+        return {
+            "constructor": sl.TripleSystem(13, sts13.lines[::-1, ::-1]),
+            "system_from_loop": sl.system_from_loop(sl.SteinerLoop(catalog.pg(4).loop().table)),
+            "double": sl.double(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11")),
+            "schreier": sl.build_schreier(sl.ElemAbelian2(2), q, f).system(),
+            "parse_system": formats.parse_system(formats.render_system(catalog.ag(3))),
+            "order_one": sl.system_from_loop(sl.SteinerLoop([[0, 1], [1, 0]])),
+        }
+
+    def test_matches_the_oracle(self):
+        for how, s in self._systems().items():
+            assert s._pair_triple is None, how
+            want = reference_triple_system(s.v, s.triples)[2]
+            got = s.pair_triple
+            assert got.dtype == np.int32 and np.array_equal(got, want), how
+
+    def test_read_only_and_kept(self):
+        for how, s in self._systems().items():
+            first = s.pair_triple
+            assert s.pair_triple is first, how
+            assert not first.flags.writeable, how
+            with pytest.raises(ValueError):
+                first[0, 0] = 0
+
+    def test_double_then_render_leaves_it_unbuilt(self):
+        s = sl.double(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11"))
+        formats.render_system(s)
+        formats.parse_system(formats.render_system(s, comments=["x"]))
+        assert s._pair_triple is None
 
 
 class TestGeneratedSubloop:

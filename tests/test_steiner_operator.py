@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -581,9 +582,11 @@ def assert_search_matches_reference(op1, op2):
     """find_equivalence returns the oracle's family (or None) within exactly
     the oracle's family nodes, and _candidate_maps lists the oracle's
     candidates in the oracle's order."""
+    cands = so._candidate_maps(op1, op2)
+    assert len(cands) == op1.q.n - 1
     for p in range(1, op1.q.n):
         want, _ = reference_candidate_maps(op1, op2, p)
-        assert so._candidate_maps(op1, op2, p).tolist() == [list(g) for g in want]
+        assert cands[p - 1].tolist() == [list(g) for g in want]
     fam, cand_nodes, family_nodes = reference_find_equivalence(op1, op2)
     # the oracle's search ran both stages on one budget of this default
     assert cand_nodes + family_nodes <= so._NODE_BUDGET
@@ -630,9 +633,10 @@ class TestIsotopySearchMatchesReference:
         f1 = sl.FactorSystem(q, 3, [rng.randrange(8) for _ in range(qs.b)])
         f2 = sl.FactorSystem(q, 3, [rng.randrange(8) for _ in range(qs.b)])
         op1, op2 = so.from_factor_system(f1), so.from_factor_system(f2)
+        cands = so._candidate_maps(op1, op2)
         for p in range(1, q.n):
             want, _ = reference_candidate_maps(op1, op2, p)
-            assert so._candidate_maps(op1, op2, p).tolist() == [list(g) for g in want]
+            assert cands[p - 1].tolist() == [list(g) for g in want]
 
     def test_doubling_operators(self, sts9_loop):
         """Every ordered pair of the first 12 symmetric squares of order 10
@@ -675,3 +679,46 @@ class TestIsotopySearchMatchesReference:
             for b in ops
         ]
         assert any(found) and not all(found)
+
+
+class TestCandidateGather:
+    """_candidate_maps gathers every p's candidates at once, in bounded
+    blocks."""
+
+    @staticmethod
+    def _wide_pair():
+        """Schreier operators with k = 64 over the order-4 loop of STS(3)."""
+        q = catalog.pg(1).loop()
+        f1 = sl.FactorSystem(q, 6, [5])
+        f2 = f1 + sl.coboundary(sl.Cochain1(q, 6, (1, 2, 3)))
+        return so.from_factor_system(f1), so.from_factor_system(f2)
+
+    def test_temporaries_stay_bounded(self):
+        """Every (p, c) pair of a k = 64 operator gathers k * k = 4,096
+        entries of block (p, p), so a block of 2^14 entries holds 4 pairs:
+        its int64 index and int32 gather come to about 200 KB, against
+        about 7 MB for one gather of all 192 pairs. The returned maps are
+        192 rows of 64 int32 (48 KB)."""
+        op1, op2 = self._wide_pair()
+        tracemalloc.start()
+        try:
+            cands = so._candidate_maps(op1, op2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # x -> x + c carries every block of a Schreier operator to itself
+        translations = [[x ^ c for x in range(64)] for c in range(64)]
+        assert [g.tolist() for g in cands] == [translations] * 3
+        assert peak < 600_000
+
+    def test_wide_search(self):
+        op1, op2 = self._wide_pair()
+        fam = sl.find_equivalence(op1, op2)
+        assert fam is not None and so.verify_isotopy_family(op1, op2, fam)
+
+    def test_order_one_quotient(self, fano_q):
+        """The whole loop as its own normal subloop: one identity map, and
+        no candidates to gather."""
+        op = sl.operator_from_extension(fano_q, sl.Subloop(fano_q, frozenset(range(8))))
+        assert op.q.n == 1 and so._candidate_maps(op, op) == []
+        assert sl.find_equivalence(op, op).maps == (tuple(range(8)),)
