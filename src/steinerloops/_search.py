@@ -98,7 +98,10 @@ class _Search:
 def first_isomorphism(third1, inv1, third2, inv2, budget: int, reject=None):
     """The first point map carrying the system with third-point table third1
     to the one with third2, or None; inv1 and inv2 give each point an
-    invariant that isomorphisms keep, with equal multisets.
+    invariant that isomorphisms keep, with equal multisets. When inv1 has
+    one value, a caller may instead pass inv1 as inv2 and check the target's
+    own invariants in reject: until the first failed placement no choice of
+    the search depends on inv2.
 
     The free points are placed rarest invariant class first, then in
     ascending order, each on the candidates in ascending order; the closure

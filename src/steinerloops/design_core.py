@@ -13,6 +13,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -69,7 +70,12 @@ def _triple_rows(v: int, triples) -> np.ndarray:
     BadTriple on the first bad triple."""
     triples = triples if isinstance(triples, np.ndarray) else list(triples)
     try:
-        rows = np.sort(np.asarray(triples, dtype=np.int64), axis=1)
+        if isinstance(triples, list) and set(map(len, triples)) == {3}:  # one read of the labels
+            labels = chain.from_iterable(triples)
+            rows = np.fromiter(labels, np.int64, 3 * len(triples)).reshape(-1, 3)
+        else:
+            rows = np.asarray(triples, dtype=np.int64)
+        rows = np.sort(rows, axis=1)
     except (TypeError, ValueError, OverflowError):  # ragged, empty or not numbers
         rows = None
     if rows is None or rows.shape[1:] != (3,):  # one triple at a time
@@ -553,7 +559,7 @@ def point_perm_to_loop_perm(pp):
 
 def _invariants(s: TripleSystem):
     counts, closed, _ = _pasch(s)
-    return [(int(c), bool(f)) for c, f in zip(counts, closed)]
+    return list(zip(counts.tolist(), closed.tolist()))
 
 
 # nodes a search may visit: the budget of are_isomorphic and automorphisms, a
@@ -570,17 +576,33 @@ def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, reject=None):
     Past _NODE_BUDGET nodes the search raises BoundExceeded. reject is called
     once, at the first failed candidate placement; when it returns True the
     search stops with no map.
+
+    When every point of s1 has one Pasch invariant and s2 is not scanned
+    yet, s2's scan waits for the first failed placement: isomorphisms keep
+    the invariants and a complete placement is one, so until then the
+    search runs as it would on s2's own invariants if they equal s1's. At
+    that failure s2 is scanned; invariants other than s1's stop the search
+    with no map, within v + 1 nodes, else reject is consulted.
     """
     if s1.v != s2.v:
         return None
     inv1 = _invariants(s1)
-    inv2 = _invariants(s2)
-    if sorted(inv1) != sorted(inv2):
-        return None
+    if s2 is not s1 and s2._pasch is None and len(set(inv1)) == 1:
+        inv2, reject = inv1, _scan_on_failure(s2, inv1, reject)
+    else:
+        inv2 = _invariants(s2)
+        if sorted(inv1) != sorted(inv2):
+            return None
     third1 = s1.third_table.tolist()
     third2 = third1 if s2 is s1 else s2.third_table.tolist()
     # _NODE_BUDGET is read per call, so a patched module value takes effect
     return _search.first_isomorphism(third1, inv1, third2, inv2, _NODE_BUDGET, reject)
+
+
+def _scan_on_failure(s2: TripleSystem, inv1: list, reject):
+    """The reject of a search that took inv1 for s2's invariants: True when
+    s2's own differ, else reject's verdict (False without one)."""
+    return lambda: _invariants(s2) != inv1 or (reject is not None and reject())
 
 
 def _centre(s: TripleSystem):
@@ -636,7 +658,9 @@ def are_isomorphic(s1: TripleSystem, s2: TripleSystem, bound: int = 31):
     BoundExceeded above order bound or past _NODE_BUDGET candidate
     placements. At its first failed placement the search asks the centre
     route (_centre_rejects) whether to stop; maps and verdicts are those of
-    the plain search.
+    the plain search. When every point of s1 has one Pasch invariant, a
+    fresh s2 is scanned only at that failure (_search_isomorphisms), so a
+    search that never fails never scans it.
     """
     if max(s1.v, s2.v) > bound:
         raise BoundExceeded(f"order {max(s1.v, s2.v)} above isomorphism bound {bound}")

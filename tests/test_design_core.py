@@ -168,6 +168,60 @@ class TestValidateSystem:
             sl.TripleSystem(7, [(0, 1, 2), (3, 2, 1, 0)])
 
 
+class TestListInput:
+    """The constructor's contract for triples given as a list or an
+    iterable: labels convert as int() reads them (floats truncate), and a
+    row or label that does not convert raises what int() raises or names
+    the row as a bad triple."""
+
+    VALID = {
+        "strings": [("2", "0", "1")],
+        "string rows": ["120"],
+        "floats": [(2.0, 0.0, 1.9)],
+        "bools": [(True, False, 2)],
+        "sets": [{2, 0, 1}],
+        "numpy scalars": [(np.int16(2), np.uint8(0), np.float32(1.5))],
+    }
+
+    @pytest.mark.parametrize("name", VALID)
+    def test_labels_convert_as_int_reads_them(self, name):
+        assert sl.TripleSystem(3, self.VALID[name]).triples == ((0, 1, 2),)
+
+    ERRORS = {
+        # lengths summing to a multiple of 3: one read of six labels would
+        # pair them up as two triples
+        "ragged, six labels": (7, [(0, 1), (2, 3, 4, 5)], BadTriple, "bad triple (0, 1)"),
+        "ragged, three labels": (3, [(0,), (1, 2)], BadTriple, "bad triple (0,)"),
+        "bad string": (3, [("a", "0", "1")], ValueError, "invalid literal for int()"),
+        "float string": (3, [("2.0", "0", "1")], ValueError, "invalid literal for int()"),
+        "nan": (3, [(float("nan"), 0, 1)], ValueError, "cannot convert float NaN"),
+        "None": (3, [(None, 0, 1)], TypeError, "not 'NoneType'"),
+        "nested label": (3, [(0, 1, [2])], TypeError, "not 'list'"),
+        "labels, not rows": (3, [0, 1, 2], TypeError, "'int' object is not iterable"),
+        "past int64": (3, [(0, 1, 2**63)], BadTriple, "bad triple (0, 1, 9223372036854775808)"),
+        "below int64": (
+            3, [(-(2**63) - 1, 1, 2)], BadTriple, "bad triple (-9223372036854775809, 1, 2)"
+        ),
+        "out of range": (3, [(0, 1, 3)], BadTriple, "bad triple (0, 1, 3)"),
+        "empty, v = 3": (3, [], PairMissing, "pair (0,1)"),
+    }
+
+    @pytest.mark.parametrize("name", ERRORS)
+    def test_errors(self, name):
+        v, triples, exc, text = self.ERRORS[name]
+        with pytest.raises(exc, match=re.escape(text)) as got:
+            sl.TripleSystem(v, triples)
+        assert type(got.value) is exc
+
+    def test_empty_list_and_generators(self, fano):
+        assert sl.TripleSystem(1, []).triples == ()
+        assert sl.TripleSystem(3, (t for t in [(2, 1, 0)])).triples == ((0, 1, 2),)
+        s = sl.TripleSystem(7, (reversed(t) for t in reversed(fano.triples)))
+        assert s == fano and s.triples == fano.triples
+        with pytest.raises(BadTriple, match=re.escape("bad triple (0, 1)")):
+            sl.TripleSystem(7, iter([(0, 1), (2, 3, 4, 5)]))
+
+
 class TestRelabel:
     def test_errors_come_from_the_constructor(self, fano):
         with pytest.raises(BadTriple, match=re.escape("bad triple (0, 0, 0)")):
@@ -543,9 +597,17 @@ class TestScansOncePerObject:
         sl.census(s)
         assert sl.are_isomorphic(s, s) is not None
         assert len(calls) == 1
-        # are_isomorphic(a, b) scans each new relabel once, a not again
-        for perm in ([1, 0] + list(range(2, 13)), [2, 1, 0] + list(range(3, 13))):
-            assert sl.are_isomorphic(s, s.relabel(perm)) is not None
+        # every point of s has one invariant, so are_isomorphic(s, r) scans a
+        # new relabel r once its search fails a placement, and s not again
+        never_fails = s.relabel(range(13))  # three placements, none failing
+        fails = s.relabel([1, 0] + list(range(2, 13)))  # fifteen, some failing
+        assert sl.are_isomorphic(s, never_fails) is not None
+        assert len(calls) == 1
+        assert sl.are_isomorphic(s, fails) is not None
+        assert len(calls) == 2
+        # a later census scans each relabel once in all
+        for r in (never_fails, fails, never_fails, fails):
+            sl.census(r)
         assert len(calls) == 3
 
     def test_one_centre_scan_per_loop(self, monkeypatch):
@@ -1296,6 +1358,11 @@ class TestCentreRoute:
         assert sl.are_isomorphic(a, b) is None
         assert len(calls) == 1
 
+    # Pasch scans of the relabels at seeds 0, 1 and 2: the projective and
+    # affine searches never fail a placement (any map of independent points
+    # extends), the sts13_a ones do, and sts15_2 has three invariant classes
+    RELABEL_SCANS = {"sts13_a": [1, 1, 1], "sts15_2": [1, 1, 1]}
+
     @pytest.mark.parametrize(
         "name, bound",
         [
@@ -1309,26 +1376,99 @@ class TestCentreRoute:
         ],
     )
     def test_positives_never_consult_the_route(self, monkeypatch, name, bound):
-        """Each map is the first map of the unbudgeted oracle search. sts13_a
-        is also refused against sts13_b, by the plain search alone: its
-        centre is trivial, so the route does not decide."""
+        """Each map is the first map of the unbudgeted oracle search, and
+        each relabel is scanned as pinned: once its search fails a
+        placement, or before the search when the source's points have
+        several invariants. sts13_a is also refused against sts13_b, by the
+        plain search alone: its centre is trivial, so the route does not
+        decide."""
 
         def boom(*args, **kwargs):
             raise AssertionError("centre route consulted")
 
         monkeypatch.setattr(schreier, "classify", boom)
         monkeypatch.setattr(schreier, "factor_system_from_extension", boom)
+        scanned, scan = [], _kernels.pasch_census
+        monkeypatch.setattr(_kernels, "pasch_census", lambda t, l: scanned.append(t) or scan(t, l))
         s = _named_system(name)
         assert sl.are_isomorphic(s, s, bound=bound) == tuple(range(s.v))
         for seed in range(3):
             other = _relabelled(s, seed)
             found = sl.are_isomorphic(s, other, bound=bound)
+            scans = self.RELABEL_SCANS.get(name, [0, 0, 0])[seed]
+            assert sum(t is other.third_table for t in scanned) == scans, seed
             assert found is not None and s.relabel(found) == other
             assert found == reference_search_isomorphisms(s, other, find_all=False)[0]
         if name == "sts13_a":
             other = _named_system("sts13_b")
             assert reference_search_isomorphisms(s, other, find_all=False) == []
             assert sl.are_isomorphic(s, other) is None
+
+
+class TestDeferredTargetScan:
+    """When every point of the source has one Pasch invariant, the target
+    is scanned at the first failed placement and not before."""
+
+    @staticmethod
+    def _count(monkeypatch, target):
+        """[pasch scans of target, nodes visited], as are_isomorphic runs."""
+        counts, scan, visit = [0, 0], _kernels.pasch_census, _search._Search.visit
+
+        def counted_scan(third, lines):
+            counts[0] += third is target.third_table
+            return scan(third, lines)
+
+        def counted_visit(search):
+            counts[1] += 1
+            visit(search)
+
+        monkeypatch.setattr(_kernels, "pasch_census", counted_scan)
+        monkeypatch.setattr(_search._Search, "visit", counted_visit)
+        return counts
+
+    @pytest.mark.parametrize("pair", ["pg4 / sts31", "sts13_a / sts13_b"])
+    def test_refusal_through_the_skipped_scan(self, monkeypatch, pair):
+        """A one-class source against a target whose invariants differ: no
+        map, as the oracle finds none, after one scan of the target within
+        v + 1 nodes, and the centre route is not consulted. Once scanned,
+        the target is refused before the search."""
+        if pair == "pg4 / sts31":
+            a, b = catalog.pg(4), _relabelled(_hyperplane_system("sts31"), 1)
+        else:
+            a, b = (sl.TripleSystem(13, catalog.fixture(k).lines) for k in ("sts13_a", "sts13_b"))
+        assert len(set(dc._invariants(a))) == 1
+        monkeypatch.setattr(dc, "_centre_rejects", lambda *args: pytest.fail("route consulted"))
+        counts = self._count(monkeypatch, b)
+        assert sl.are_isomorphic(a, b) is None
+        assert counts[0] == 1 and 0 < counts[1] <= a.v + 1
+        nodes = counts[1]
+        assert sl.are_isomorphic(a, b) is None
+        assert counts == [1, nodes]
+        assert reference_search_isomorphisms(a, b, find_all=False) == []
+
+    @pytest.mark.parametrize("name", ["sts15_2", "sts19"])
+    def test_several_classes_scan_the_target_first(self, monkeypatch, name):
+        """A source whose points have several invariants has its targets
+        scanned before the first node: a relabel, and for an STS(19) the
+        other two STS(19), whose invariants agree with its own."""
+        if name == "sts15_2":
+            a = _named_system(name)
+            targets = [_relabelled(a, 1)]
+        else:
+            a, *others = _orbit_representatives("sts9_labeled", 1)
+            targets = [_relabelled(a, 1)] + [sl.TripleSystem(19, s.lines) for s in others]
+        assert len(set(dc._invariants(a))) > 1
+        for b in targets:
+            counts = self._count(monkeypatch, b)
+            at_first_node = []
+            visit = _search._Search.visit
+            monkeypatch.setattr(
+                _search._Search, "visit",
+                lambda search: at_first_node.append(counts[0]) or visit(search),
+            )
+            assert (sl.are_isomorphic(a, b) is None) == (b is not targets[0])
+            assert at_first_node[0] == 1 and counts[0] == 1
+            monkeypatch.undo()
 
 
 class TestNodeBudget:

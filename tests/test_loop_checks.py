@@ -237,7 +237,8 @@ def test_square_enumeration_holds_no_cycle():
 
 def test_searches_hold_no_cycle(sts9, sts15_2):
     """A finished isomorphism search, one that answers and one that the
-    centre route stops, and an automorphism chain are freed by reference
+    centre route stops, searches that scan their target only at the first
+    failed placement, and an automorphism chain are freed by reference
     counting alone."""
     q, n = sts9.loop(), sl.ElemAbelian2(1)
     a, b = (
@@ -245,12 +246,18 @@ def test_searches_hold_no_cycle(sts9, sts15_2):
         for values in sl.classify(n, q).orbit_reps[:2]
     )
     other = sts15_2.relabel(list(reversed(range(sts15_2.v))))
+    sts13_a, sts13_b = catalog.fixture("sts13_a"), catalog.fixture("sts13_b")
     gc.collect()
     gc.disable()
     try:
         for _ in range(3):
             assert sl.are_isomorphic(sts15_2, other) is not None
             assert sl.are_isomorphic(a, b) is None
+            # one invariant class in sts13_a: each fresh target is scanned
+            # by the search's hook, after a failed placement
+            swapped = sts13_a.relabel([1, 0] + list(range(2, 13)))
+            assert sl.are_isomorphic(sts13_a, swapped) is not None
+            assert sl.are_isomorphic(sts13_a, sl.TripleSystem(13, sts13_b.lines)) is None
             sl.automorphisms(sts15_2)
         assert gc.collect() == 0
     finally:
