@@ -41,69 +41,35 @@ _SYSTEM_ALIASES = {
 }
 
 
-def _resolve_system(spec: str, refuse=lambda v: None) -> TripleSystem:
-    """The system named by a path or key. A pgN or agN key is built only
-    after refuse has been called with its order and has not raised."""
+def _resolve(spec: str, kind: type, read, refuse=None):
+    """The kind of object a path or catalog key names, a loop standing for
+    its system and a system for its loop: read(path) for a path, else the
+    catalog's object. sts1, sts3, pgN and agN are keys only where refuse is
+    given, and a pgN or agN key is built only after refuse has been called
+    with its order and has not raised."""
     path = Path(spec)
     if path.exists():
-        return formats.read_system(path)
-    if spec == "sts1":
-        return TripleSystem(1, [])
-    if spec == "sts3":
-        return TripleSystem(3, [(0, 1, 2)])
-    if spec[:2] in ("pg", "ag") and spec[2:].isdigit():
+        obj = read(path)
+    elif refuse is not None and spec in ("sts1", "sts3"):
+        obj = TripleSystem(1, []) if spec == "sts1" else TripleSystem(3, [(0, 1, 2)])
+    elif refuse is not None and spec[:2] in ("pg", "ag") and spec[2:].isdigit():
         dim = int(spec[2:])
         refuse((1 << (dim + 1)) - 1 if spec[:2] == "pg" else 3**dim)
-        return catalog.pg(dim) if spec[:2] == "pg" else catalog.ag(dim)
-    key = _SYSTEM_ALIASES.get(spec, spec)
-    obj = catalog.fixture(key)
-    if isinstance(obj, TripleSystem):
-        return obj
-    if isinstance(obj, SteinerLoop):
-        return obj.system()
-    raise UnknownKey(spec)
-
-
-def _resolve_loop(spec: str, refuse=lambda v: None) -> SteinerLoop:
-    """The loop named by a path or key; refuse as for _resolve_system."""
-    path = Path(spec)
-    if path.exists():
-        if path.suffix == ".csv":
-            return formats.read_loop_csv(path)
-        return formats.read_system(path).loop()
-    try:
+        obj = catalog.pg(dim) if spec[:2] == "pg" else catalog.ag(dim)
+    else:
         obj = catalog.fixture(_SYSTEM_ALIASES.get(spec, spec))
-    except UnknownKey:
-        return _resolve_system(spec, refuse).loop()
-    if isinstance(obj, SteinerLoop):
-        return obj
-    if isinstance(obj, TripleSystem):
+    if kind is TripleSystem and isinstance(obj, SteinerLoop):
+        return obj.system()
+    if kind is SteinerLoop and isinstance(obj, TripleSystem):
         return obj.loop()
-    raise UnknownKey(spec)
+    if not isinstance(obj, kind):
+        raise UnknownKey(spec)
+    return obj
 
 
-def _resolve_square(spec: str) -> steiner_operator.LatinSquare:
-    path = Path(spec)
-    if path.exists():
-        return formats.read_square(path)
-    obj = catalog.fixture(spec)
-    if isinstance(obj, steiner_operator.LatinSquare):
-        return obj
-    raise UnknownKey(spec)
-
-
-def _resolve_factor(spec: str, q: SteinerLoop, t: int) -> schreier.FactorSystem:
-    if spec == "zero":
-        return schreier.zero_factor_system(schreier.ElemAbelian2(t), q)
-    path = Path(spec)
-    if path.exists():
-        return formats.read_factor_system(path, q)
-    obj = catalog.fixture(spec)
-    if isinstance(obj, schreier.FactorSystem):
-        if obj.t != t or not np.array_equal(obj.q.table, q.table):
-            raise ValidationError(f"fixture {spec!r} does not match --q/--t")
-        return schreier.FactorSystem(q, t, obj.values)
-    raise UnknownKey(spec)
+def _read_loop(path: Path):
+    """A loop table (.csv) or a system, which _resolve takes as its loop."""
+    return formats.read_loop_csv(path) if path.suffix == ".csv" else formats.read_system(path)
 
 
 def _emit(text: str, output):
@@ -121,7 +87,7 @@ def cmd_analyze(args) -> int:
     spec = args.seed_fixture or args.input
     if not spec:
         raise ValidationError("analyze needs --input or --seed-fixture")
-    s = _resolve_system(spec, lambda v: _check_order(v, args.bound_v))
+    s = _resolve(spec, TripleSystem, formats.read_system, lambda v: _check_order(v, args.bound_v))
     _check_order(s.v, args.bound_v)
     veblen = sorted(veblen_points(s))
     cens = census(s)
@@ -148,13 +114,10 @@ def cmd_analyze(args) -> int:
 
 
 def _provenance(args) -> str:
-    parts = [args.command]
-    if getattr(args, "kind", None):
-        parts.append(args.kind)
+    parts = [args.command, args.kind]
     for name in ("q", "n", "f", "square", "t"):
-        val = getattr(args, name, None)
-        if val is not None:
-            parts.append(f"--{name} {val}")
+        if getattr(args, name) is not None:
+            parts.append(f"--{name} {getattr(args, name)}")
     return "built by: steiner " + " ".join(parts)
 
 
@@ -167,7 +130,9 @@ def _check_order(v: int, bound: int, what: str = "order") -> None:
 def _extension_base(spec: str, bound: int, built_order) -> SteinerLoop:
     """The loop named by spec, refused before it is built (pgN/agN keys) or
     right after when built_order(its order) exceeds --bound-v."""
-    loop = _resolve_loop(spec, lambda v: _check_order(built_order(v + 1), bound, "built order"))
+    loop = _resolve(
+        spec, SteinerLoop, _read_loop, lambda v: _check_order(built_order(v + 1), bound, "built order")
+    )
     _check_order(built_order(loop.n), bound, "built order")
     return loop
 
@@ -180,26 +145,32 @@ def cmd_extend(args) -> int:
             args.q, args.bound_v, lambda m: m * schreier.ElemAbelian2(args.t).size - 1
         )
         n = schreier.ElemAbelian2(args.t)
-        f = _resolve_factor(args.f, q, args.t)
+        if args.f == "zero":
+            f = schreier.zero_factor_system(n, q)
+        elif Path(args.f).exists():  # a file's t is checked by build_schreier
+            f = formats.read_factor_system(args.f, q)
+        else:  # a fixture's values are tied to its own quotient's labelling
+            f = _resolve(args.f, schreier.FactorSystem, None)
+            if f.t != args.t or not np.array_equal(f.q.table, q.table):
+                raise ValidationError(f"fixture {args.f!r} does not match --q/--t")
+            f = schreier.FactorSystem(q, args.t, f.values)
         loop = schreier.build_schreier(n, q, f)
     elif args.kind == "operator":
         if args.q is None or args.n is None or args.op is None:
             raise ValidationError("extend operator needs --q, --n and --op")
         # the extension has at least as many points as q's system
-        q = _resolve_loop(args.q, lambda v: _check_order(v, args.bound_v))
+        q = _resolve(args.q, SteinerLoop, _read_loop, lambda v: _check_order(v, args.bound_v))
         n_loop = _extension_base(args.n, args.bound_v, lambda m: q.n * m - 1)
         op = formats.read_operator(args.op, q, n_loop)
         loop = steiner_operator.build_extension(op)
-    elif args.kind == "double":
+    else:  # double, also the double command
         if args.n is None or args.square is None:
             raise ValidationError("extend double needs --n and --square")
         n_loop = _extension_base(args.n, args.bound_v, lambda m: 2 * m - 1)
-        square = _resolve_square(args.square)
+        square = _resolve(args.square, steiner_operator.LatinSquare, formats.read_square)
         loop = steiner_operator.build_extension(
             steiner_operator.double_operator(n_loop, square)
         )
-    else:
-        raise ValidationError(f"unknown extension kind {args.kind!r}")
     _emit(formats.render_system(loop.system(), comments=[_provenance(args)]), args.output)
     return 0
 
@@ -214,7 +185,7 @@ def _quotient(args, tb_name: str) -> SteinerLoop:
             raise BoundExceeded(f"t*b = {tb} exceeds {tb_name} {args.bound_tb}")
         _check_order(v, args.bound_v)
 
-    q = _resolve_loop(args.q, refuse)
+    q = _resolve(args.q, SteinerLoop, _read_loop, refuse)
     refuse(q.n - 1)
     return q
 
@@ -243,17 +214,9 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_double(args) -> int:
-    args.kind = "double"
-    args.q = None
-    args.f = None
-    args.t = None
-    return cmd_extend(args)
-
-
 def cmd_isomorphic(args) -> int:
     s1, s2 = (
-        _resolve_system(spec, lambda v: _check_order(v, args.bound_v))
+        _resolve(spec, TripleSystem, formats.read_system, lambda v: _check_order(v, args.bound_v))
         for spec in (args.first, args.second)
     )
     _check_order(max(s1.v, s2.v), args.bound_v)
@@ -301,16 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def shared(p, *names):
+        """Give p --output and those of the shared options its command reads."""
         p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument("--format", choices=("text", "json"), default="json")
-        p.add_argument("--bound-v", type=int, default=DEFAULT_BOUND_V, dest="bound_v")
-        p.add_argument("--bound-tb", type=int, default=schreier.DEFAULT_TB_BOUND, dest="bound_tb")
+        if "format" in names:
+            p.add_argument("--format", choices=("text", "json"), default="json")
+        if "bound_v" in names:
+            p.add_argument("--bound-v", type=int, default=DEFAULT_BOUND_V)
+        if "bound_tb" in names:
+            p.add_argument("--bound-tb", type=int, default=schreier.DEFAULT_TB_BOUND)
 
     p = sub.add_parser("analyze", help="Veblen points, census, hyperplanes of a system")
     p.add_argument("--input", help="system file")
     p.add_argument("--seed-fixture", dest="seed_fixture", help="catalog key instead of a file")
-    common(p)
+    shared(p, "format", "bound_v")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("extend", help="build an extension and write its system")
@@ -321,37 +288,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="subloop (file or catalog key)")
     p.add_argument("--op", help="operator file")
     p.add_argument("--square", help="symmetric square (file or catalog key)")
-    common(p)
+    shared(p, "bound_v")
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("enumerate", help="enumerate factor systems over a quotient")
     p.add_argument("--q", required=True)
     p.add_argument("--t", type=int, required=True)
-    common(p)
+    shared(p, "bound_v", "bound_tb")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="equivalence and isomorphism classes of extensions")
     p.add_argument("--q", required=True)
     p.add_argument("--t", type=int, required=True)
-    common(p)
+    shared(p, "bound_v", "bound_tb")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("double", help="index-two extension from a symmetric square")
     p.add_argument("--n", required=True, help="subloop (file or catalog key)")
     p.add_argument("--square", required=True, help="symmetric square (file or catalog key)")
-    common(p)
-    p.set_defaults(func=cmd_double)
+    shared(p, "bound_v")
+    p.set_defaults(func=cmd_extend, kind="double", q=None, t=None, f=None)
 
     p = sub.add_parser("isomorphic", help="decide isomorphism of two systems")
     p.add_argument("first")
     p.add_argument("second")
-    common(p)
+    shared(p, "format", "bound_v")
     p.set_defaults(func=cmd_isomorphic)
 
     p = sub.add_parser("catalog", help="list or export built-in fixtures")
     p.add_argument("action", choices=("list", "get"))
     p.add_argument("key", nargs="?")
-    common(p)
+    shared(p)
     p.set_defaults(func=cmd_catalog)
 
     return parser

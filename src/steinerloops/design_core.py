@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import struct
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,25 +60,33 @@ def admissible_factorization(n: int, factors) -> bool:
 
 
 def _sorted_triple(v: int, t) -> tuple:
-    t = tuple(sorted(int(x) for x in t))
-    if len(t) != 3 or len(set(t)) != 3 or t[0] < 0 or t[2] >= v:
-        raise BadTriple(t)
-    return t
+    """The labels of the row t as int() reads them, sorted; BadTriple on a
+    number that int() would change (1.5, not 1.0) or on a bad triple."""
+    t = tuple(t)
+    labels = tuple(map(int, t))
+    if any(i != x for i, x in zip(labels, t) if not isinstance(x, (str, bytes))):
+        raise BadTriple(t, "non-integral point label")
+    labels = tuple(sorted(labels))
+    if len(labels) != 3 or len(set(labels)) != 3 or labels[0] < 0 or labels[2] >= v:
+        raise BadTriple(labels)
+    return labels
 
 
 def _triple_rows(v: int, triples) -> np.ndarray:
     """The triples as a (b, 3) int64 array in input order, each row sorted;
-    BadTriple on the first bad triple."""
+    BadTriple on the first bad triple. Integer arrays and lists of integer
+    rows are read in bulk, anything else one triple at a time."""
     triples = triples if isinstance(triples, np.ndarray) else list(triples)
+    rows = None
     try:
-        if isinstance(triples, list) and set(map(len, triples)) == {3}:  # one read of the labels
-            labels = chain.from_iterable(triples)
-            rows = np.fromiter(labels, np.int64, 3 * len(triples)).reshape(-1, 3)
-        else:
-            rows = np.asarray(triples, dtype=np.int64)
-        rows = np.sort(rows, axis=1)
-    except (TypeError, ValueError, OverflowError):  # ragged, empty or not numbers
-        rows = None
+        if isinstance(triples, np.ndarray):
+            if triples.dtype.kind in "biu":  # a float array may hold 1.5
+                rows = np.sort(np.asarray(triples, dtype=np.int64), axis=1)
+        elif set(map(len, triples)) == {3}:  # one read of the labels; "q" takes integers only
+            labels = struct.pack(f"{3 * len(triples)}q", *chain.from_iterable(triples))
+            rows = np.sort(np.frombuffer(labels, np.int64).reshape(-1, 3), axis=1)
+    except (TypeError, ValueError, struct.error):  # ragged, empty, not integers or past int64
+        pass
     if rows is None or rows.shape[1:] != (3,):  # one triple at a time
         rows = np.array([_sorted_triple(v, t) for t in triples], dtype=np.int64).reshape(-1, 3)
     bad = (rows[:, 0] < 0) | (rows[:, 2] >= v) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)

@@ -28,6 +28,18 @@ def _data_lines(text: str) -> list:
     return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
+def _head(lines: list, kind: str, names: str) -> tuple:
+    """The two integers of the first of a kind file's data lines, which
+    names them ('v b'); FormatError on no lines or another first line."""
+    if not lines:
+        raise FormatError(f"empty {kind} file")
+    try:
+        first, second = map(int, lines[0].split())
+    except ValueError as exc:  # not two integers
+        raise FormatError(f"first line must be '{names}'") from exc
+    return first, second
+
+
 def _label(e: int) -> str:
     return "W" if e == 0 else str(e - 1)
 
@@ -56,15 +68,7 @@ def render_system(s: TripleSystem, comments=()) -> str:
 
 def parse_system(text: str) -> TripleSystem:
     lines = _data_lines(text)
-    if not lines:
-        raise FormatError("empty system file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError("first line must be 'v b'")
-    try:
-        v, b = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError("first line must be 'v b'") from exc
+    v, b = _head(lines, "system", "v b")
     if len(lines) - 1 != b:
         raise FormatError(f"expected {b} triple lines, found {len(lines) - 1}")
     rows = [line.split() for line in lines[1:]]
@@ -147,15 +151,7 @@ def render_factor_system(f: FactorSystem) -> str:
 
 def parse_factor_system(text: str, q: SteinerLoop) -> FactorSystem:
     lines = _data_lines(text)
-    if not lines:
-        raise FormatError("empty factor-system file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError("first line must be 'w t'")
-    try:
-        w, t = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError("first line must be 'w t'") from exc
+    w, t = _head(lines, "factor-system", "w t")
     qs = q.system()
     if w != qs.v:
         raise FormatError(f"file order {w} does not match the quotient order {qs.v}")
@@ -228,31 +224,17 @@ def render_operator(op: SteinerOperator) -> str:
 
 def parse_operator(text: str, q: SteinerLoop, n_loop: SteinerLoop) -> SteinerOperator:
     lines = _data_lines(text)
-    if not lines:
-        raise FormatError("empty operator file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError("first line must be 'm n'")
-    try:
-        m, k = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError("first line must be 'm n'") from exc
+    m, k = _head(lines, "operator", "m n")
     if m != q.n or k != n_loop.n:
         raise FormatError("operator header does not match the given loops")
-    body = lines[1:]
-    if len(body) != m * m * k:
-        raise FormatError(f"expected {m * m * k} block rows, found {len(body)}")
-    blocks = np.empty((m, m, k, k), dtype=np.int32)
-    pos = 0
-    for p in range(m):
-        for r in range(m):
-            for x in range(k):
-                parts = body[pos].split()
-                pos += 1
-                if len(parts) != k:
-                    raise FormatError(f"block ({p},{r}) row {x} needs {k} labels")
-                blocks[p, r, x] = [_unlabel(tok, k) for tok in parts]
-    return SteinerOperator(q, n_loop, blocks)
+    if len(lines) - 1 != m * m * k:
+        raise FormatError(f"expected {m * m * k} block rows, found {len(lines) - 1}")
+    labels = []
+    for i, parts in enumerate(map(str.split, lines[1:])):  # row x of block (p,r) is row (pm+r)k+x
+        if len(parts) != k:
+            raise FormatError(f"block ({i // k // m},{i // k % m}) row {i % k} needs {k} labels")
+        labels += [_unlabel(tok, k) for tok in parts]
+    return SteinerOperator(q, n_loop, np.array(labels, dtype=np.int32).reshape(m, m, k, k))
 
 
 def write_operator(op: SteinerOperator, path):

@@ -344,14 +344,15 @@ def enumerate_factor_systems(n: ElemAbelian2, q: SteinerLoop, tb_bound: int = DE
         yield FactorSystem(q, n.t, [(code >> (i * n.t)) & mask for i in range(b)])
 
 
-def hom_set(q: SteinerLoop, n: ElemAbelian2, bound: int = DEFAULT_TB_BOUND):
+def hom_set(q: SteinerLoop, n: ElemAbelian2):
     """All loop homomorphisms from q into the 2-group, as tuples indexed by
-    loop element (identity included at index 0)."""
+    loop element (identity included at index 0); refused when their space
+    has more than DEFAULT_TB_BOUND dimensions."""
     qs = q.system()
     kernel = _elimination(qs).kernel
     k = len(kernel)
-    if k * n.t > bound:
-        raise BoundExceeded(f"hom space dimension {k * n.t} exceeds bound {bound}")
+    if k * n.t > DEFAULT_TB_BOUND:
+        raise BoundExceeded(f"hom space dimension {k * n.t} exceeds bound {DEFAULT_TB_BOUND}")
     component_vectors = gf2.span(kernel)
     homs = [(0,) + _unplanes(combo, qs.v) for combo in product(component_vectors, repeat=n.t)]
     return sorted(homs)
@@ -392,11 +393,11 @@ def count_nonequivalent(n: ElemAbelian2, q: SteinerLoop) -> int:
     return 1 << (n.t * (q.system().b - len(basis)))
 
 
-def gl2_elements(t: int, bound: int = GL_DIMENSION_BOUND) -> tuple:
+def gl2_elements(t: int) -> tuple:
     """All automorphisms of the 2-group as element permutations, sorted;
-    built once per t."""
-    if t > bound:
-        raise BoundExceeded(f"GL enumeration limited to dimension {bound}")
+    built once per t, and refused for t above GL_DIMENSION_BOUND."""
+    if t > GL_DIMENSION_BOUND:
+        raise BoundExceeded(f"GL enumeration limited to dimension {GL_DIMENSION_BOUND}")
     return _gl2(t)
 
 
@@ -541,13 +542,12 @@ def _class_action(q: SteinerLoop, t: int):
 
 
 def classify(
-    n: ElemAbelian2,
-    q: SteinerLoop,
-    tb_bound: int = DEFAULT_TB_BOUND,
-    class_bound: int = DEFAULT_CLASS_BOUND,
+    n: ElemAbelian2, q: SteinerLoop, tb_bound: int = DEFAULT_TB_BOUND
 ) -> ClassificationReport:
     """Equivalence classes (cosets of the coboundary group) and isomorphism
-    classes (orbits of the automorphism action on those cosets)."""
+    classes (orbits of the automorphism action on those cosets); refused
+    when t*b exceeds tb_bound or the classes number more than
+    DEFAULT_CLASS_BOUND."""
     qs = q.system()
     t, b = n.t, qs.b
     if t * b > tb_bound:
@@ -555,8 +555,8 @@ def classify(
     basis, _, hom_count = _class_space(n, q)
     r = len(basis)
     eq_count = 1 << (t * (b - r))
-    if eq_count > class_bound:
-        raise BoundExceeded(f"{eq_count} equivalence classes exceed bound {class_bound}")
+    if eq_count > DEFAULT_CLASS_BOUND:
+        raise BoundExceeded(f"{eq_count} equivalence classes exceed bound {DEFAULT_CLASS_BOUND}")
 
     # Pivot coordinates of a class representative are 0, so product() lists
     # the representatives in sorted order and the bits of index i are the

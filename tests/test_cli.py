@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import steinerloops as sl
 from steinerloops import catalog, formats
-from steinerloops.cli import main
+from steinerloops.cli import build_parser, main
 from steinerloops.errors import Incompletable
 
 
@@ -181,6 +182,16 @@ class TestExtend:
         assert code == 2 and out == ""
         assert "does not match --q/--t" in err
 
+    def test_factor_file_over_other_t(self, capsys, tmp_path):
+        """A factor-system file carries its own t: one that differs from
+        --t is refused by the extension, not by the fixture check."""
+        path = tmp_path / "f.fs"
+        formats.write_factor_system(catalog.fixture("f_sts15_example"), path)
+        code, out, err = run(
+            capsys, "extend", "schreier", "--q", "fano", "--t", "2", "--f", str(path)
+        )
+        assert (code, out, err) == (2, "", "error: factor system does not match the given frame\n")
+
     def test_missing_args(self, capsys):
         code, _, err = run(capsys, "extend", "schreier", "--q", "fano")
         assert code == 2
@@ -331,6 +342,32 @@ class TestGeneratorKeys:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["extend", "double", "--n", "sts9_loop_table", "--square", "pg40"], "pg40"),
+            (["double", "--n", "sts9_loop_table", "--square", "sts3"], "sts3"),
+            (["extend", "schreier", "--q", "fano", "--t", "1", "--f", "ag2"], "ag2"),
+            (["extend", "schreier", "--q", "fano", "--t", "1", "--f", "sts1"], "sts1"),
+            (["double", "--n", "sts9_loop_table", "--square", "fano"], "fano"),
+            (["analyze", "--seed-fixture", "phi_11"], "phi_11"),
+            (["extend", "schreier", "--q", "phi_11", "--t", "1", "--f", "zero"], "phi_11"),
+        ],
+        ids=["square-pg", "square-sts", "f-ag", "f-sts", "square-alias", "system", "loop"],
+    )
+    def test_keys_of_another_kind(self, capsys, monkeypatch, argv, key):
+        """Squares and factor systems have no generated keys, so pgN, agN,
+        sts1 and sts3 are never built there; a key of another kind is an
+        unknown key wherever it is given."""
+
+        def forbidden(n):
+            raise AssertionError("a generated system was built")
+
+        monkeypatch.setattr(catalog, "pg", forbidden)
+        monkeypatch.setattr(catalog, "ag", forbidden)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: unknown catalog key {key!r}\n")
+
     def test_within_bounds_still_built(self, capsys):
         code, out, _ = run(capsys, "analyze", "--seed-fixture", "pg2", "--bound-v", "7")
         assert code == 0 and json.loads(out)["v"] == 7
@@ -401,6 +438,13 @@ class TestEnumerateClassify:
     def test_classify_bound(self, capsys):
         code, _, _ = run(capsys, "classify", "--q", "fano", "--t", "1", "--bound-tb", "3")
         assert code == 3
+
+    def test_classify_class_bound(self, capsys):
+        code, out, err = run(
+            capsys, "classify", "--q", "sts13_a", "--t", "2", "--bound-tb", "100"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: 67108864 equivalence classes exceed bound 65536\n"
 
     def test_classify_gl_dimension_bound(self, capsys):
         """A single class still needs a witness alpha with 2^t entries, so
@@ -539,6 +583,99 @@ class TestCatalog:
     def test_get_unknown(self, capsys):
         code, _, _ = run(capsys, "catalog", "get", "nope")
         assert code == 2
+
+
+class TestOptions:
+    """Each command declares the options its cmd_* reads and no other: the
+    parser's options per command equal the table below, a run of each
+    command reads every one of them, and an option a command does not read
+    is a usage error."""
+
+    OPTIONS = {
+        "analyze": {"input", "seed_fixture", "output", "format", "bound_v"},
+        "extend": {"kind", "q", "t", "f", "n", "op", "square", "output", "bound_v"},
+        "enumerate": {"q", "t", "output", "bound_v", "bound_tb"},
+        "classify": {"q", "t", "output", "bound_v", "bound_tb"},
+        "double": {"n", "square", "output", "bound_v"},
+        "isomorphic": {"first", "second", "output", "format", "bound_v"},
+        "catalog": {"action", "key", "output"},
+    }
+    # the values the double command fixes for cmd_extend
+    FIXED = {"double": {"kind", "q", "t", "f"}}
+    RUNS = {
+        "analyze": [["--seed-fixture", "sts3", "--format", "text"], ["--input", "FANO"]],
+        "extend": [
+            ["schreier", "--q", "fano", "--t", "1", "--f", "zero"],
+            ["operator", "--q", "sts1", "--n", "sts9_loop_table", "--op", "OPERATOR"],
+            ["double", "--n", "sts9_loop_table", "--square", "phi_11"],
+        ],
+        "enumerate": [["--q", "fano", "--t", "1"]],
+        "classify": [["--q", "fano", "--t", "1"]],
+        "double": [["--n", "sts9_loop_table", "--square", "phi_11"]],
+        "isomorphic": [["fano", "pg2", "--format", "text"]],
+        "catalog": [["list"], ["get", "phi_11"]],
+    }
+
+    @staticmethod
+    def _declared(command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+    @staticmethod
+    def _reads(argv):
+        """The names the command of argv reads off its parsed arguments."""
+        args, read = build_parser().parse_args(argv), set()
+
+        class Spy(argparse.Namespace):
+            def __getattribute__(self, name):
+                if not name.startswith("_"):
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        assert args.func(Spy(**vars(args))) == 0
+        return read
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_every_option_is_read(self, capsys, tmp_path, command):
+        fano, op = tmp_path / "fano.sts", tmp_path / "double.op"
+        formats.write_system(catalog.fixture("fano_labeled"), fano)
+        formats.write_operator(
+            sl.double_operator(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11")), op
+        )
+        paths = {"FANO": str(fano), "OPERATOR": str(op)}
+        assert self._declared(command) == self.OPTIONS[command]
+        read = set()
+        for argv in self.RUNS[command]:
+            argv = [paths.get(a, a) for a in argv]
+            read |= self._reads([command, *argv, "--output", str(tmp_path / "out")])
+        assert self.OPTIONS[command] <= read
+        assert read - self.OPTIONS[command] <= {"command"} | self.FIXED.get(command, set())
+
+    def test_settable_values(self):
+        assert sum(len(self._declared(command)) for command in self.OPTIONS) == 36
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "list", "--bound-tb", "3"],
+            ["catalog", "list", "--format", "text"],
+            ["catalog", "get", "phi_11", "--bound-v", "7"],
+            ["analyze", "--seed-fixture", "fano", "--bound-tb", "3"],
+            ["isomorphic", "fano", "fano", "--bound-tb", "3"],
+            ["extend", "double", "--n", "sts9_loop_table", "--square", "phi_11", "--format", "text"],
+            ["double", "--n", "sts9_loop_table", "--square", "phi_11", "--bound-tb", "3"],
+            ["enumerate", "--q", "fano", "--t", "1", "--format", "text"],
+            ["classify", "--q", "fano", "--t", "1", "--format", "text"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + [a for a in argv if a.startswith("--")][-1:]),
+    )
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert got.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "unrecognized arguments: " in out.err
 
 
 def test_incompletable_exit_code(capsys, monkeypatch, tmp_path):

@@ -170,17 +170,19 @@ class TestValidateSystem:
 
 class TestListInput:
     """The constructor's contract for triples given as a list or an
-    iterable: labels convert as int() reads them (floats truncate), and a
-    row or label that does not convert raises what int() raises or names
-    the row as a bad triple."""
+    iterable: labels convert as int() reads them, a row or label that does
+    not convert raises what int() raises or names the row as a bad triple,
+    and a number that int() would change (1.9) is a bad triple."""
 
     VALID = {
         "strings": [("2", "0", "1")],
         "string rows": ["120"],
-        "floats": [(2.0, 0.0, 1.9)],
+        "integral floats": [(2.0, 0.0, 1.0)],
         "bools": [(True, False, 2)],
         "sets": [{2, 0, 1}],
-        "numpy scalars": [(np.int16(2), np.uint8(0), np.float32(1.5))],
+        "integral numpy scalars": [(np.int16(2), np.uint8(0), np.float32(1.0))],
+        "integral float array": np.array([[2.0, 0.0, 1.0]]),
+        "object array": np.array([[2, 0, 1]], dtype=object),
     }
 
     @pytest.mark.parametrize("name", VALID)
@@ -195,6 +197,15 @@ class TestListInput:
         "bad string": (3, [("a", "0", "1")], ValueError, "invalid literal for int()"),
         "float string": (3, [("2.0", "0", "1")], ValueError, "invalid literal for int()"),
         "nan": (3, [(float("nan"), 0, 1)], ValueError, "cannot convert float NaN"),
+        "floats": (3, [(2.0, 0.0, 1.9)], BadTriple, "bad triple (2.0, 0.0, 1.9): non-integral"),
+        "numpy scalars": (
+            3, [(np.int16(2), np.uint8(0), np.float32(1.5))], BadTriple, "non-integral point label"
+        ),
+        "float with a bool": (
+            3, [(2.9, 0.2, True)], BadTriple, "bad triple (2.9, 0.2, True): non-integral"
+        ),
+        "float array": (3, np.array([[2.0, 0.0, 1.9]]), BadTriple, "non-integral point label"),
+        "float past the range": (3, [(0, 1, 2.5)], BadTriple, "bad triple (0, 1, 2.5): non-integral"),
         "None": (3, [(None, 0, 1)], TypeError, "not 'NoneType'"),
         "nested label": (3, [(0, 1, [2])], TypeError, "not 'list'"),
         "labels, not rows": (3, [0, 1, 2], TypeError, "'int' object is not iterable"),

@@ -255,6 +255,127 @@ class TestSquareAndOperator:
             formats.parse_operator(text, op.q, op.n_loop)
 
 
+def _factor_lines(replace=None, drop=0):
+    """The f_sts15_example factor-system file, its lines replaced or the
+    last ones dropped."""
+    lines = formats.render_factor_system(catalog.fixture("f_sts15_example")).splitlines()
+    lines = [(replace or {}).get(i, line) for i, line in enumerate(lines)]
+    return "\n".join(lines[: len(lines) - drop]) + "\n"
+
+
+def _doubling_operator():
+    return sl.double_operator(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11"))
+
+
+class TestRejectBranches:
+    """The FormatError text of each reject branch of the loop, square,
+    factor-system and operator parsers, and of the two-number header lines
+    that systems, factor systems and operators share."""
+
+    LOOP = {
+        "empty": ("# only a comment\n\n", "empty loop file"),
+        "one element": (",W\nW,W\n", "loop file must be an (n+1) x (n+1) labeled table"),
+        "corner label": ("W,W,0\nW,W,0\n0,0,W\n", "loop file must be an (n+1) x (n+1) labeled table"),
+        "row count": (",W,0\nW,W,0\n", "loop file must be an (n+1) x (n+1) labeled table"),
+        "row length": (",W,0\nW,W,0\n0,0\n", "row 1 has 1 entries, expected 2"),
+        "row label order": (",W,0\n0,0,W\nW,W,0\n", "row label '0' out of order"),
+        "label out of range": (",W,0\nW,W,0\n0,0,1\n", "element label '1' out of range"),
+        "bad label": (",W,0\nW,W,0\n0,0,x\n", "bad element label 'x'"),
+    }
+
+    @pytest.mark.parametrize("case", LOOP)
+    def test_loop_csv(self, case):
+        text, message = self.LOOP[case]
+        with pytest.raises(FormatError) as got:
+            formats.parse_loop_csv(text)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("text", ["", "# c\n", "W 0\n0\n", "W 0 1\n0 W 1\n", "W\nW\n"])
+    def test_square_not_n_by_n(self, text):
+        with pytest.raises(FormatError) as got:
+            formats.parse_square(text)
+        assert str(got.value) == "square file must hold an n x n table"
+
+    HEADERS = {
+        "system": (formats.parse_system, (), "v b"),
+        "factor-system": (formats.parse_factor_system, ("q",), "w t"),
+        "operator": (formats.parse_operator, ("q", "n"), "m n"),
+    }
+
+    @pytest.mark.parametrize("kind", HEADERS)
+    @pytest.mark.parametrize("head", ["x y", "7", "7 1 1", "7 1.0", "- 1"])
+    def test_header(self, kind, head):
+        parse, loops, names = self.HEADERS[kind]
+        op = _doubling_operator()
+        args = [op.q if name == "q" else op.n_loop for name in loops]
+        with pytest.raises(FormatError) as got:
+            parse("# c\n\n", *args)
+        assert str(got.value) == f"empty {kind} file"
+        with pytest.raises(FormatError) as got:
+            parse(f"# c\n{head}\n0 1 2\n", *args)
+        assert str(got.value) == f"first line must be '{names}'"
+
+    FACTOR = {
+        "order": (_factor_lines({0: "9 1"}), "file order 9 does not match the quotient order 7"),
+        "line count": (_factor_lines(drop=1), "expected 7 value lines, found 6"),
+        "value line": (_factor_lines({1: "0 1 2 0 1"}), "bad value line '0 1 2 0 1'"),
+        "no bits": (_factor_lines({1: "0 1 2"}), "bad value line '0 1 2'"),
+        "point label": (_factor_lines({1: "0 1 x 0"}), "bad point label in '0 1 x 0'"),
+        "triple order": (
+            _factor_lines({1: "0 3 4 0", 2: "0 1 2 0"}),
+            "line 2: triple (0, 3, 4) out of canonical order ((0, 1, 2))",
+        ),
+        "bit value": (_factor_lines({1: "0 1 2 2"}), "bad value bits '2'"),
+        "bit count": (_factor_lines({1: "0 1 2 01"}), "bad value bits '01'"),
+        "bits at t = 0": ("7 0\n0 1 2 0\n" + "0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n",
+                          "bad value line '0 1 2 0'"),
+    }
+
+    @pytest.mark.parametrize("case", FACTOR)
+    def test_factor_system(self, case):
+        text, message = self.FACTOR[case]
+        with pytest.raises(FormatError) as got:
+            formats.parse_factor_system(text, catalog.fixture("f_sts15_example").q)
+        assert str(got.value) == message
+
+    def test_operator_header_and_row_count(self):
+        op = _doubling_operator()
+        lines = formats.render_operator(op).splitlines()
+        with pytest.raises(FormatError) as got:
+            formats.parse_operator("\n".join(lines), op.n_loop, op.n_loop)
+        assert str(got.value) == "operator header does not match the given loops"
+        with pytest.raises(FormatError) as got:
+            formats.parse_operator("\n".join(lines[:-1]), op.q, op.n_loop)
+        assert str(got.value) == "expected 40 block rows, found 39"
+
+    @pytest.mark.parametrize("p, r, x", [(0, 0, 0), (0, 1, 9), (1, 0, 3), (1, 1, 9)])
+    def test_operator_short_row(self, p, r, x):
+        op = _doubling_operator()
+        lines = formats.render_operator(op).splitlines()
+        at = lines.index(f"# block {p} {r}") + 1 + x
+        lines[at] = " ".join(lines[at].split()[:-1])
+        with pytest.raises(FormatError) as got:
+            formats.parse_operator("\n".join(lines), op.q, op.n_loop)
+        assert str(got.value) == f"block ({p},{r}) row {x} needs 10 labels"
+
+    def test_operator_first_bad_row_named(self):
+        """A bad label before a short row is the fault reported, and the
+        other way round."""
+        op = _doubling_operator()
+        lines = formats.render_operator(op).splitlines()
+        first, later = lines.index("# block 0 1") + 2, lines.index("# block 1 0") + 4
+        bad = list(lines)
+        bad[first], bad[later] = bad[first].replace("W", "x"), "W 0"
+        with pytest.raises(FormatError) as got:
+            formats.parse_operator("\n".join(bad), op.q, op.n_loop)
+        assert str(got.value) == "bad element label 'x'"
+        bad = list(lines)
+        bad[first], bad[later] = "W 0", bad[later].replace("W", "10")
+        with pytest.raises(FormatError) as got:
+            formats.parse_operator("\n".join(bad), op.q, op.n_loop)
+        assert str(got.value) == "block (0,1) row 1 needs 10 labels"
+
+
 class TestReportJson:
     def test_schema_and_counts(self):
         q = catalog.fixture("fano_labeled").loop()

@@ -335,8 +335,6 @@ class TestOneElimination:
         assert sorted(echelonize_calls) == [7, 7 + 7]
         with pytest.raises(BoundExceeded, match="dimension 4"):
             schreier.gl2_elements(5)
-        with pytest.raises(BoundExceeded, match="dimension 2"):
-            schreier.gl2_elements(3, bound=2)
 
 
 class TestAreEquivalent:
@@ -523,6 +521,13 @@ class TestHomSet:
 
     def test_dimension_zero(self, fano_q):
         assert len(sl.hom_set(fano_q, sl.ElemAbelian2(0))) == 1
+
+    def test_dimension_bound(self):
+        """pg(4)'s loop has a 5-dimensional kernel: 5 * 5 = 25 coordinates
+        is one past the bound, refused before any homomorphism is listed."""
+        with pytest.raises(BoundExceeded) as got:
+            sl.hom_set(catalog.pg(4).loop(), sl.ElemAbelian2(5))
+        assert str(got.value) == "hom space dimension 25 exceeds bound 24"
 
     def test_kernels_are_normal_subloops(self, fano_q):
         for h in sl.hom_set(fano_q, n1):
@@ -719,6 +724,14 @@ class TestClassify:
     def test_bound(self, sts9_q):
         with pytest.raises(BoundExceeded):
             sl.classify(sl.ElemAbelian2(3), sts9_q)
+
+    def test_class_bound(self):
+        """t*b = 52 is within a raised t*b bound, but 2^(2*13) classes are
+        refused before any representative is listed."""
+        q = catalog.fixture("sts13_a").loop()
+        with pytest.raises(BoundExceeded) as got:
+            sl.classify(sl.ElemAbelian2(2), q, tb_bound=100)
+        assert str(got.value) == "67108864 equivalence classes exceed bound 65536"
 
     def test_single_class_builds_no_generators(self, sts3, fano, pg3, monkeypatch):
         """With t(b-r) = 0 there is one class and nothing to act on, so
