@@ -3,30 +3,86 @@ two Steiner triple systems, and stabiliser chains of their automorphism
 groups by orbit-pruned search (Seress, Permutation Group Algorithms, 2003;
 McKay and Piperno, Practical graph isomorphism II, 2014).
 
-Both run on one engine, _Search: a placement sends a point to a point and
-closes over every pair of placed points through the third-point tables. A
+Both run on one engine, _Search, along a closure plan of the source
+system. The search places some points directly, always in the same order
+(a level each); each such placement closes the map over the triples that
+the placed points then span. Which source points that closure places, in
+which order, and through which triples, depends on the source alone, so
+the plan records it once per level: one step per point the closure places,
+holding every triple that point is the last of. A placement walks its
+level's steps, reading each point's image off the images of two points
+placed before it, and fails at the first step whose triples disagree. A
 node is one candidate placement.
 
 Permutations are tuples: p[x] is the image of point x, and (g o u)[x] is
 g[u[x]].
 """
 
-from . import _kernels
+from collections import Counter
+
 from .errors import BoundExceeded
+
+
+def _close(third, placed, at, p):
+    """The steps of placing p after the points of placed (in placing order;
+    at[x] is x's position there, -1 for a point not placed): the closure of
+    the placed points over p, run as a stack of points met unplaced, each
+    point placed when it first comes off the stack, in turn after p.
+
+    A step (x, a, c, more) says that x is placed at the third point of the
+    images of a and c, and that every other pair (a', c') of more must close
+    on the same point: {x, a, c} and each {x, a', c'} are the triples whose
+    last point x is. placed and at grow by p and the points its closure
+    places."""
+    steps, todo = [], [p]
+    while todo:
+        x = todo.pop()
+        if at[x] != -1:
+            continue
+        row, pairs = third[x], []
+        for r in placed:
+            z = row[r]
+            if at[z] == -1:
+                todo.append(z)
+            elif at[z] > at[r]:  # the triple {x, r, z}, met again at z
+                pairs.append((r, z))
+        if pairs:  # every point but p, which closes no triple
+            steps.append((x, *pairs[0], tuple(pairs[1:])))
+        at[x] = len(placed)
+        placed.append(x)
+    return tuple(steps)
+
+
+class Plan:
+    """The closure plan of a source system for first_isomorphism: its
+    third-point table third (nested lists, diagonal -1) and invariants inv,
+    the order free in which the search places points directly (rarest
+    invariant class first, then ascending), and steps[p] for each point p
+    so placed, recorded (_close) the first time a search places p, None
+    before. A plan holds only ints, so a system may keep its own."""
+
+    __slots__ = ("third", "inv", "free", "steps")
+
+    def __init__(self, third, inv):
+        size = Counter(inv)
+        self.third, self.inv = third, inv
+        self.free = sorted(range(len(third)), key=lambda p: (size[inv[p]], p))
+        self.steps = [None] * len(third)
 
 
 class _Search:
     """Partial maps from the system with third-point table third1 to the one
     with third2 (nested lists, diagonal -1), sending each point only to a
-    point of equal invariant (inv1, inv2). Past budget nodes visit raises
-    BoundExceeded, naming the search as kind. reject, if given, is called
-    once, at the first failed candidate placement; when it returns True,
-    complete stops with no map."""
+    point of equal invariant (inv1, inv2), along steps, the source's closure
+    plan by point placed directly (None for a level not recorded yet). Past
+    budget nodes visit raises BoundExceeded, naming the search as kind.
+    reject, if given, is called once, at the first failed candidate
+    placement; when it returns True, complete stops with no map."""
 
-    def __init__(self, third1, inv1, third2, inv2, budget, kind, reject=None):
+    def __init__(self, third1, inv1, third2, inv2, steps, budget, kind, reject=None):
         v = len(third1)
         self.third1, self.inv1, self.third2, self.inv2 = third1, inv1, third2, inv2
-        self.budget, self.kind, self.reject = budget, kind, reject
+        self.steps, self.budget, self.kind, self.reject = steps, budget, kind, reject
         self.like = {}
         for q in range(v):
             self.like.setdefault(inv2[q], []).append(q)
@@ -39,31 +95,35 @@ class _Search:
             raise BoundExceeded(f"{self.kind} search exceeded its budget of {self.budget} nodes")
 
     def place(self, p, q):
-        """Send p to q and each point that two placed points close on to
-        the third point of their images; False at the first clash.
+        """Send p, the next point of the plan's order, to q and walk p's
+        steps: each step's point goes to the third point of the images of
+        its first pair, unless that point is used or of another invariant,
+        or another pair of the step closes elsewhere; False at the first
+        such clash, with the points before it placed.
 
-        A third point already placed is checked where the pair meets it, so
-        a wrong candidate fails before its closure grows."""
-        third1, third2, inv1, inv2 = self.third1, self.third2, self.inv1, self.inv2
+        A point is placed once its whole step agrees, in the order in which
+        a closure over every pair of placed points places them."""
         img, pre, placed = self.img, self.pre, self.placed
-        todo = [(p, q)]
-        while todo:
-            p, q = todo.pop()
-            if img[p] != -1:
-                if img[p] != q:
-                    return False
-                continue
-            if pre[q] != -1 or inv2[q] != inv1[p]:
+        inv1, inv2, third2 = self.inv1, self.inv2, self.third2
+        if pre[q] != -1 or inv2[q] != inv1[p]:
+            return False
+        steps = self.steps[p]
+        if steps is None:  # the first search to place p here: record its level
+            at = [-1] * len(img)
+            for i, x in enumerate(placed):
+                at[x] = i
+            steps = self.steps[p] = _close(self.third1, list(placed), at, p)
+        img[p], pre[q] = q, p
+        placed.append(p)
+        for x, a, c, more in steps:
+            y = third2[img[a]][img[c]]
+            if pre[y] != -1 or inv2[y] != inv1[x]:
                 return False
-            row_p, row_q = third1[p], third2[q]
-            for r in placed:
-                x, y = row_p[r], row_q[img[r]]
-                if img[x] == -1:
-                    todo.append((x, y))
-                elif img[x] != y:
+            for a, c in more:
+                if third2[img[a]][img[c]] != y:
                     return False
-            img[p], pre[q] = q, p
-            placed.append(p)
+            img[x], pre[y] = y, x
+            placed.append(x)
         return True
 
     def undo(self, mark):
@@ -95,24 +155,23 @@ class _Search:
         return False
 
 
-def first_isomorphism(third1, inv1, third2, inv2, budget: int, reject=None):
-    """The first point map carrying the system with third-point table third1
-    to the one with third2, or None; inv1 and inv2 give each point an
-    invariant that isomorphisms keep, with equal multisets. When inv1 has
-    one value, a caller may instead pass inv1 as inv2 and check the target's
-    own invariants in reject: until the first failed placement no choice of
-    the search depends on inv2.
+def first_isomorphism(plan: Plan, third2, inv2, budget: int, reject=None):
+    """The first point map carrying the source system of plan to the one
+    with third-point table third2, or None; plan.inv and inv2 give each
+    point an invariant that isomorphisms keep, with equal multisets. When
+    plan.inv has one value, a caller may instead pass it as inv2 and check
+    the target's own invariants in reject: until the first failed placement
+    no choice of the search depends on inv2.
 
-    The free points are placed rarest invariant class first, then in
-    ascending order, each on the candidates in ascending order; the closure
-    places the rest. The search visits at most budget nodes, then raises
-    BoundExceeded; reject is called once, at the first failed candidate
-    placement, and when it returns True the search stops with no map.
+    The free points are placed in plan.free order, each on the candidates
+    in ascending order; the closure places the rest. The search visits at
+    most budget nodes, then raises BoundExceeded; reject is called once, at
+    the first failed candidate placement, and when it returns True the
+    search stops with no map. The levels the search reaches first are
+    recorded in plan.
     """
-    search = _Search(third1, inv1, third2, inv2, budget, "isomorphism", reject)
-    # like holds the target's invariant classes, as large as the source's
-    free_rank = sorted(range(len(third1)), key=lambda p: (len(search.like[inv1[p]]), p))
-    if search.complete(free_rank, 0) and -1 not in search.img:  # not stopped by reject
+    search = _Search(plan.third, plan.inv, third2, inv2, plan.steps, budget, "isomorphism", reject)
+    if search.complete(plan.free, 0) and -1 not in search.img:  # not stopped by reject
         return tuple(search.img)
     return None
 
@@ -156,10 +215,15 @@ def automorphism_chain(third, inv, budget: int):
     """
     # the points outside the subsystem generated by the points before them:
     # their images fix an automorphism, so the first point where two
-    # automorphisms differ is a base point
-    base, _ = _kernels.generator_forms(third)
-    search = _Search(third, inv, third, inv, budget, "automorphism")
-    identity = tuple(range(len(third)))
+    # automorphisms differ is a base point; their closures are the plan
+    v = len(third)
+    base, steps, placed, at = [], [None] * v, [], [-1] * v
+    for g in range(v):
+        if at[g] == -1:
+            base.append(g)
+            steps[g] = _close(third, placed, at, g)
+    search = _Search(third, inv, third, inv, steps, budget, "automorphism")
+    identity = tuple(range(v))
     gens, transversals = [], []
     for i in reversed(range(len(base))):
         b = base[i]

@@ -113,11 +113,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _provenance(args) -> str:
-    parts = [args.command, args.kind]
-    for name in ("q", "n", "f", "square", "t"):
-        if getattr(args, name) is not None:
-            parts.append(f"--{name} {getattr(args, name)}")
+def _provenance(args, *names) -> str:
+    parts = [args.command, args.kind, *(f"--{name} {getattr(args, name)}" for name in names)]
     return "built by: steiner " + " ".join(parts)
 
 
@@ -137,10 +134,20 @@ def _extension_base(spec: str, bound: int, built_order) -> SteinerLoop:
     return loop
 
 
+# the options of each kind of extension; the double command takes those of double
+_EXTEND_KINDS = {"schreier": ("q", "t", "f"), "operator": ("q", "n", "op"), "double": ("n", "square")}
+_EXTEND_OPTIONS = {
+    "q": {"help": "quotient system/loop (file or catalog key)"},
+    "t": {"type": int, "help": "2-group dimension"},
+    "f": {"help": "factor system (file, catalog key, or 'zero')"},
+    "n": {"help": "subloop (file or catalog key)"},
+    "op": {"help": "operator file"},
+    "square": {"help": "symmetric square (file or catalog key)"},
+}
+
+
 def cmd_extend(args) -> int:
     if args.kind == "schreier":
-        if args.q is None or args.t is None or args.f is None:
-            raise ValidationError("extend schreier needs --q, --t and --f")
         q = _extension_base(
             args.q, args.bound_v, lambda m: m * schreier.ElemAbelian2(args.t).size - 1
         )
@@ -154,24 +161,21 @@ def cmd_extend(args) -> int:
             if f.t != args.t or not np.array_equal(f.q.table, q.table):
                 raise ValidationError(f"fixture {args.f!r} does not match --q/--t")
             f = schreier.FactorSystem(q, args.t, f.values)
-        loop = schreier.build_schreier(n, q, f)
+        loop, names = schreier.build_schreier(n, q, f), ("q", "f", "t")
     elif args.kind == "operator":
-        if args.q is None or args.n is None or args.op is None:
-            raise ValidationError("extend operator needs --q, --n and --op")
         # the extension has at least as many points as q's system
         q = _resolve(args.q, SteinerLoop, _read_loop, lambda v: _check_order(v, args.bound_v))
         n_loop = _extension_base(args.n, args.bound_v, lambda m: q.n * m - 1)
         op = formats.read_operator(args.op, q, n_loop)
-        loop = steiner_operator.build_extension(op)
+        loop, names = steiner_operator.build_extension(op), ("q", "n")
     else:  # double, also the double command
-        if args.n is None or args.square is None:
-            raise ValidationError("extend double needs --n and --square")
         n_loop = _extension_base(args.n, args.bound_v, lambda m: 2 * m - 1)
         square = _resolve(args.square, steiner_operator.LatinSquare, formats.read_square)
         loop = steiner_operator.build_extension(
             steiner_operator.double_operator(n_loop, square)
         )
-    _emit(formats.render_system(loop.system(), comments=[_provenance(args)]), args.output)
+        names = ("n", "square")
+    _emit(formats.render_system(loop.system(), comments=[_provenance(args, *names)]), args.output)
     return 0
 
 
@@ -280,16 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
     shared(p, "format", "bound_v")
     p.set_defaults(func=cmd_analyze)
 
+    def extension(p, kind):
+        """Give p the options of that kind of extension, all required."""
+        for name in _EXTEND_KINDS[kind]:
+            p.add_argument(f"--{name}", required=True, **_EXTEND_OPTIONS[name])
+        shared(p, "bound_v")
+        p.set_defaults(func=cmd_extend, kind=kind)
+
     p = sub.add_parser("extend", help="build an extension and write its system")
-    p.add_argument("kind", choices=("schreier", "operator", "double"))
-    p.add_argument("--q", help="quotient system/loop (file or catalog key)")
-    p.add_argument("--t", type=int, help="2-group dimension for schreier")
-    p.add_argument("--f", help="factor system (file, catalog key, or 'zero')")
-    p.add_argument("--n", help="subloop (file or catalog key)")
-    p.add_argument("--op", help="operator file")
-    p.add_argument("--square", help="symmetric square (file or catalog key)")
-    shared(p, "bound_v")
-    p.set_defaults(func=cmd_extend)
+    kinds = p.add_subparsers(dest="kind", required=True)  # each kind takes its own options
+    for kind in _EXTEND_KINDS:
+        extension(kinds.add_parser(kind), kind)
 
     p = sub.add_parser("enumerate", help="enumerate factor systems over a quotient")
     p.add_argument("--q", required=True)
@@ -303,11 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared(p, "bound_v", "bound_tb")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("double", help="index-two extension from a symmetric square")
-    p.add_argument("--n", required=True, help="subloop (file or catalog key)")
-    p.add_argument("--square", required=True, help="symmetric square (file or catalog key)")
-    shared(p, "bound_v")
-    p.set_defaults(func=cmd_extend, kind="double", q=None, t=None, f=None)
+    extension(sub.add_parser("double", help="index-two extension from a symmetric square"), "double")
 
     p = sub.add_parser("isomorphic", help="decide isomorphism of two systems")
     p.add_argument("first")

@@ -73,26 +73,34 @@ def _sorted_triple(v: int, t) -> tuple:
 
 
 def _triple_rows(v: int, triples) -> np.ndarray:
-    """The triples as a (b, 3) int64 array in input order, each row sorted;
-    BadTriple on the first bad triple. Integer arrays and lists of integer
-    rows are read in bulk, anything else one triple at a time."""
+    """The triples as a (b, 3) int64 array, rows and labels in input order;
+    BadTriple on the first bad triple, its labels sorted. Integer arrays and
+    lists of integer rows are read in bulk, anything else one triple at a
+    time."""
     triples = triples if isinstance(triples, np.ndarray) else list(triples)
     rows = None
     try:
         if isinstance(triples, np.ndarray):
             if triples.dtype.kind in "biu":  # a float array may hold 1.5
-                rows = np.sort(np.asarray(triples, dtype=np.int64), axis=1)
+                rows = np.asarray(triples, dtype=np.int64)
         elif set(map(len, triples)) == {3}:  # one read of the labels; "q" takes integers only
             labels = struct.pack(f"{3 * len(triples)}q", *chain.from_iterable(triples))
-            rows = np.sort(np.frombuffer(labels, np.int64).reshape(-1, 3), axis=1)
+            rows = np.frombuffer(labels, np.int64).reshape(-1, 3)
     except (TypeError, ValueError, struct.error):  # ragged, empty, not integers or past int64
         pass
     if rows is None or rows.shape[1:] != (3,):  # one triple at a time
         rows = np.array([_sorted_triple(v, t) for t in triples], dtype=np.int64).reshape(-1, 3)
-    bad = (rows[:, 0] < 0) | (rows[:, 2] >= v) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-    if bad.any():
+    a, b, c = rows.T
+    distinct = ((a != b) & (a != c) & (b != c)).all()
+    if rows.min(initial=0) < 0 or rows.max(initial=0) >= v or not distinct:
+        rows = np.sort(rows, axis=1)
+        bad = (rows[:, 0] < 0) | (rows[:, 2] >= v) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         raise BadTriple(rows[bad.argmax()].tolist())
     return rows
+
+
+# the six orientations (x, y, z) of a row: columns of x, y and z
+_ENDS = np.array([[0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1], [2, 1, 2, 0, 1, 0]])
 
 
 class TripleSystem:
@@ -100,8 +108,8 @@ class TripleSystem:
     its triples are the rows of the read-only int32 (b, 3) array lines."""
 
     __slots__ = (
-        "v", "lines", "b", "third_table", "_pair_triple", "_triples", "_loop", "_pasch", "_hash",
-        "_elimination", "_centre", "__weakref__",
+        "v", "lines", "b", "third_table", "_pair_triple", "_triples", "_loop", "_pasch", "_plan",
+        "_hash", "_elimination", "_centre", "__weakref__",
     )
 
     def __init__(self, v: int, triples):
@@ -109,12 +117,11 @@ class TripleSystem:
             raise NotAdmissible(v)
         rows = _triple_rows(v, triples)
         third = np.full((v, v), -1, dtype=np.int32)
-        a, b, c = rows.T
-        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            third[x, y] = third[y, x] = z
+        third[rows[:, _ENDS[0]], rows[:, _ENDS[1]]] = rows[:, _ENDS[2]]
         if np.count_nonzero(third >= 0) != 6 * len(rows):
             # a pair is covered twice: report the first one met when the
             # sorted triples are scanned, each through (a,b), (a,c), (b,c)
+            rows = np.sort(rows, axis=1)
             rows = rows[np.lexsort(rows.T[::-1])]
             codes = (rows[:, [0, 0, 1]] * v + rows[:, [1, 2, 2]]).ravel()
             order = np.argsort(codes, kind="stable")  # a repeat equals the code before it
@@ -138,8 +145,8 @@ class TripleSystem:
         self.lines = lines
         self.b = len(lines)
         self.third_table = third
-        self._pair_triple = self._triples = self._loop = self._pasch = self._hash = None
-        self._elimination = self._centre = None
+        self._pair_triple = self._triples = self._loop = self._pasch = self._plan = None
+        self._hash = self._elimination = self._centre = None
 
     @property
     def pair_triple(self) -> np.ndarray:
@@ -147,7 +154,7 @@ class TripleSystem:
         each pair, -1 on the diagonal; built on first read."""
         if self._pair_triple is None:
             pair_triple = np.full((self.v, self.v), -1, dtype=np.int32)
-            ends = self.lines[:, [0, 0, 1, 1, 2, 2]], self.lines[:, [1, 2, 0, 2, 0, 1]]
+            ends = self.lines[:, _ENDS[0]], self.lines[:, _ENDS[1]]
             pair_triple[ends] = np.arange(self.b, dtype=np.int32)[:, None]
             pair_triple.flags.writeable = False
             self._pair_triple = pair_triple
@@ -580,7 +587,7 @@ _NODE_BUDGET = 1_000_000
 
 def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, reject=None):
     """The first point map carrying s1's triples to s2's, or None
-    (_search.first_isomorphism).
+    (_search.first_isomorphism, along the closure plan s1 keeps).
 
     Past _NODE_BUDGET nodes the search raises BoundExceeded. reject is called
     once, at the first failed candidate placement; when it returns True the
@@ -595,17 +602,19 @@ def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, reject=None):
     """
     if s1.v != s2.v:
         return None
-    inv1 = _invariants(s1)
+    if s1._plan is None:  # kept with the Pasch scan it orders by
+        s1._plan = _search.Plan(s1.third_table.tolist(), _invariants(s1))
+    plan = s1._plan
+    inv1 = plan.inv
     if s2 is not s1 and s2._pasch is None and len(set(inv1)) == 1:
         inv2, reject = inv1, _scan_on_failure(s2, inv1, reject)
     else:
         inv2 = _invariants(s2)
         if sorted(inv1) != sorted(inv2):
             return None
-    third1 = s1.third_table.tolist()
-    third2 = third1 if s2 is s1 else s2.third_table.tolist()
+    third2 = plan.third if s2 is s1 else s2.third_table.tolist()
     # _NODE_BUDGET is read per call, so a patched module value takes effect
-    return _search.first_isomorphism(third1, inv1, third2, inv2, _NODE_BUDGET, reject)
+    return _search.first_isomorphism(plan, third2, inv2, _NODE_BUDGET, reject)
 
 
 def _scan_on_failure(s2: TripleSystem, inv1: list, reject):

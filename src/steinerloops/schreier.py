@@ -346,13 +346,13 @@ def enumerate_factor_systems(n: ElemAbelian2, q: SteinerLoop, tb_bound: int = DE
 
 def hom_set(q: SteinerLoop, n: ElemAbelian2):
     """All loop homomorphisms from q into the 2-group, as tuples indexed by
-    loop element (identity included at index 0); refused when their space
-    has more than DEFAULT_TB_BOUND dimensions."""
+    loop element (identity included at index 0); refused, before any is
+    listed, when they number more than DEFAULT_CLASS_BOUND."""
     qs = q.system()
     kernel = _elimination(qs).kernel
-    k = len(kernel)
-    if k * n.t > DEFAULT_TB_BOUND:
-        raise BoundExceeded(f"hom space dimension {k * n.t} exceeds bound {DEFAULT_TB_BOUND}")
+    count = 1 << (len(kernel) * n.t)
+    if count > DEFAULT_CLASS_BOUND:
+        raise BoundExceeded(f"{count} homomorphisms exceed bound {DEFAULT_CLASS_BOUND}")
     component_vectors = gf2.span(kernel)
     homs = [(0,) + _unplanes(combo, qs.v) for combo in product(component_vectors, repeat=n.t)]
     return sorted(homs)

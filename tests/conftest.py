@@ -593,6 +593,34 @@ def reference_place(third1, inv1, third2, inv2, img, p, q):
         pairs |= new
 
 
+def reference_pair_scan_place(third1, inv1, third2, inv2, img, pre, placed, p, q):
+    """Test-local oracle for _search._Search.place, the closure its plan
+    records: send p to q and each point that two placed points close on to
+    the third point of their images, over every pair of placed points, from
+    a stack of the pairs met; False at the first clash. A third point
+    already placed is checked where the pair meets it. img, pre and placed
+    (the points in the order placed) grow in place, up to the clash."""
+    todo = [(p, q)]
+    while todo:
+        p, q = todo.pop()
+        if img[p] != -1:
+            if img[p] != q:
+                return False
+            continue
+        if pre[q] != -1 or inv2[q] != inv1[p]:
+            return False
+        row_p, row_q = third1[p], third2[q]
+        for r in placed:
+            x, y = row_p[r], row_q[img[r]]
+            if img[x] == -1:
+                todo.append((x, y))
+            elif img[x] != y:
+                return False
+        img[p], pre[q] = q, p
+        placed.append(p)
+    return True
+
+
 def reference_search_isomorphisms(s1, s2, find_all):
     """Test-local oracle for the isomorphism search: the plain backtracking
     search, no centre route and no node budget, over the same invariants and

@@ -193,8 +193,11 @@ class TestExtend:
         assert (code, out, err) == (2, "", "error: factor system does not match the given frame\n")
 
     def test_missing_args(self, capsys):
-        code, _, err = run(capsys, "extend", "schreier", "--q", "fano")
-        assert code == 2
+        """Each kind requires its options: a usage error naming those missing."""
+        with pytest.raises(SystemExit) as got:
+            main(["extend", "schreier", "--q", "fano"])
+        assert got.value.code == 2
+        assert "the following arguments are required: --t, --f" in capsys.readouterr().err
 
     def test_output_revalidates(self, capsys, tmp_path):
         out_path = tmp_path / "x.sts"
@@ -591,24 +594,29 @@ class TestOptions:
     command reads every one of them, and an option a command does not read
     is a usage error."""
 
+    KINDS = {
+        "schreier": ["--q", "fano", "--t", "1", "--f", "zero"],
+        "operator": ["--q", "sts1", "--n", "sts9_loop_table", "--op", "OPERATOR"],
+        "double": ["--n", "sts9_loop_table", "--square", "phi_11"],
+    }
     OPTIONS = {
         "analyze": {"input", "seed_fixture", "output", "format", "bound_v"},
-        "extend": {"kind", "q", "t", "f", "n", "op", "square", "output", "bound_v"},
+        "extend": {"kind"},
+        "extend schreier": {"q", "t", "f", "output", "bound_v"},
+        "extend operator": {"q", "n", "op", "output", "bound_v"},
+        "extend double": {"n", "square", "output", "bound_v"},
         "enumerate": {"q", "t", "output", "bound_v", "bound_tb"},
         "classify": {"q", "t", "output", "bound_v", "bound_tb"},
         "double": {"n", "square", "output", "bound_v"},
         "isomorphic": {"first", "second", "output", "format", "bound_v"},
         "catalog": {"action", "key", "output"},
     }
-    # the values the double command fixes for cmd_extend
-    FIXED = {"double": {"kind", "q", "t", "f"}}
+    # the values the double command and the extend parser fix for cmd_extend
+    FIXED = {"double": {"kind"}} | {f"extend {kind}": {"kind"} for kind in KINDS}
     RUNS = {
         "analyze": [["--seed-fixture", "sts3", "--format", "text"], ["--input", "FANO"]],
-        "extend": [
-            ["schreier", "--q", "fano", "--t", "1", "--f", "zero"],
-            ["operator", "--q", "sts1", "--n", "sts9_loop_table", "--op", "OPERATOR"],
-            ["double", "--n", "sts9_loop_table", "--square", "phi_11"],
-        ],
+        "extend": [[kind, *argv] for kind, argv in KINDS.items()],
+        **{f"extend {kind}": [argv] for kind, argv in KINDS.items()},
         "enumerate": [["--q", "fano", "--t", "1"]],
         "classify": [["--q", "fano", "--t", "1"]],
         "double": [["--n", "sts9_loop_table", "--square", "phi_11"]],
@@ -619,8 +627,10 @@ class TestOptions:
     @staticmethod
     def _declared(command):
         parser = build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+        for name in command.split():  # a command, then the kind of an extension
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = sub.choices[name]
+        return {a.dest for a in parser._actions if a.dest != "help"}
 
     @staticmethod
     def _reads(argv):
@@ -648,12 +658,14 @@ class TestOptions:
         read = set()
         for argv in self.RUNS[command]:
             argv = [paths.get(a, a) for a in argv]
-            read |= self._reads([command, *argv, "--output", str(tmp_path / "out")])
+            read |= self._reads([*command.split(), *argv, "--output", str(tmp_path / "out")])
         assert self.OPTIONS[command] <= read
+        if command == "extend":  # each kind, below, reads its own options
+            return
         assert read - self.OPTIONS[command] <= {"command"} | self.FIXED.get(command, set())
 
     def test_settable_values(self):
-        assert sum(len(self._declared(command)) for command in self.OPTIONS) == 36
+        assert sum(len(self._declared(command)) for command in self.OPTIONS) == 42
 
     @pytest.mark.parametrize(
         "argv",
@@ -664,6 +676,11 @@ class TestOptions:
             ["analyze", "--seed-fixture", "fano", "--bound-tb", "3"],
             ["isomorphic", "fano", "fano", "--bound-tb", "3"],
             ["extend", "double", "--n", "sts9_loop_table", "--square", "phi_11", "--format", "text"],
+            ["extend", "double", "--n", "sts9_loop_table", "--square", "phi_11", "--t", "3"],
+            ["extend", "double", "--n", "sts9_loop_table", "--square", "phi_11", "--op", "x.op"],
+            ["extend", "schreier", "--q", "fano", "--t", "1", "--f", "zero", "--n", "fano"],
+            ["extend", "schreier", "--q", "fano", "--t", "1", "--f", "zero", "--square", "phi_11"],
+            ["extend", "operator", "--q", "sts1", "--n", "fano", "--op", "x.op", "--f", "zero"],
             ["double", "--n", "sts9_loop_table", "--square", "phi_11", "--bound-tb", "3"],
             ["enumerate", "--q", "fano", "--t", "1", "--format", "text"],
             ["classify", "--q", "fano", "--t", "1", "--format", "text"],
@@ -676,6 +693,7 @@ class TestOptions:
         assert got.value.code == 2
         out = capsys.readouterr()
         assert out.out == "" and "unrecognized arguments: " in out.err
+        assert [a for a in argv if a.startswith("--")][-1] in out.err
 
 
 def test_incompletable_exit_code(capsys, monkeypatch, tmp_path):

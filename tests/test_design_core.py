@@ -24,6 +24,7 @@ from conftest import (
     reference_generators,
     reference_hyperplanes,
     reference_normality_witness,
+    reference_pair_scan_place,
     reference_pasch_census,
     reference_place,
     reference_quotient,
@@ -231,6 +232,21 @@ class TestListInput:
         assert s == fano and s.triples == fano.triples
         with pytest.raises(BadTriple, match=re.escape("bad triple (0, 1)")):
             sl.TripleSystem(7, iter([(0, 1), (2, 3, 4, 5)]))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_unsorted_rows_build_the_sorted_system(data):
+    """Rows in any order, each with its labels in any order, as a list of
+    tuples, a list of lists or an integer array, build the system of the
+    sorted rows: equal, with the same lines and tables."""
+    s = _named_system(data.draw(st.sampled_from(["fano", "sts9", "sts13_a", "sts15_2", "pg4"])))
+    rows = data.draw(st.permutations([data.draw(st.permutations(t)) for t in s.triples]))
+    form = data.draw(st.sampled_from([tuple, list, np.array]))
+    built = sl.TripleSystem(s.v, np.array(rows) if form is np.array else [form(r) for r in rows])
+    want = sl.TripleSystem(s.v, sorted(s.triples))
+    assert built == want and built.triples == want.triples == s.triples
+    assert np.array_equal(built.pair_triple, want.pair_triple)
 
 
 class TestRelabel:
@@ -1540,14 +1556,23 @@ class TestNodeBudget:
 _PLACE_SOURCES = ("fano", "sts9", "sts13_a", "sts15_2", "pg3", "fano_labeled", "sts9_labeled")
 
 
+def _direct_orders(third, inv):
+    """The two orders in which the searches place points directly: the
+    isomorphism plan's free order and the chain's base."""
+    return {"free": _search.Plan(third, inv).free, "base": _kernels.generator_forms(third)[0]}
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_place_matches_the_closure_oracle(data):
     """Candidate placements on a catalog system or a drawn Schreier
     extension (t = 0 is the catalog system itself) against a relabelled
-    copy, from a partial map the same placements built: the verdict and the
-    map are the oracle's, pre inverts img, and undo restores the map
-    before the placement. Uniform invariants let the closure run on."""
+    copy, each of the next point of a plan's direct order (the free order
+    or the chain's base), from a partial map the same placements built:
+    the verdict, the map and the points placed, in order and up to a clash,
+    are the pair-scan oracle's; the map is the least closed one, pre
+    inverts img, and undo restores the map before the placement. Uniform
+    invariants let the closure run on."""
     key = data.draw(st.sampled_from(_PLACE_SOURCES))
     t = data.draw(st.integers(0, 2)) if key.endswith("_labeled") else 0
     s1 = _named_system(key)
@@ -1563,25 +1588,96 @@ def test_place_matches_the_closure_oracle(data):
     else:
         inv1 = inv2 = [0] * v
     third1, third2 = s1.third_table.tolist(), s2.third_table.tolist()
-    search = _search._Search(third1, inv1, third2, inv2, budget=1, kind="test")
+    order = _direct_orders(third1, inv1)[data.draw(st.sampled_from(["free", "base"]))]
+    search = _search._Search(third1, inv1, third2, inv2, [None] * v, budget=1, kind="test")
     for _ in range(data.draw(st.integers(1, 6))):
-        unplaced = [x for x in range(v) if search.img[x] == -1]
+        unplaced = [x for x in order if search.img[x] == -1]
         if not unplaced:
             break
-        p = data.draw(st.sampled_from(unplaced))
+        p = unplaced[0]
         q = data.draw(st.one_of(st.just(perm[p]), st.integers(0, v - 1)))
         before = (list(search.img), list(search.pre), list(search.placed))
+        img, pre, placed = (list(x) for x in before)
+        ok = reference_pair_scan_place(third1, inv1, third2, inv2, img, pre, placed, p, q)
         want = reference_place(third1, inv1, third2, inv2, search.img, p, q)
-        ok = search.place(p, q)
-        assert ok == (want is not None)
+        assert search.place(p, q) == ok == (want is not None)
+        assert (search.img, search.pre, search.placed) == (img, pre, placed)
         if ok:
             assert search.img == want
             assert search.pre == [want.index(y) if y in want else -1 for y in range(v)]
-            assert search.placed[: len(before[2])] == before[2]
-            assert sorted(search.placed) == [x for x in range(v) if want[x] != -1]
         if not ok or data.draw(st.booleans()):
             search.undo(len(before[2]))
             assert (search.img, search.pre, search.placed) == before
+
+
+class TestClosurePlan:
+    """The plans the searches walk, against the pair-scan closure."""
+
+    SOURCES = ("fano", "sts9", "sts13_a", "sts15_2", "pg3", "pg4", "ag3", "double19")
+
+    @staticmethod
+    def _systems():
+        for name in TestClosurePlan.SOURCES:
+            yield name, _named_system(name)
+        yield "sts31", _hyperplane_system("sts31")
+
+    def test_a_complete_plan_holds_each_triple_once(self, monkeypatch):
+        """The plan of a successful isomorphism search and that of an
+        automorphism chain name every triple of the source once, at its
+        last point in the order the plan places points; the points placed
+        directly are those with steps, and every point is placed once."""
+        chain, close = {}, _search._close
+
+        def record(third, placed, at, p):
+            chain[p] = close(third, placed, at, p)
+            return chain[p]
+
+        monkeypatch.setattr(_search, "_close", record)
+        for name, s in self._systems():
+            third, inv = s.third_table.tolist(), dc._invariants(s)
+            other = _relabelled(s, 1)
+            plan = _search.Plan(third, inv)
+            found = _search.first_isomorphism(
+                plan, other.third_table.tolist(), dc._invariants(other), budget=10**6
+            )
+            assert found is not None
+            chain.clear()
+            _search.automorphism_chain(third, inv, budget=10**6)
+            levels = {p: plan.steps[p] for p in plan.free if plan.steps[p] is not None}
+            for steps in (levels, chain):
+                order = [x for p in steps for x in (p, *(x for x, *_ in steps[p]))]
+                assert sorted(order) == list(range(s.v)), name
+                at = {x: i for i, x in enumerate(order)}
+                triples = [
+                    (x, *pair) for level in steps.values() for x, a, c, more in level
+                    for pair in ((a, c), *more)
+                ]
+                assert sorted(tuple(sorted(t)) for t in triples) == sorted(s.triples), name
+                assert all(at[x] > max(at[a], at[c]) for x, a, c in triples), name
+
+    @pytest.mark.parametrize("kind", ["free", "base"])
+    def test_places_points_in_the_oracle_order(self, kind):
+        """Each direct point of a plan, placed at its image under a
+        relabelling, places the points of its closure in the pair-scan
+        oracle's order, level by level, over the relabel's own invariants."""
+        for name, s in self._systems():
+            perm = list(range(s.v))
+            random.Random(7).shuffle(perm)
+            other = s.relabel(perm)
+            third1, third2 = s.third_table.tolist(), other.third_table.tolist()
+            inv1, inv2 = dc._invariants(s), dc._invariants(other)
+            steps = [None] * s.v
+            search = _search._Search(third1, inv1, third2, inv2, steps, budget=1, kind="test")
+            img, pre, placed = [-1] * s.v, [-1] * s.v, []
+            for p in _direct_orders(third1, inv1)[kind]:
+                if search.img[p] != -1:
+                    continue
+                assert reference_pair_scan_place(
+                    third1, inv1, third2, inv2, img, pre, placed, p, perm[p]
+                )
+                assert search.place(p, perm[p])
+                assert search.placed == placed, name
+            assert search.img == img == perm, name
 
 
 class TestScanBound:

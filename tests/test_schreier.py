@@ -523,11 +523,19 @@ class TestHomSet:
         assert len(sl.hom_set(fano_q, sl.ElemAbelian2(0))) == 1
 
     def test_dimension_bound(self):
-        """pg(4)'s loop has a 5-dimensional kernel: 5 * 5 = 25 coordinates
-        is one past the bound, refused before any homomorphism is listed."""
+        """pg(4)'s loop has a 5-dimensional kernel: at t = 5 there are 2^25
+        homomorphisms, refused before any is listed."""
         with pytest.raises(BoundExceeded) as got:
             sl.hom_set(catalog.pg(4).loop(), sl.ElemAbelian2(5))
-        assert str(got.value) == "hom space dimension 25 exceeds bound 24"
+        assert str(got.value) == "33554432 homomorphisms exceed bound 65536"
+
+    def test_count_bound(self, monkeypatch):
+        """The bound is the class count classify and enumerate cap: pg(4) at
+        t = 4 has 2^20 homomorphisms and is refused without a listing."""
+        monkeypatch.setattr(schreier, "_unplanes", lambda *a: pytest.fail("listed"))
+        with pytest.raises(BoundExceeded) as got:
+            sl.hom_set(catalog.pg(4).loop(), sl.ElemAbelian2(4))
+        assert str(got.value) == "1048576 homomorphisms exceed bound 65536"
 
     def test_kernels_are_normal_subloops(self, fano_q):
         for h in sl.hom_set(fano_q, n1):
