@@ -8,17 +8,15 @@ system. The search places some points directly, always in the same order
 (a level each); each such placement closes the map over the triples that
 the placed points then span. Which source points that closure places, in
 which order, and through which triples, depends on the source alone, so
-the plan records it once per level: one step per point the closure places,
-holding every triple that point is the last of. A placement walks its
-level's steps, reading each point's image off the images of two points
-placed before it, and fails at the first step whose triples disagree. A
-node is one candidate placement.
+the plan records every level once, when it is made: one step per point
+the closure places, holding every triple that point is the last of. A
+placement walks its level's steps, reading each point's image off the
+images of two points placed before it, and fails at the first step whose
+triples disagree. A node is one candidate placement.
 
 Permutations are tuples: p[x] is the image of point x, and (g o u)[x] is
 g[u[x]].
 """
-
-from collections import Counter
 
 from .errors import BoundExceeded
 
@@ -54,35 +52,38 @@ def _close(third, placed, at, p):
 
 
 class Plan:
-    """The closure plan of a source system for first_isomorphism: its
-    third-point table third (nested lists, diagonal -1) and invariants inv,
-    the order free in which the search places points directly (rarest
-    invariant class first, then ascending), and steps[p] for each point p
-    so placed, recorded (_close) the first time a search places p, None
-    before. A plan holds only ints, so a system may keep its own."""
+    """The closure plan of a source system: its third-point table third
+    (nested lists, diagonal -1) and invariants inv, the points direct that
+    a search places directly, in order, and steps[p] for each of them.
 
-    __slots__ = ("third", "inv", "free", "steps")
+    _close runs once along order: a point of order that the closures of
+    the points before it leave unplaced is direct, and its steps are its
+    closure's. A plan holds only ints, so a system may keep its own."""
 
-    def __init__(self, third, inv):
-        size = Counter(inv)
-        self.third, self.inv = third, inv
-        self.free = sorted(range(len(third)), key=lambda p: (size[inv[p]], p))
-        self.steps = [None] * len(third)
+    __slots__ = ("third", "inv", "direct", "steps")
+
+    def __init__(self, third, inv, order):
+        self.third, self.inv, self.steps = third, inv, {}
+        placed, at = [], [-1] * len(third)
+        for p in order:
+            if at[p] == -1:
+                self.steps[p] = _close(third, placed, at, p)
+        self.direct = tuple(self.steps)
 
 
 class _Search:
-    """Partial maps from the system with third-point table third1 to the one
-    with third2 (nested lists, diagonal -1), sending each point only to a
-    point of equal invariant (inv1, inv2), along steps, the source's closure
-    plan by point placed directly (None for a level not recorded yet). Past
-    budget nodes visit raises BoundExceeded, naming the search as kind.
-    reject, if given, is called once, at the first failed candidate
-    placement; when it returns True, complete stops with no map."""
+    """Partial maps from the source system of plan to the one with
+    third-point table third2 (nested lists, diagonal -1), sending each
+    point only to a point of equal invariant (plan.inv, inv2), along the
+    plan. Past budget nodes visit raises BoundExceeded, naming the search
+    as kind. reject, if given, is called once, at the first failed
+    candidate placement; when it returns True, complete stops with no map."""
 
-    def __init__(self, third1, inv1, third2, inv2, steps, budget, kind, reject=None):
-        v = len(third1)
-        self.third1, self.inv1, self.third2, self.inv2 = third1, inv1, third2, inv2
-        self.steps, self.budget, self.kind, self.reject = steps, budget, kind, reject
+    def __init__(self, plan, third2, inv2, budget, kind, reject=None):
+        v = len(third2)
+        self.inv1, self.third2, self.inv2 = plan.inv, third2, inv2
+        self.direct, self.steps = plan.direct, plan.steps
+        self.budget, self.kind, self.reject = budget, kind, reject
         self.like = {}
         for q in range(v):
             self.like.setdefault(inv2[q], []).append(q)
@@ -95,7 +96,7 @@ class _Search:
             raise BoundExceeded(f"{self.kind} search exceeded its budget of {self.budget} nodes")
 
     def place(self, p, q):
-        """Send p, the next point of the plan's order, to q and walk p's
+        """Send p, the next direct point of the plan, to q and walk p's
         steps: each step's point goes to the third point of the images of
         its first pair, unless that point is used or of another invariant,
         or another pair of the step closes elsewhere; False at the first
@@ -107,15 +108,9 @@ class _Search:
         inv1, inv2, third2 = self.inv1, self.inv2, self.third2
         if pre[q] != -1 or inv2[q] != inv1[p]:
             return False
-        steps = self.steps[p]
-        if steps is None:  # the first search to place p here: record its level
-            at = [-1] * len(img)
-            for i, x in enumerate(placed):
-                at[x] = i
-            steps = self.steps[p] = _close(self.third1, list(placed), at, p)
         img[p], pre[q] = q, p
         placed.append(p)
-        for x, a, c, more in steps:
+        for x, a, c, more in self.steps[p]:
             y = third2[img[a]][img[c]]
             if pre[y] != -1 or inv2[y] != inv1[x]:
                 return False
@@ -132,20 +127,18 @@ class _Search:
             p = placed.pop()
             pre[img[p]] = img[p] = -1
 
-    def complete(self, free, j):
-        """Place free[j:] in turn, skipping points already placed, each on
+    def complete(self, j):
+        """Place the plan's direct points from the j-th on in turn, each on
         the unused points of its invariant in ascending order: True at the
-        first map, or when reject stops the search with free[j] unplaced;
+        first map, or when reject stops the search with direct[j] unplaced;
         else False with the placements undone."""
-        while j < len(free) and self.img[free[j]] != -1:
-            j += 1
-        if j == len(free):
+        if j == len(self.direct):
             return True
-        p, mark = free[j], len(self.placed)
+        p, mark = self.direct[j], len(self.placed)
         for q in self.like[self.inv1[p]]:
             if self.pre[q] == -1:
                 self.visit()
-                if self.place(p, q) and self.complete(free, j + 1):
+                if self.place(p, q) and self.complete(j + 1):
                     return True
                 self.undo(mark)
                 if self.reject is not None:
@@ -163,15 +156,14 @@ def first_isomorphism(plan: Plan, third2, inv2, budget: int, reject=None):
     the target's own invariants in reject: until the first failed placement
     no choice of the search depends on inv2.
 
-    The free points are placed in plan.free order, each on the candidates
+    The direct points of plan are placed in turn, each on the candidates
     in ascending order; the closure places the rest. The search visits at
     most budget nodes, then raises BoundExceeded; reject is called once, at
     the first failed candidate placement, and when it returns True the
-    search stops with no map. The levels the search reaches first are
-    recorded in plan.
+    search stops with no map. Nothing is recorded in plan.
     """
-    search = _Search(plan.third, plan.inv, third2, inv2, plan.steps, budget, "isomorphism", reject)
-    if search.complete(plan.free, 0) and -1 not in search.img:  # not stopped by reject
+    search = _Search(plan, third2, inv2, budget, "isomorphism", reject)
+    if search.complete(0) and -1 not in search.img:  # not stopped by reject
         return tuple(search.img)
     return None
 
@@ -213,16 +205,14 @@ def automorphism_chain(third, inv, budget: int):
     search, which tries the images of the later base points in ascending
     order (base images order the maps as their full tuples do).
     """
-    # the points outside the subsystem generated by the points before them:
-    # their images fix an automorphism, so the first point where two
-    # automorphisms differ is a base point; their closures are the plan
+    # the direct points of the plan in natural order lie outside the
+    # subsystem generated by the points before them: their images fix an
+    # automorphism, so the first point where two automorphisms differ is
+    # a base point
     v = len(third)
-    base, steps, placed, at = [], [None] * v, [], [-1] * v
-    for g in range(v):
-        if at[g] == -1:
-            base.append(g)
-            steps[g] = _close(third, placed, at, g)
-    search = _Search(third, inv, third, inv, steps, budget, "automorphism")
+    plan = Plan(third, inv, range(v))
+    base = plan.direct
+    search = _Search(plan, third, inv, budget, "automorphism")
     identity = tuple(range(v))
     gens, transversals = [], []
     for i in reversed(range(len(base))):
@@ -236,11 +226,11 @@ def automorphism_chain(third, inv, budget: int):
             if c in orbit or c in dead or search.pre[c] != -1:
                 continue
             search.visit()
-            if search.place(b, c) and search.complete(base, i + 1):
+            if search.place(b, c) and search.complete(i + 1):
                 gens.append(tuple(search.img))
                 orbit = _transversal(b, gens, identity)
             else:  # no map sends b to c, nor to any image of c under gens
                 dead.update(_transversal(c, gens, identity))
             search.undo(mark)
         transversals.append(tuple(orbit[c] for c in sorted(orbit)))
-    return tuple(base), tuple(reversed(transversals)), tuple(gens)
+    return base, tuple(reversed(transversals)), tuple(gens)

@@ -8,6 +8,8 @@ reading order.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from . import _kernels
@@ -154,6 +156,7 @@ def _pasch_switch(s: TripleSystem, quad) -> TripleSystem:
     return TripleSystem(s.v, np.concatenate([np.delete(s.lines, quad, axis=0), swap[config]]))
 
 
+@cache
 def _sts13_pair():
     """The cyclic order-13 system and its unique non-isomorphic companion,
     reached deterministically by switching the first Pasch configuration
@@ -175,71 +178,51 @@ def _f_support(key: str, *support) -> FactorSystem:
     return FactorSystem(s.loop(), 1, values)
 
 
-_PROVENANCE = {
-    "sts15_2": "order-15 system #2 of the standard 80-system enumeration",
-    "fano_labeled": "seven-point plane, labeling of the order-15 extension example",
-    "sts9_labeled": "nine-point affine plane, grid labeling of the worked examples",
-    "sts9_loop_table": "order-10 loop of the labeled nine-point system",
-    "phi_11": "symmetric identity-diagonal square of the order-19 doubling example",
-    "phi_om1": "derived off-diagonal block of the order-19 doubling example",
-    "f_sts15_example": "factor system over the labeled plane giving order-15 system #2",
-    "f1_sts9": "factor system over the nine-point system, support on one triple",
-    "f2_sts9": "image of f1_sts9 under the point map (465)(789)",
-    "beta_465_789": "automorphism (465)(789) of the labeled nine-point system",
-    "sts13_a": "external: cyclic order-13 system from difference base blocks",
-    "sts13_b": "external: the second order-13 system, via a Pasch trade",
+# each fixture's provenance and builder
+_FIXTURES = {
+    "sts15_2": ("built-in: order-15 system #2 of the standard 80-system enumeration",
+                lambda: TripleSystem(15, _STS15_2_TRIPLES)),
+    "fano_labeled": ("built-in: seven-point plane, labeling of the order-15 extension example",
+                     lambda: TripleSystem(7, _FANO_LABELED_TRIPLES)),
+    "sts9_labeled": ("built-in: nine-point affine plane, grid labeling of the worked examples",
+                     lambda: TripleSystem(9, _STS9_LABELED_TRIPLES)),
+    "sts9_loop_table": ("built-in: order-10 loop of the labeled nine-point system",
+                        lambda: SteinerLoop(np.array(_STS9_LOOP_TABLE, dtype=np.int32))),
+    "phi_11": ("built-in: symmetric identity-diagonal square of the order-19 doubling example",
+               lambda: LatinSquare(_PHI_11)),
+    "phi_om1": ("built-in: derived off-diagonal block of the order-19 doubling example",
+                lambda: LatinSquare(_PHI_OM1)),
+    "f_sts15_example": ("built-in: factor system over the labeled plane giving order-15 system #2",
+                        lambda: _f_support("fano_labeled", (2, 4, 5), (2, 3, 6))),
+    "f1_sts9": ("built-in: factor system over the nine-point system, support on one triple",
+                lambda: _f_support("sts9_labeled", (2, 5, 8))),
+    "f2_sts9": ("built-in: image of f1_sts9 under the point map (465)(789)",
+                lambda: _f_support("sts9_labeled", (2, 3, 7))),
+    "beta_465_789": ("built-in: automorphism (465)(789) of the labeled nine-point system",
+                     lambda: _BETA_465_789),
+    "sts13_a": ("external: cyclic order-13 system from difference base blocks",
+                lambda: _sts13_pair()[0]),
+    "sts13_b": ("external: the second order-13 system, via a Pasch trade",
+                lambda: _sts13_pair()[1]),
 }
 
-_EXTERNAL = frozenset({"sts13_a", "sts13_b"})
 
-_cache: dict = {}
-
-
-def _build(key: str):
-    if key == "sts15_2":
-        return TripleSystem(15, _STS15_2_TRIPLES)
-    if key == "fano_labeled":
-        return TripleSystem(7, _FANO_LABELED_TRIPLES)
-    if key == "sts9_labeled":
-        return TripleSystem(9, _STS9_LABELED_TRIPLES)
-    if key == "sts9_loop_table":
-        return SteinerLoop(np.array(_STS9_LOOP_TABLE, dtype=np.int32))
-    if key == "phi_11":
-        return LatinSquare(_PHI_11)
-    if key == "phi_om1":
-        return LatinSquare(_PHI_OM1)
-    if key == "f_sts15_example":
-        return _f_support("fano_labeled", (2, 4, 5), (2, 3, 6))
-    if key == "f1_sts9":
-        return _f_support("sts9_labeled", (2, 5, 8))
-    if key == "f2_sts9":
-        return _f_support("sts9_labeled", (2, 3, 7))
-    if key == "beta_465_789":
-        return _BETA_465_789
-    if key in ("sts13_a", "sts13_b"):
-        a, b = _sts13_pair()
-        _cache["sts13_a"], _cache["sts13_b"] = a, b
-        return _cache[key]
-    raise UnknownKey(key)
-
-
+@cache
 def fixture(key: str):
     """Return the named fixture object (cached; all fixtures are immutable)."""
-    if key not in _cache:
-        _cache[key] = _build(key)
-    return _cache[key]
+    if key not in _FIXTURES:
+        raise UnknownKey(key)
+    return _FIXTURES[key][1]()
 
 
 def fixture_keys():
-    return tuple(sorted(_PROVENANCE))
+    return tuple(sorted(_FIXTURES))
 
 
 def fixture_provenance(key: str) -> str:
-    if key not in _PROVENANCE:
+    if key not in _FIXTURES:
         raise UnknownKey(key)
-    if key in _EXTERNAL:
-        return _PROVENANCE[key]
-    return f"built-in: {_PROVENANCE[key]}"
+    return _FIXTURES[key][0]
 
 
 __all__ = [

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -579,9 +580,9 @@ def _invariants(s: TripleSystem):
 
 
 # nodes a search may visit: the budget of are_isomorphic and automorphisms, a
-# node being one candidate placement, and the default node_bound of
-# steiner_operator.find_equivalence, a node being one placed map; also the
-# most elements PermGroup.elements lists
+# node being one candidate placement, and of steiner_operator.find_equivalence,
+# a node being one placed map; also the most elements PermGroup.elements
+# lists. Each reads it per call, so a patched module value bounds them all
 _NODE_BUDGET = 1_000_000
 
 
@@ -603,7 +604,10 @@ def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, reject=None):
     if s1.v != s2.v:
         return None
     if s1._plan is None:  # kept with the Pasch scan it orders by
-        s1._plan = _search.Plan(s1.third_table.tolist(), _invariants(s1))
+        inv = _invariants(s1)
+        size = Counter(inv)  # the rarest invariant class first, then ascending
+        order = sorted(range(s1.v), key=lambda p: (size[inv[p]], p))
+        s1._plan = _search.Plan(s1.third_table.tolist(), inv, order)
     plan = s1._plan
     inv1 = plan.inv
     if s2 is not s1 and s2._pasch is None and len(set(inv1)) == 1:
@@ -613,7 +617,6 @@ def _search_isomorphisms(s1: TripleSystem, s2: TripleSystem, reject=None):
         if sorted(inv1) != sorted(inv2):
             return None
     third2 = plan.third if s2 is s1 else s2.third_table.tolist()
-    # _NODE_BUDGET is read per call, so a patched module value takes effect
     return _search.first_isomorphism(plan, third2, inv2, _NODE_BUDGET, reject)
 
 
@@ -727,7 +730,6 @@ def automorphisms(s: TripleSystem, bound: int = 31) -> PermGroup:
     """
     if s.v > bound:
         raise BoundExceeded(f"order {s.v} above automorphism bound {bound}")
-    # _NODE_BUDGET is read per call, so a patched module value takes effect
     base, transversals, generators = _search.automorphism_chain(
         s.third_table.tolist(), _invariants(s), _NODE_BUDGET
     )

@@ -216,14 +216,6 @@ def _point_planes(s: TripleSystem) -> list:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _unplanes(planes, width: int) -> tuple:
-    """The width values whose bit k is read from planes[k]: bit i of plane k
-    is bit k of value i."""
-    return tuple(
-        sum(((plane >> i) & 1) << k for k, plane in enumerate(planes)) for i in range(width)
-    )
-
-
 def _bits(x: int):
     """The positions of the set bits of x, lowest first."""
     while x:
@@ -322,14 +314,15 @@ def are_equivalent(f1: FactorSystem, f2: FactorSystem):
     A returned witness is verified on the quotient, without building either
     extension: (P,x) -> (P, x+phi(P)) is an isomorphism of the two built
     loops iff f1(P,Q) + f2(P,Q) = phi(P) + phi(Q) + phi(PQ) for every pair
-    of quotient elements, the x and y parts cancelling.
+    of quotient elements, the x and y parts cancelling. Both sides vanish
+    on the identity row and column and on the diagonal, and read the same
+    on the six ordered pairs of a triple, so this is f1 + f2 = delta phi.
     """
     diff = f1 + f2
     phi = is_coboundary(diff)
     if phi is None:
         return None
-    ph = np.array((0,) + phi.values, dtype=np.int32)
-    if not np.array_equal(_factor_table(diff), ph[:, None] ^ ph ^ ph[diff.q.table]):
+    if coboundary(phi).values != diff.values:
         raise AssertionError("coboundary witness failed to induce an isomorphism")
     return phi
 
@@ -353,9 +346,20 @@ def hom_set(q: SteinerLoop, n: ElemAbelian2):
     count = 1 << (len(kernel) * n.t)
     if count > DEFAULT_CLASS_BOUND:
         raise BoundExceeded(f"{count} homomorphisms exceed bound {DEFAULT_CLASS_BOUND}")
-    component_vectors = gf2.span(kernel)
-    homs = [(0,) + _unplanes(combo, qs.v) for combo in product(component_vectors, repeat=n.t)]
-    return sorted(homs)
+    # bit plane k of a homomorphism is a member of the kernel's span, in
+    # every combination: bits[j, i] is bit i of member j, and combination c
+    # takes member (c >> k * dim) & mask for plane k. Values stay below 2^16:
+    # a t of 17 or more passes the bound only with no plane but 0
+    dim, width = len(kernel), (qs.v + 7) // 8
+    span = b"".join(x.to_bytes(width, "little") for x in gf2.span(kernel))
+    bits = np.unpackbits(np.frombuffer(span, dtype=np.uint8), bitorder="little")
+    bits = bits.reshape(1 << dim, 8 * width)[:, : qs.v].astype(np.uint16)
+    combos, mask = np.arange(count), (1 << dim) - 1
+    homs = np.zeros((count, qs.v + 1), dtype=np.uint16)
+    for k in range(n.t):
+        homs[:, 1:] |= bits[(combos >> k * dim) & mask] << k
+    # converted a block at a time, so one block's lists sit beside the tuples
+    return sorted(tuple(h) for i in range(0, count, 4096) for h in homs[i : i + 4096].tolist())
 
 
 def _class_space(n: ElemAbelian2, q: SteinerLoop):

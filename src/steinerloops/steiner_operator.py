@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import design_core
 from .design_core import (
-    _NODE_BUDGET,
+    _ENDS,
     SteinerLoop,
     Subloop,
     TripleSystem,
@@ -175,11 +176,13 @@ def _extension_table(qt: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def _factor_table(f) -> np.ndarray:
-    """The (m, m) table of f(P,Q) over the quotient loop elements."""
+    """The (m, m) table of f(P,Q) over the quotient loop elements: each
+    triple's value on the six ordered pairs of its loop elements, and 0 on
+    the diagonal and the identity row and column."""
     values = np.zeros((f.q.n, f.q.n), dtype=np.int32)
-    # pair_triple is -1 on its diagonal, which reads the appended 0: f
-    # vanishes on the diagonal as well as on the identity row and column
-    values[1:, 1:] = np.array(f.values + (0,), dtype=np.int32)[f.q_system.pair_triple]
+    lines = f.q_system.lines
+    ends = lines.take(_ENDS[0], axis=1), lines.take(_ENDS[1], axis=1)
+    values[1:, 1:][ends] = np.array(f.values, dtype=np.int32)[:, None]  # point i is element i + 1
     return values
 
 
@@ -413,14 +416,12 @@ def _candidate_maps(op1, op2) -> list:
     return [r[o] for r, o in zip(rows, ok.reshape(m - 1, k))]
 
 
-def find_equivalence(
-    op1: SteinerOperator, op2: SteinerOperator, node_bound: int = _NODE_BUDGET
-):
+def find_equivalence(op1: SteinerOperator, op2: SteinerOperator):
     """Search for an isotopy family turning op1 into op2; None if there is
     none. Every p's candidate maps come from one gather (_candidate_maps),
     and every quotient triple's block from one more. Depth-first over
     p = 1..m-1, each p's candidates in order; each node places one map, and
-    BoundExceeded is raised past node_bound nodes."""
+    BoundExceeded is raised past design_core._NODE_BUDGET nodes."""
     _require_same_frame(op1, op2)
     m, k = op1.q.n, op1.n_loop.n
     cands = _candidate_maps(op1, op2)
@@ -443,7 +444,7 @@ def find_equivalence(
     ]
     maps = np.empty((m, k), dtype=np.int32)
     maps[0] = np.arange(k)
-    budget = node_bound
+    budget = design_core._NODE_BUDGET  # read per call, so a patched value takes effect
 
     def place(p):
         nonlocal budget

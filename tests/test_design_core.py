@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from conftest import (
     reference_system_from_loop,
     reference_triple_system,
 )
-from steinerloops import _kernels, _search, catalog, formats, gf2, schreier
+from steinerloops import _kernels, _search, catalog, formats, gf2, schreier, steiner_operator
 from steinerloops import design_core as dc
 from steinerloops.design_core import _VIOLATION_TEXT
 from steinerloops.errors import (
@@ -1531,6 +1532,23 @@ class TestNodeBudget:
         with pytest.raises(BoundExceeded, match="budget of 5 nodes"):
             sl.automorphisms(fano)
 
+    def test_one_value_bounds_all_three_searches(self, monkeypatch, fano):
+        """One patched module value bounds are_isomorphic, automorphisms and
+        find_equivalence alike; each is read per call."""
+        op = steiner_operator.from_factor_system(catalog.fixture("f1_sts9"))
+        searches = (
+            ("isomorphism", lambda: sl.are_isomorphic(fano, _relabelled(fano, 1))),
+            ("automorphism", lambda: sl.automorphisms(fano)),
+            ("isotopy", lambda: sl.find_equivalence(op, op)),
+        )
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 2)
+        for kind, search in searches:
+            with pytest.raises(BoundExceeded, match=f"^{kind} search exceeded its"):
+                search()
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 10)
+        for _, search in searches:
+            search()
+
     def test_failing_placements_stop_at_the_first_clash(self, monkeypatch):
         """Pinned: the points that failing candidate placements place before
         they return False, over the STS(31) search above. A pair whose third
@@ -1556,10 +1574,29 @@ class TestNodeBudget:
 _PLACE_SOURCES = ("fano", "sts9", "sts13_a", "sts15_2", "pg3", "fano_labeled", "sts9_labeled")
 
 
-def _direct_orders(third, inv):
-    """The two orders in which the searches place points directly: the
-    isomorphism plan's free order and the chain's base."""
-    return {"free": _search.Plan(third, inv).free, "base": _kernels.generator_forms(third)[0]}
+def _plans(third, inv):
+    """The two closure plans the searches walk: the isomorphism search's,
+    along the rarest invariant class first, then ascending ("free"), and
+    the automorphism chain's, along the natural order ("base")."""
+    size = Counter(inv)
+    rarest = sorted(range(len(third)), key=lambda p: (size[inv[p]], p))
+    return {
+        "free": _search.Plan(third, inv, rarest),
+        "base": _search.Plan(third, inv, range(len(third))),
+    }
+
+
+def _drawn_place_source(data):
+    """A catalog system of _PLACE_SOURCES or a drawn Schreier extension of
+    a labelled one (t = 0 is the catalog system itself)."""
+    key = data.draw(st.sampled_from(_PLACE_SOURCES))
+    t = data.draw(st.integers(0, 2)) if key.endswith("_labeled") else 0
+    s = _named_system(key)
+    if t:
+        q, n = s.loop(), sl.ElemAbelian2(t)
+        values = data.draw(st.lists(st.integers(0, n.size - 1), min_size=s.b, max_size=s.b))
+        s = sl.build_schreier(n, q, sl.FactorSystem(q, t, values)).system()
+    return s
 
 
 @given(data=st.data())
@@ -1573,13 +1610,7 @@ def test_place_matches_the_closure_oracle(data):
     are the pair-scan oracle's; the map is the least closed one, pre
     inverts img, and undo restores the map before the placement. Uniform
     invariants let the closure run on."""
-    key = data.draw(st.sampled_from(_PLACE_SOURCES))
-    t = data.draw(st.integers(0, 2)) if key.endswith("_labeled") else 0
-    s1 = _named_system(key)
-    if t:
-        q, n = s1.loop(), sl.ElemAbelian2(t)
-        values = data.draw(st.lists(st.integers(0, n.size - 1), min_size=s1.b, max_size=s1.b))
-        s1 = sl.build_schreier(n, q, sl.FactorSystem(q, t, values)).system()
+    s1 = _drawn_place_source(data)
     v = s1.v
     perm = data.draw(st.permutations(range(v)))
     s2 = s1.relabel(perm)
@@ -1588,10 +1619,10 @@ def test_place_matches_the_closure_oracle(data):
     else:
         inv1 = inv2 = [0] * v
     third1, third2 = s1.third_table.tolist(), s2.third_table.tolist()
-    order = _direct_orders(third1, inv1)[data.draw(st.sampled_from(["free", "base"]))]
-    search = _search._Search(third1, inv1, third2, inv2, [None] * v, budget=1, kind="test")
+    plan = _plans(third1, inv1)[data.draw(st.sampled_from(["free", "base"]))]
+    search = _search._Search(plan, third2, inv2, budget=1, kind="test")
     for _ in range(data.draw(st.integers(1, 6))):
-        unplaced = [x for x in order if search.img[x] == -1]
+        unplaced = [x for x in plan.direct if search.img[x] == -1]
         if not unplaced:
             break
         p = unplaced[0]
@@ -1621,31 +1652,15 @@ class TestClosurePlan:
             yield name, _named_system(name)
         yield "sts31", _hyperplane_system("sts31")
 
-    def test_a_complete_plan_holds_each_triple_once(self, monkeypatch):
-        """The plan of a successful isomorphism search and that of an
-        automorphism chain name every triple of the source once, at its
-        last point in the order the plan places points; the points placed
-        directly are those with steps, and every point is placed once."""
-        chain, close = {}, _search._close
-
-        def record(third, placed, at, p):
-            chain[p] = close(third, placed, at, p)
-            return chain[p]
-
-        monkeypatch.setattr(_search, "_close", record)
+    def test_a_complete_plan_holds_each_triple_once(self):
+        """Both plans of a system name every triple of the source once, at
+        its last point in the order the plan places points; the direct
+        points are those with steps, and every point is placed once."""
         for name, s in self._systems():
-            third, inv = s.third_table.tolist(), dc._invariants(s)
-            other = _relabelled(s, 1)
-            plan = _search.Plan(third, inv)
-            found = _search.first_isomorphism(
-                plan, other.third_table.tolist(), dc._invariants(other), budget=10**6
-            )
-            assert found is not None
-            chain.clear()
-            _search.automorphism_chain(third, inv, budget=10**6)
-            levels = {p: plan.steps[p] for p in plan.free if plan.steps[p] is not None}
-            for steps in (levels, chain):
-                order = [x for p in steps for x in (p, *(x for x, *_ in steps[p]))]
+            for plan in _plans(s.third_table.tolist(), dc._invariants(s)).values():
+                steps = plan.steps
+                assert tuple(steps) == plan.direct, name
+                order = [x for p in plan.direct for x in (p, *(x for x, *_ in steps[p]))]
                 assert sorted(order) == list(range(s.v)), name
                 at = {x: i for i, x in enumerate(order)}
                 triples = [
@@ -1654,6 +1669,15 @@ class TestClosurePlan:
                 ]
                 assert sorted(tuple(sorted(t)) for t in triples) == sorted(s.triples), name
                 assert all(at[x] > max(at[a], at[c]) for x, a, c in triples), name
+
+    def test_the_chain_base_is_the_hyperplane_base(self):
+        """The chain plan's direct points are the base of
+        _kernels.generator_forms, behind hyperplanes: two routines for the
+        points outside the subsystem that the points before them generate."""
+        for name, s in self._systems():
+            third = s.third_table.tolist()
+            got = _plans(third, dc._invariants(s))["base"].direct
+            assert list(got) == _kernels.generator_forms(third)[0], name
 
     @pytest.mark.parametrize("kind", ["free", "base"])
     def test_places_points_in_the_oracle_order(self, kind):
@@ -1666,18 +1690,27 @@ class TestClosurePlan:
             other = s.relabel(perm)
             third1, third2 = s.third_table.tolist(), other.third_table.tolist()
             inv1, inv2 = dc._invariants(s), dc._invariants(other)
-            steps = [None] * s.v
-            search = _search._Search(third1, inv1, third2, inv2, steps, budget=1, kind="test")
+            plan = _plans(third1, inv1)[kind]
+            search = _search._Search(plan, third2, inv2, budget=1, kind="test")
             img, pre, placed = [-1] * s.v, [-1] * s.v, []
-            for p in _direct_orders(third1, inv1)[kind]:
-                if search.img[p] != -1:
-                    continue
+            for p in plan.direct:
+                assert search.img[p] == -1, name
                 assert reference_pair_scan_place(
                     third1, inv1, third2, inv2, img, pre, placed, p, perm[p]
                 )
                 assert search.place(p, perm[p])
                 assert search.placed == placed, name
             assert search.img == img == perm, name
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_chain_base_matches_generator_forms_on_drawn_systems(data):
+    """The chain plan's direct points and the base of
+    _kernels.generator_forms agree on drawn Schreier extensions too."""
+    third = _drawn_place_source(data).third_table.tolist()
+    plan = _search.Plan(third, [0] * len(third), range(len(third)))
+    assert list(plan.direct) == _kernels.generator_forms(third)[0]
 
 
 class TestScanBound:

@@ -532,10 +532,36 @@ class TestHomSet:
     def test_count_bound(self, monkeypatch):
         """The bound is the class count classify and enumerate cap: pg(4) at
         t = 4 has 2^20 homomorphisms and is refused without a listing."""
-        monkeypatch.setattr(schreier, "_unplanes", lambda *a: pytest.fail("listed"))
+        monkeypatch.setattr(schreier.gf2, "span", lambda *a: pytest.fail("listed"))
         with pytest.raises(BoundExceeded) as got:
             sl.hom_set(catalog.pg(4).loop(), sl.ElemAbelian2(4))
         assert str(got.value) == "1048576 homomorphisms exceed bound 65536"
+
+    @pytest.mark.parametrize(
+        "key, t", [("pg2", 2), ("sts9_labeled", 2), ("pg3", 2), ("pg4", 2), ("sts3", 3)]
+    )
+    def test_lists_every_homomorphism_once(self, key, t):
+        """Sorted, pairwise distinct, each a homomorphism into the t-bit
+        group, and 2^(dim t) of them, dim being the kernel's dimension."""
+        if key == "sts3":
+            q = sl.TripleSystem(3, [(0, 1, 2)]).loop()
+        elif key.startswith("pg"):
+            q = catalog.pg(int(key[2:])).loop()
+        else:
+            q = catalog.fixture(key).loop()
+        homs = sl.hom_set(q, sl.ElemAbelian2(t))
+        dim = len(schreier._elimination(q.system()).kernel)
+        assert len(homs) == len(set(homs)) == 1 << (dim * t)
+        assert homs == sorted(homs)
+        h = np.array(homs)
+        assert (h[:, 0] == 0).all() and (h < 1 << t).all()
+        assert (h[:, q.table] == h[:, :, None] ^ h[:, None, :]).all()
+
+    def test_trivial_kernel_at_any_t(self):
+        """A loop whose only homomorphism into Z_2 is 0 has only 0 at any
+        t, however many bit planes that is."""
+        q = catalog.fixture("sts13_a").loop()
+        assert sl.hom_set(q, sl.ElemAbelian2(70)) == [(0,) * 14]
 
     def test_kernels_are_normal_subloops(self, fano_q):
         for h in sl.hom_set(fano_q, n1):

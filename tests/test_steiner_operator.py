@@ -16,6 +16,7 @@ from test_loop_checks import Checked, _extension_sources, _refuse
 
 import steinerloops as sl
 from steinerloops import catalog, formats
+from steinerloops import design_core as dc
 from steinerloops import steiner_operator as so
 from steinerloops.errors import (
     BadDiagonal,
@@ -511,15 +512,17 @@ class TestIsotopy:
         op2 = so.from_factor_system(catalog.fixture("f2_sts9"))
         assert sl.find_equivalence(op1, op2) is None
 
-    def test_node_bound_counts_family_nodes(self, example_op):
+    def test_node_bound_counts_family_nodes(self, example_op, monkeypatch):
         """The identity family places one map per non-identity quotient
         element plus the closing node: m nodes in all. Candidate maps spend
         none."""
         m = example_op.q.n
-        fam = sl.find_equivalence(example_op, example_op, node_bound=m)
+        monkeypatch.setattr(dc, "_NODE_BUDGET", m)
+        fam = sl.find_equivalence(example_op, example_op)
         assert fam == sl.IsotopyFamily((tuple(range(10)),) * m)
+        monkeypatch.setattr(dc, "_NODE_BUDGET", m - 1)
         with pytest.raises(BoundExceeded):
-            sl.find_equivalence(example_op, example_op, node_bound=m - 1)
+            sl.find_equivalence(example_op, example_op)
 
     def test_shape_mismatch(self, example_op, fano_q):
         other = so.from_factor_system(sl.zero_factor_system(n1, fano_q))
@@ -589,11 +592,14 @@ def assert_search_matches_reference(op1, op2):
         assert cands[p - 1].tolist() == [list(g) for g in want]
     fam, cand_nodes, family_nodes = reference_find_equivalence(op1, op2)
     # the oracle's search ran both stages on one budget of this default
-    assert cand_nodes + family_nodes <= so._NODE_BUDGET
-    assert sl.find_equivalence(op1, op2, node_bound=family_nodes) == fam
-    if family_nodes:
-        with pytest.raises(BoundExceeded):
-            sl.find_equivalence(op1, op2, node_bound=family_nodes - 1)
+    assert cand_nodes + family_nodes <= dc._NODE_BUDGET
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc, "_NODE_BUDGET", family_nodes)
+        assert sl.find_equivalence(op1, op2) == fam
+        if family_nodes:
+            mp.setattr(dc, "_NODE_BUDGET", family_nodes - 1)
+            with pytest.raises(BoundExceeded):
+                sl.find_equivalence(op1, op2)
     return fam
 
 
