@@ -14,6 +14,12 @@ placement walks its level's steps, reading each point's image off the
 images of two points placed before it, and fails at the first step whose
 triples disagree. A node is one candidate placement.
 
+A third search, steiner_operator.find_equivalence, walks the Plan of two
+operators' quotient system with a placement of its own: one carrier map
+per point, a direct point's tried from its candidates, every other point's
+forced by its step. So the three searches share one plan and one closure
+routine.
+
 Permutations are tuples: p[x] is the image of point x, and (g o u)[x] is
 g[u[x]].
 """

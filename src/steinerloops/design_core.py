@@ -581,8 +581,9 @@ def _invariants(s: TripleSystem):
 
 # nodes a search may visit: the budget of are_isomorphic and automorphisms, a
 # node being one candidate placement, and of steiner_operator.find_equivalence,
-# a node being one placed map; also the most elements PermGroup.elements
-# lists. Each reads it per call, so a patched module value bounds them all
+# a node being one placed map, branched or forced by the quotient's closure
+# plan; also the most elements PermGroup.elements lists. Each reads it per
+# call, so a patched module value bounds them all
 _NODE_BUDGET = 1_000_000
 
 

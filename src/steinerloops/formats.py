@@ -91,10 +91,6 @@ def parse_system(text: str) -> TripleSystem:
     return TripleSystem(v, triples)
 
 
-def write_system(s: TripleSystem, path, comments=()):
-    Path(path).write_text(render_system(s, comments))
-
-
 def read_system(path) -> TripleSystem:
     return parse_system(Path(path).read_text())
 
@@ -128,10 +124,6 @@ def parse_loop_csv(text: str) -> SteinerLoop:
             raise FormatError(f"row label {parts[0]!r} out of order")
         table[x] = [_unlabel(tok, n) for tok in parts[1:]]
     return SteinerLoop(table)
-
-
-def write_loop_csv(loop: SteinerLoop, path):
-    Path(path).write_text(render_loop_csv(loop))
 
 
 def read_loop_csv(path) -> SteinerLoop:
@@ -177,10 +169,6 @@ def parse_factor_system(text: str, q: SteinerLoop) -> FactorSystem:
     return FactorSystem(q, t, values)
 
 
-def write_factor_system(f: FactorSystem, path):
-    Path(path).write_text(render_factor_system(f))
-
-
 def read_factor_system(path, q: SteinerLoop) -> FactorSystem:
     return parse_factor_system(Path(path).read_text(), q)
 
@@ -201,10 +189,6 @@ def parse_square(text: str) -> LatinSquare:
     if n == 0 or any(len(r) != n for r in rows):
         raise FormatError("square file must hold an n x n table")
     return LatinSquare([[_unlabel(tok, n) for tok in row] for row in rows])
-
-
-def write_square(square, path):
-    Path(path).write_text(render_square(square))
 
 
 def read_square(path) -> LatinSquare:
@@ -235,10 +219,6 @@ def parse_operator(text: str, q: SteinerLoop, n_loop: SteinerLoop) -> SteinerOpe
             raise FormatError(f"block ({i // k // m},{i // k % m}) row {i % k} needs {k} labels")
         labels += [_unlabel(tok, k) for tok in parts]
     return SteinerOperator(q, n_loop, np.array(labels, dtype=np.int32).reshape(m, m, k, k))
-
-
-def write_operator(op: SteinerOperator, path):
-    Path(path).write_text(render_operator(op))
 
 
 def read_operator(path, q: SteinerLoop, n_loop: SteinerLoop) -> SteinerOperator:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import design_core
+from . import _search, design_core
 from .design_core import (
     _ENDS,
     SteinerLoop,
@@ -418,57 +418,68 @@ def _candidate_maps(op1, op2) -> list:
 
 def find_equivalence(op1: SteinerOperator, op2: SteinerOperator):
     """Search for an isotopy family turning op1 into op2; None if there is
-    none. Every p's candidate maps come from one gather (_candidate_maps),
-    and every quotient triple's block from one more. Depth-first over
-    p = 1..m-1, each p's candidates in order; each node places one map, and
-    BoundExceeded is raised past design_core._NODE_BUDGET nodes."""
+    none. Every p's candidate maps come from one gather (_candidate_maps).
+
+    The search walks the closure plan of the quotient system (_search.Plan;
+    its points are the non-identity quotient elements minus 1). It branches
+    only at the plan's direct points, on their candidates in order. A step
+    (x, a, c, more) forces g_x from row 0 of block (a, c),
+    g_x(B1[a,c][0, w]) = B2[a,c][g_a(0), g_c(w)], and keeps it only if it
+    is among x's candidates and carries block (a, c) and each pair of more
+    whole; conditions (ii) and (iv) carry a triple's block to its other
+    pairs. A forced map follows from direct points below it, so the first
+    family found is the lexicographically least. Each placed map, branched
+    or forced, is a node; BoundExceeded is raised past
+    design_core._NODE_BUDGET nodes."""
     _require_same_frame(op1, op2)
     m, k = op1.q.n, op1.n_loop.n
     cands = _candidate_maps(op1, op2)
     if not all(map(len, cands)):
         return None
-    # per p: one block (a, b) per quotient triple {a, b, p} with a < b < p,
-    # checked when p is placed; conditions (ii) and (iv) carry that block's
-    # check to the other pairs of the triple. The triples are read off the
-    # quotient table, which an order-1 quotient also has (it has no
-    # system), and grouped by p in lexicographic order
-    qt, idx = op1.q.table, np.arange(m)
-    a, b = np.nonzero((qt > idx) & (idx > idx[:, None]))
-    by_p = np.argsort(qt[a, b], kind="stable")
-    a, b = a[by_p], b[by_p]
-    bounds = np.searchsorted(qt[a, b], np.arange(m + 1)).tolist()
-    block1 = op1.blocks[a, b]
-    steps = [None] + [
-        (cands[p - 1], a[lo:hi], b[lo:hi], block1[lo:hi])
-        for p, lo, hi in zip(range(1, m), bounds[1:], bounds[2:])
-    ]
+    # slicing the table keeps an order-1 quotient working: it has no points
+    # and no system
+    plan = _search.Plan((op1.q.table[1:, 1:] - 1).tolist(), [0] * (m - 1), range(m - 1))
+    known = [set(map(bytes, c)) for c in cands]
+    b1, b2 = op1.blocks[1:, 1:], op2.blocks[1:, 1:]
     maps = np.empty((m, k), dtype=np.int32)
     maps[0] = np.arange(k)
+    g = maps[1:]  # g[x] is the map of plan point x
     budget = design_core._NODE_BUDGET  # read per call, so a patched value takes effect
+    nodes = 0
 
-    def place(p):
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
+    def visit():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
             raise BoundExceeded("isotopy search exceeded its node budget")
-        if p == m:
-            return True
-        cands, a, b, block1 = steps[p]
-        for g in cands:
-            maps[p] = g
-            ga, gb = maps[a][:, :, None], maps[b][:, None, :]
-            block2 = op2.blocks[a[:, None, None], b[:, None, None], ga, gb]
-            if np.array_equal(g[block1], block2) and place(p + 1):
-                return True
-        return False
 
-    try:
-        found = place(1)
-    finally:
-        del place  # place refers to itself: free the search now, not at the next gc
-    if not found:
-        return None
-    fam = IsotopyFamily(tuple(tuple(g) for g in maps.tolist()))
+    def holds(x, a, c):
+        return np.array_equal(g[x][b1[a, c]], b2[a, c][g[a][:, None], g[c]])
+
+    def place(p, gp):
+        """Give direct point p the map gp and walk p's steps; False at the
+        first forced map that is no candidate or breaks a block."""
+        visit()
+        g[p] = gp
+        for x, a, c, more in plan.steps[p]:
+            visit()
+            g[x][b1[a, c, 0]] = b2[a, c, g[a][0]][g[c]]
+            if bytes(g[x]) not in known[x] or not all(holds(x, *ac) for ac in ((a, c), *more)):
+                return False
+        return True
+
+    direct, level = plan.direct, 0
+    tries = [iter(cands[p]) for p in direct]  # the untried candidates per level
+    while level < len(direct):
+        p = direct[level]
+        if any(place(p, gp) for gp in tries[level]):  # resumes where it stopped
+            level += 1
+        elif level == 0:
+            return None
+        else:
+            tries[level] = iter(cands[p])
+            level -= 1
+    fam = IsotopyFamily(tuple(map(tuple, maps.tolist())))
     if not verify_isotopy_family(op1, op2, fam):
         raise AssertionError("isotopy search returned a family that fails verification")
     return fam

@@ -136,9 +136,9 @@ class TestExtend:
     def test_operator_kind(self, capsys, tmp_path, sts19_example):
         op = sl.double_operator(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11"))
         op_path = tmp_path / "op.txt"
-        formats.write_operator(op, op_path)
+        op_path.write_text(formats.render_operator(op))
         n_path = tmp_path / "n.sts"
-        formats.write_system(catalog.fixture("sts9_labeled"), n_path)
+        n_path.write_text(formats.render_system(catalog.fixture("sts9_labeled")))
         out_path = tmp_path / "built.sts"
         code, _, _ = run(
             capsys, "extend", "operator", "--q", "sts1", "--n", str(n_path),
@@ -186,7 +186,7 @@ class TestExtend:
         """A factor-system file carries its own t: one that differs from
         --t is refused by the extension, not by the fixture check."""
         path = tmp_path / "f.fs"
-        formats.write_factor_system(catalog.fixture("f_sts15_example"), path)
+        path.write_text(formats.render_factor_system(catalog.fixture("f_sts15_example")))
         code, out, err = run(
             capsys, "extend", "schreier", "--q", "fano", "--t", "2", "--f", str(path)
         )
@@ -649,9 +649,11 @@ class TestOptions:
     @pytest.mark.parametrize("command", OPTIONS)
     def test_every_option_is_read(self, capsys, tmp_path, command):
         fano, op = tmp_path / "fano.sts", tmp_path / "double.op"
-        formats.write_system(catalog.fixture("fano_labeled"), fano)
-        formats.write_operator(
-            sl.double_operator(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11")), op
+        fano.write_text(formats.render_system(catalog.fixture("fano_labeled")))
+        op.write_text(
+            formats.render_operator(
+                sl.double_operator(catalog.fixture("sts9_loop_table"), catalog.fixture("phi_11"))
+            )
         )
         paths = {"FANO": str(fano), "OPERATOR": str(op)}
         assert self._declared(command) == self.OPTIONS[command]

@@ -238,8 +238,8 @@ def test_square_enumeration_holds_no_cycle():
 def test_searches_hold_no_cycle(sts9, sts15_2):
     """A finished isomorphism search, one that answers and one that the
     centre route stops, searches that scan their target only at the first
-    failed placement, and an automorphism chain are freed by reference
-    counting alone."""
+    failed placement, an automorphism chain, and isotopy searches that find
+    a family and that find none are freed by reference counting alone."""
     q, n = sts9.loop(), sl.ElemAbelian2(1)
     a, b = (
         sl.build_schreier(n, q, sl.FactorSystem(q, 1, values)).system()
@@ -247,6 +247,9 @@ def test_searches_hold_no_cycle(sts9, sts15_2):
     )
     other = sts15_2.relabel(list(reversed(range(sts15_2.v))))
     sts13_a, sts13_b = catalog.fixture("sts13_a"), catalog.fixture("sts13_b")
+    op1, op2 = (
+        steiner_operator.from_factor_system(catalog.fixture(key)) for key in ("f1_sts9", "f2_sts9")
+    )
     gc.collect()
     gc.disable()
     try:
@@ -259,6 +262,8 @@ def test_searches_hold_no_cycle(sts9, sts15_2):
             assert sl.are_isomorphic(sts13_a, swapped) is not None
             assert sl.are_isomorphic(sts13_a, sl.TripleSystem(13, sts13_b.lines)) is None
             sl.automorphisms(sts15_2)
+            assert sl.find_equivalence(op1, op1) is not None
+            assert sl.find_equivalence(op1, op2) is None
         assert gc.collect() == 0
     finally:
         gc.enable()

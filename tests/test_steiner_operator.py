@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -514,15 +515,30 @@ class TestIsotopy:
 
     def test_node_bound_counts_family_nodes(self, example_op, monkeypatch):
         """The identity family places one map per non-identity quotient
-        element plus the closing node: m nodes in all. Candidate maps spend
-        none."""
+        element, branched or forced: m - 1 nodes in all. Candidate maps
+        spend none."""
         m = example_op.q.n
-        monkeypatch.setattr(dc, "_NODE_BUDGET", m)
+        monkeypatch.setattr(dc, "_NODE_BUDGET", m - 1)
         fam = sl.find_equivalence(example_op, example_op)
         assert fam == sl.IsotopyFamily((tuple(range(10)),) * m)
-        monkeypatch.setattr(dc, "_NODE_BUDGET", m - 1)
+        monkeypatch.setattr(dc, "_NODE_BUDGET", m - 2)
         with pytest.raises(BoundExceeded):
             sl.find_equivalence(example_op, example_op)
+
+    def test_inequivalent_t4_pair_within_its_budget(self, monkeypatch):
+        """Over sts9 at t = 4, f and then g drawn from one random.Random(0)
+        are not equivalent. The plan search says so in 17,169 placed maps;
+        branching at every quotient element in label order took about
+        136,000."""
+        q = catalog.fixture("sts9_labeled").loop()
+        rng = random.Random(0)
+        values = [[rng.randrange(16) for _ in range(12)] for _ in range(2)]
+        op1, op2 = (so.from_factor_system(sl.FactorSystem(q, 4, v)) for v in values)
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 17_169)
+        assert sl.find_equivalence(op1, op2) is None
+        monkeypatch.setattr(dc, "_NODE_BUDGET", 17_168)
+        with pytest.raises(BoundExceeded):
+            sl.find_equivalence(op1, op2)
 
     def test_shape_mismatch(self, example_op, fano_q):
         other = so.from_factor_system(sl.zero_factor_system(n1, fano_q))
@@ -581,10 +597,10 @@ class TestIsotopy:
             assert (fam is not None) == (sl.are_equivalent(f1, f2) is not None)
 
 
-def assert_search_matches_reference(op1, op2):
+def assert_search_matches_reference(op1, op2, nodes):
     """find_equivalence returns the oracle's family (or None) within exactly
-    the oracle's family nodes, and _candidate_maps lists the oracle's
-    candidates in the oracle's order."""
+    nodes placed maps (pinned per pair), and _candidate_maps lists the
+    oracle's candidates in the oracle's order."""
     cands = so._candidate_maps(op1, op2)
     assert len(cands) == op1.q.n - 1
     for p in range(1, op1.q.n):
@@ -594,18 +610,26 @@ def assert_search_matches_reference(op1, op2):
     # the oracle's search ran both stages on one budget of this default
     assert cand_nodes + family_nodes <= dc._NODE_BUDGET
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dc, "_NODE_BUDGET", family_nodes)
+        mp.setattr(dc, "_NODE_BUDGET", nodes)
         assert sl.find_equivalence(op1, op2) == fam
-        if family_nodes:
-            mp.setattr(dc, "_NODE_BUDGET", family_nodes - 1)
+        if nodes:
+            mp.setattr(dc, "_NODE_BUDGET", nodes - 1)
             with pytest.raises(BoundExceeded):
                 sl.find_equivalence(op1, op2)
     return fam
 
 
 class TestIsotopySearchMatchesReference:
-    """The closed-form candidates and the one-block-per-triple search give
-    the families of the backtracking oracle in tests/conftest.py."""
+    """The closed-form candidates and the search along the quotient's
+    closure plan give the families of the backtracking oracle in
+    tests/conftest.py, within node counts pinned per pair."""
+
+    # nodes per pair, in the order test_schreier_operators makes them
+    SCHREIER_NODES = {
+        "fano_labeled": (34, 7, 7, 7, 228, 7, 228, 7, 2184, 7, 1672, 7),
+        "sts9_labeled": (47, 36, 47, 36, 309, 209, 309, 232),
+        "sts15_2": (34, 60, 34, 15, 228, 15, 228, 810),
+    }
 
     @pytest.mark.parametrize(
         "key, ts",
@@ -617,7 +641,7 @@ class TestIsotopySearchMatchesReference:
         rng = random.Random(20241018)
         q = catalog.fixture(key).loop()
         qs = q.system()
-        found = []
+        found, nodes = [], iter(self.SCHREIER_NODES[key])
         for t in ts:
             for i in range(4):
                 f1 = sl.FactorSystem(q, t, [rng.randrange(1 << t) for _ in range(qs.b)])
@@ -627,7 +651,8 @@ class TestIsotopySearchMatchesReference:
                 else:
                     f2 = sl.FactorSystem(q, t, [rng.randrange(1 << t) for _ in range(qs.b)])
                 op1, op2 = so.from_factor_system(f1), so.from_factor_system(f2)
-                found.append(assert_search_matches_reference(op1, op2) is not None)
+                found.append(assert_search_matches_reference(op1, op2, next(nodes)) is not None)
+        assert next(nodes, None) is None
         assert any(found) and not all(found)
 
     @pytest.mark.parametrize("key", ["sts9_labeled", "sts15_2"])
@@ -646,12 +671,48 @@ class TestIsotopySearchMatchesReference:
 
     def test_doubling_operators(self, sts9_loop):
         """Every ordered pair of the first 12 symmetric squares of order 10
-        and phi_11."""
+        and phi_11. The order-2 quotient has one point and no triple: an
+        operator against itself takes its first candidate in one node, and
+        every other pair here has no candidate, so no node."""
         squares = list(itertools.islice(sl.enumerate_symmetric_squares(10), 12))
         ops = [sl.double_operator(sts9_loop, sq) for sq in squares]
         ops.append(sl.double_operator(sts9_loop, catalog.fixture("phi_11")))
-        found = [assert_search_matches_reference(a, b) is not None for a in ops for b in ops]
+        found = [
+            assert_search_matches_reference(a, b, int(a is b)) is not None
+            for a in ops
+            for b in ops
+        ]
         assert found.count(True) >= len(ops) and not all(found)
+
+    # nodes per ordered pair (a, b) of each frame's operators, row a
+    EXTENSION_NODES = (
+        (
+            (3, 3, 3, 3, 36, 36, 36, 36, 36, 36, 36, 36),
+            (3, 3, 3, 3, 36, 36, 36, 36, 36, 36, 36, 36),
+            (3, 3, 3, 3, 36, 36, 36, 36, 36, 36, 36, 36),
+            (3, 3, 3, 3, 36, 36, 36, 36, 36, 36, 36, 36),
+            (36, 36, 36, 36, 3, 3, 36, 36, 36, 36, 3, 21),
+            (36, 36, 36, 36, 3, 3, 36, 36, 36, 36, 3, 21),
+            (36, 36, 36, 36, 36, 36, 3, 3, 3, 3, 36, 36),
+            (36, 36, 36, 36, 36, 36, 3, 3, 3, 3, 36, 36),
+            (36, 36, 36, 36, 36, 36, 3, 3, 3, 3, 36, 36),
+            (36, 36, 36, 36, 36, 36, 3, 3, 3, 3, 36, 36),
+            (36, 36, 36, 36, 3, 3, 36, 36, 36, 36, 3, 21),
+            (36, 36, 36, 36, 21, 21, 36, 36, 36, 36, 21, 3),
+        ),
+        (
+            (7, 7, 7, 7, 164, 164, 164, 164, 36, 36),
+            (7, 7, 7, 7, 164, 164, 164, 164, 36, 36),
+            (7, 7, 7, 7, 164, 164, 164, 164, 36, 36),
+            (7, 7, 7, 7, 164, 164, 164, 164, 36, 36),
+            (164, 164, 164, 164, 7, 121, 164, 164, 36, 36),
+            (164, 164, 164, 164, 121, 7, 164, 164, 36, 36),
+            (164, 164, 164, 164, 164, 164, 7, 11, 36, 36),
+            (164, 164, 164, 164, 164, 164, 11, 7, 36, 36),
+            (36, 36, 36, 36, 36, 36, 36, 36, 7, 7),
+            (36, 36, 36, 36, 36, 36, 36, 36, 7, 7),
+        ),
+    )
 
     def test_extension_operators(self, fano_q, sts15_2):
         """Operators of normal subloops {W, a, b, c} over a triple, under
@@ -677,14 +738,49 @@ class TestIsotopySearchMatchesReference:
                     section = [0] + [rng.choice(sorted(c)) for c in cosets[1:]]
                     op = sl.operator_from_extension(loop, sub, section)
                     frames.setdefault(op.q.table.tobytes(), []).append(op)
-        assert sorted(ops[0].q.n for ops in frames.values()) == [4, 8]
+        assert [ops[0].q.n for ops in frames.values()] == [4, 8]
         found = [
-            assert_search_matches_reference(a, b) is not None
-            for ops in frames.values()
-            for a in ops
-            for b in ops
+            assert_search_matches_reference(a, b, n) is not None
+            for ops, rows in zip(frames.values(), self.EXTENSION_NODES, strict=True)
+            for a, row in zip(ops, rows, strict=True)
+            for b, n in zip(ops, row, strict=True)
         ]
         assert any(found) and not all(found)
+
+
+class TestIsotopyFamilyGoldens:
+    """Families over extensions at t = 3, past the oracle's reach: sha256 of
+    repr(family.maps) for f against f + delta(phi), as the search that
+    branched at every quotient element in label order found them; f against
+    an independent g has no family. Values come from random.Random(7 * seed
+    + 3): f, then phi, then g."""
+
+    GOLDEN = {
+        ("fano_labeled", 0): "445dbd133a2ca3a31fa49c4a37524586b728a5977e15c89aea0b8078c221d9aa",
+        ("fano_labeled", 1): "b870b16956e6f9c2bac5c1b9b2682ebc326b35112bd3bd51c3a57887d62931c4",
+        ("fano_labeled", 2): "cddbc7a6c514a561b888dcb1547ab2f71bcba1c5a5969ff4ee90d7b02b359a42",
+        ("sts9_labeled", 0): "db5672bd15b72d77dc517b3eab3ce9641ea39f8a03fe8fd71ed32fe384589139",
+        ("sts9_labeled", 1): "4f0faf30d806f0496d3b0d88c269051a96da486c67f142d6adec9dd02e347995",
+        ("sts9_labeled", 2): "577e1f490cf7471534ac55d02ef875ef21ace126abfc4c83e9c6ee7535a04510",
+    }
+
+    @pytest.mark.parametrize("key, seed", sorted(GOLDEN))
+    def test_t3_families(self, key, seed):
+        q = catalog.fixture(key).loop()
+        qs = q.system()
+        rng = random.Random(7 * seed + 3)
+        f = sl.FactorSystem(q, 3, [rng.randrange(8) for _ in range(qs.b)])
+        phi = sl.Cochain1(q, 3, tuple(rng.randrange(8) for _ in range(qs.v)))
+        g = sl.FactorSystem(q, 3, [rng.randrange(8) for _ in range(qs.b)])
+
+        def operator(fs):
+            loop = sl.build_schreier(sl.ElemAbelian2(3), q, fs)
+            return sl.operator_from_extension(loop, sl.Subloop(loop, range(8)))
+
+        op = operator(f)
+        fam = sl.find_equivalence(op, operator(f + sl.coboundary(phi)))
+        assert hashlib.sha256(repr(fam.maps).encode()).hexdigest() == self.GOLDEN[key, seed]
+        assert sl.find_equivalence(op, operator(g)) is None
 
 
 class TestCandidateGather:
